@@ -22,16 +22,7 @@ from .fbm import (
     wood_chan_sample,
 )
 from .grids import SamplePath, TimeGrid
-from .market import (
-    MarketParams,
-    ViabilityBreachError,
-    discount_factor,
-    riskfree_price,
-    simulate_prices,
-    stochastic_exponential,
-    theta,
-    vol_from_state,
-)
+from .market import MarketParams
 from .pricing import (
     Basket,
     BreachRateError,
@@ -47,7 +38,7 @@ from .pricing import (
     price_riskneutral,
     simulate_scenario_paths,
 )
-from .rde import SolveConfig, convergence_probe, euler_solve, project_polyhedron
+from .rde import SolveConfig, convergence_probe, euler_solve
 from .rng import NormalStream, RandomSource, stream_key
 from .scenario import (
     Scenario,

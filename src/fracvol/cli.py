@@ -58,6 +58,27 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
             handle.write(",".join(_fmt(col[i]) for col in columns) + "\n")
 
 
+def _write_sim_paths(out: Path, scenario: Scenario, results: list[dict]) -> None:
+    """One sim_pathNNN.csv per simulated path: time, state, volatility, prices, margin."""
+    d = scenario.dims
+    header = (
+        ["t"]
+        + [f"u{k + 1}" for k in range(d)]
+        + [f"v{k + 1}" for k in range(d)]
+        + [f"s{k + 1}" for k in range(d)]
+        + ["margin"]
+    )
+    for i, res in enumerate(results):
+        columns = (
+            [scenario.grid.times]
+            + [res["state"][:, k] for k in range(d)]
+            + [res["vol"][:, k] for k in range(d)]
+            + [res["prices"][:, k] for k in range(d)]
+            + [res["margin"]]
+        )
+        _write_csv(out / f"sim_path{i:03d}.csv", header, columns)
+
+
 def _write_json(path: Path, doc: dict) -> None:
     with open(path, "w", newline="\n") as handle:
         json.dump(doc, handle, indent=2, sort_keys=True)
@@ -76,8 +97,6 @@ def _default_threads() -> int:
 
 
 def cmd_fbm(args) -> int:
-    if not (0.0 < args.hurst < 1.0):
-        raise ValueError(f"hurst must lie in (0, 1), got {args.hurst}")
     grid = TimeGrid(args.horizon, args.steps)
     cfg = FbmConfig(args.hurst, args.dims, args.seed)
     method = {"woodchan": "wood-chan", "cholesky": "cholesky"}[args.method]
@@ -140,32 +159,10 @@ def cmd_check_viability(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
-    if scenario.hurst <= 0.5:
-        raise ValueError(
-            f"rough regime unsupported: the state equation needs hurst > 1/2, "
-            f"got {scenario.hurst}"
-        )
     results = simulate_scenario_paths(scenario, args.paths, project=args.project)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    d = scenario.dims
-    times = scenario.grid.times
-    for i, res in enumerate(results):
-        header = (
-            ["t"]
-            + [f"u{k + 1}" for k in range(d)]
-            + [f"v{k + 1}" for k in range(d)]
-            + [f"s{k + 1}" for k in range(d)]
-            + ["margin"]
-        )
-        columns = (
-            [times]
-            + [res["state"][:, k] for k in range(d)]
-            + [res["vol"][:, k] for k in range(d)]
-            + [res["prices"][:, k] for k in range(d)]
-            + [res["margin"]]
-        )
-        _write_csv(out / f"sim_path{i:03d}.csv", header, columns)
+    _write_sim_paths(out, scenario, results)
     report = {
         "paths": args.paths,
         "seed": scenario.seed,
@@ -204,10 +201,6 @@ def _build_payoff(args, scenario: Scenario):
 
 def cmd_price(args) -> int:
     scenario = load_scenario(args.scenario)
-    if scenario.hurst <= 0.5:
-        raise ValueError(
-            f"rough regime unsupported: pricing needs hurst > 1/2, got {scenario.hurst}"
-        )
     payoff = _build_payoff(args, scenario)
     mc = MCConfig(
         paths=args.paths,
@@ -254,24 +247,7 @@ def cmd_reproduce_section4(args) -> int:
     _write_json(out / "scenario.json", scenario_to_dict(scenario))
 
     results = simulate_scenario_paths(scenario, args.paths)
-    d = scenario.dims
-    times = scenario.grid.times
-    for i, res in enumerate(results):
-        header = (
-            ["t"]
-            + [f"u{k + 1}" for k in range(d)]
-            + [f"v{k + 1}" for k in range(d)]
-            + [f"s{k + 1}" for k in range(d)]
-            + ["margin"]
-        )
-        columns = (
-            [times]
-            + [res["state"][:, k] for k in range(d)]
-            + [res["vol"][:, k] for k in range(d)]
-            + [res["prices"][:, k] for k in range(d)]
-            + [res["margin"]]
-        )
-        _write_csv(out / f"sim_path{i:03d}.csv", header, columns)
+    _write_sim_paths(out, scenario, results)
     summary = {
         "normalizer": normalizer,
         "viability_passed": report.passed,

@@ -3,6 +3,8 @@
 Prices use the exact exponential solution of the lognormal dynamics with the
 volatility and the market price of risk evaluated at the left grid point of
 each step, which keeps every discrete sum adapted to the driving increments.
+Functions other than the discount factor act on arrays with leading path (and
+time) axes, so the pricing engine and `simulate` call them on whole batches.
 """
 
 from __future__ import annotations
@@ -11,12 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .grids import SamplePath, TimeGrid
-
-
-class ViabilityBreachError(RuntimeError):
-    """Raised when a volatility component falls at or below its admissible floor."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,78 +58,55 @@ class MarketParams:
                 raise ValueError(f"anchor index {ik} out of range for dimension {d}")
             if proj[k, ik] == 0:
                 raise ValueError(f"projection {k} vanishes at its anchor index {ik}")
-            if not np.any(proj[k] != 0):
-                raise ValueError(f"projection {k} must be nonzero")
 
     @property
     def dims(self) -> int:
         return self.projections.shape[0]
 
 
-def vol_from_state(state: SamplePath, params: MarketParams) -> SamplePath:
-    """Volatility path: component k at time t is <h_k, U(t)>."""
-    if state.dims != params.dims:
-        raise ValueError(
-            f"state has {state.dims} components, market expects {params.dims}"
-        )
-    return SamplePath(state.grid, state.values @ params.projections.T)
+def volatility(states: np.ndarray, params: MarketParams) -> np.ndarray:
+    """Volatility <h_k, U> of states (..., d) over any leading path and time axes."""
+    return states @ params.projections.T
 
 
-def riskfree_price(t, params: MarketParams):
-    """Risk-free account value initial_riskfree * exp(rate * t)."""
-    return params.initial_riskfree * np.exp(params.rate * np.asarray(t, dtype=float))
+def floor_breach(v: np.ndarray, xi) -> tuple[np.ndarray, np.ndarray]:
+    """Paths with some V <= xi / 2, and V with those components replaced by 1.
 
-
-def simulate_prices(vol: SamplePath, w_path: SamplePath, params: MarketParams) -> SamplePath:
-    """Exact exponential price path driven by the Brownian path.
-
-    log S_k(t_i) = log S_k(0) + sum_{j<i} (b_k - V_k(t_j)^2 / 2) dt + V_k(t_j) dW_k(t_j);
-    strictly positive by construction.
+    `xi` carries the leading path axes of `v`.  Below the floor the weights
+    lose their integrability, so the estimators discard those paths and only
+    need finite placeholder values for them.
     """
-    if vol.grid != w_path.grid:
-        raise ValueError("volatility and driver must share the grid")
-    if np.any(w_path.values[0] != 0.0):
-        raise ValueError("driver must start at 0")
-    dt = vol.grid.dt
-    v_left = vol.values[:-1]
-    log_incr = (params.drifts - 0.5 * v_left**2) * dt + v_left * w_path.increments()
-    log_path = np.vstack([np.zeros(vol.dims), np.cumsum(log_incr, axis=0)])
-    return SamplePath(vol.grid, params.initial_prices * np.exp(log_path))
+    xi = np.asarray(xi, dtype=float)
+    low = v <= 0.5 * xi.reshape(xi.shape + (1,) * (v.ndim - xi.ndim))
+    return np.any(low, axis=tuple(range(xi.ndim, v.ndim))), np.where(low, 1.0, v)
 
 
-def theta(v_t, params: MarketParams, xi_floor: float | None = None) -> np.ndarray:
-    """Market price of risk (rate - b_k) / V_k at one time point.
-
-    When `xi_floor` is given, any component at or below half the floor is a
-    viability breach: the measure-change weights would lose their integrability
-    and silently blow up the variance, so that state is rejected loudly.
-    """
-    v = np.asarray(v_t, dtype=float)
-    floor = 0.5 * xi_floor if xi_floor is not None else 0.0
-    if np.any(v <= floor):
-        raise ViabilityBreachError(
-            f"volatility {v} at or below the admissible floor {floor:g}"
-        )
+def theta(v: np.ndarray, params: MarketParams) -> np.ndarray:
+    """Market price of risk (rate - b_k) / V_k, componentwise over leading axes."""
     return (params.rate - params.drifts) / v
 
 
-def stochastic_exponential(
-    grid: TimeGrid,
-    theta_dot_dw: np.ndarray,
-    theta_sq_dt: np.ndarray,
-    q: float = 1.0,
-) -> SamplePath:
-    """Exponential martingale path exp(q M(t) - q^2 <M>_t / 2) from step data.
+def log_price_increments(v_left, dw, drift, dt: float) -> np.ndarray:
+    """Left-point log-price increments (drift - V^2 / 2) dt + V dW, with drift b
+    under the physical measure and r under the risk-neutral one."""
+    return (drift - 0.5 * v_left**2) * dt + v_left * dw
 
-    `theta_dot_dw` holds the per-step increments <theta_j, dW_j> and
-    `theta_sq_dt` the per-step quadratic variation |theta_j|^2 dt.
-    """
-    theta_dot_dw = np.asarray(theta_dot_dw, dtype=float)
-    theta_sq_dt = np.asarray(theta_sq_dt, dtype=float)
-    if theta_dot_dw.shape != (grid.steps,) or theta_sq_dt.shape != (grid.steps,):
-        raise ValueError("need one increment per grid step")
-    log_e = q * np.cumsum(theta_dot_dw) - 0.5 * q * q * np.cumsum(theta_sq_dt)
-    return SamplePath(grid, np.concatenate([[1.0], np.exp(log_e)]))
+
+def asset_prices(log_return: np.ndarray, params: MarketParams) -> np.ndarray:
+    """Prices S(0) exp(log return); strictly positive by construction."""
+    return params.initial_prices * np.exp(log_return)
+
+
+def price_paths(log_incr: np.ndarray, params: MarketParams) -> np.ndarray:
+    """Price paths (..., n + 1, d) on the grid from log increments (..., n, d)."""
+    start = np.zeros(log_incr.shape[:-2] + (1, log_incr.shape[-1]))
+    log_return = np.concatenate([start, np.cumsum(log_incr, axis=-2)], axis=-2)
+    return asset_prices(log_return, params)
+
+
+def log_weight(th: np.ndarray, dw: np.ndarray, dt: float) -> np.ndarray:
+    """Terminal log-weight sum theta . dW - (1/2) sum |theta|^2 dt over (..., n, d)."""
+    return np.sum(th * dw, axis=(-2, -1)) - 0.5 * dt * np.sum(th * th, axis=(-2, -1))
 
 
 def discount_factor(t: float, params: MarketParams) -> float:

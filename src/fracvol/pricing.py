@@ -27,22 +27,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import (
-    ConstantXi,
-    ModelCoefficients,
-    SingularXi,
-    XiLaw,
-    eval_mu,
-    eval_sigma,
-    sigma_factors,
-    xi_inverse_cdf,
-    XI_STREAM,
+from .coefficients import ConstantXi, SingularXi, XiLaw, xi_inverse_cdf, XI_STREAM
+from .market import (
+    asset_prices,
+    discount_factor,
+    floor_breach,
+    log_price_increments,
+    log_weight,
+    price_paths,
+    theta,
+    volatility,
 )
-from .grids import SamplePath
-from .rde import euler_paths
+from .rde import euler_paths, euler_step, require_young
 from .rng import RandomSource
 from .scenario import Scenario
-from .viability import check_viability_conditions, project_into
+from .viability import check_viability_conditions
 from .volterra import KernelMatrix, build_kernel_matrix, transform_increments
 
 MAX_BREACH_FRACTION = 1e-3
@@ -174,16 +173,6 @@ def w_increments(scenario: Scenario, seed: int, start: int, count: int) -> np.nd
     return out
 
 
-def _euler_step(scenario, xi, x, db, dt):
-    c = scenario.coefficients
-    mu = eval_mu(c, xi, x)
-    if isinstance(c, ModelCoefficients):
-        diffusion = (sigma_factors(c, xi, x) * db) @ c.directions
-    else:
-        diffusion = np.einsum("...ij,...j->...i", eval_sigma(c, xi, x), db)
-    return x + mu * dt + diffusion
-
-
 def _constraint_data(scenario: Scenario, xi: np.ndarray):
     """Half-space data of the shifted sets K(xi), one offset row per path.
 
@@ -194,33 +183,43 @@ def _constraint_data(scenario: Scenario, xi: np.ndarray):
     return base.normals, xi[:, None] * base.offsets
 
 
-def _physical_batch(
+def _kernel_matrix(scenario: Scenario) -> KernelMatrix:
+    """Kernel matrix of the scenario's driver, checked before any path is drawn."""
+    require_young(scenario.hurst)
+    return build_kernel_matrix(scenario.grid, scenario.hurst)
+
+
+def _physical_paths(
     scenario: Scenario, km: KernelMatrix, seed: int, start: int, count: int, project: bool
 ):
-    """Terminal prices, terminal martingale weights, and breach mask for a batch."""
-    grid = scenario.grid
-    dt = grid.dt
-    params = scenario.market
+    """(xi, dW, B, states) of physical-measure paths [start, start + count).
+
+    With `project`, every Euler step is projected onto the path's own K(xi).
+    """
     xi = xi_draws(scenario.xi, seed, start, count)
     dw = w_increments(scenario, seed, start, count)
     b_values = transform_increments(dw, km)
     db = np.diff(b_values, axis=1)
     constraint = _constraint_data(scenario, xi) if project else None
     states = euler_paths(
-        scenario.coefficients, xi, db, scenario.initial_state, dt, project_onto=constraint
+        scenario.coefficients, xi, db, scenario.initial_state, scenario.grid.dt, constraint
     )
-    vol = states @ params.projections.T
-    v_left = vol[:, :-1, :]
-    floor = 0.5 * xi[:, None, None]
-    breached = np.any(v_left <= floor, axis=(1, 2))
-    v_safe = np.where(v_left <= floor, 1.0, v_left)
+    return xi, dw, b_values, states
 
-    th = (params.rate - params.drifts) / v_safe
-    log_weight = np.sum(th * dw, axis=(1, 2)) - 0.5 * dt * np.sum(th * th, axis=(1, 2))
-    log_incr = (params.drifts - 0.5 * v_left**2) * dt + v_left * dw
+
+def _physical_batch(
+    scenario: Scenario, km: KernelMatrix, seed: int, start: int, count: int, project: bool
+):
+    """Terminal prices, terminal martingale weights, and breach mask for a batch."""
+    dt = scenario.grid.dt
+    params = scenario.market
+    xi, dw, _, states = _physical_paths(scenario, km, seed, start, count, project)
+    v_left = volatility(states, params)[:, :-1, :]
+    breached, v_safe = floor_breach(v_left, xi)
+    log_incr = log_price_increments(v_left, dw, params.drifts, dt)
     with np.errstate(over="ignore"):  # breached paths may overflow; discarded later
-        weight = np.exp(log_weight)
-        terminal = params.initial_prices * np.exp(np.sum(log_incr, axis=1))
+        weight = np.exp(log_weight(theta(v_safe, params), dw, dt))
+        terminal = asset_prices(np.sum(log_incr, axis=1), params)
     return terminal, weight, breached
 
 
@@ -246,52 +245,43 @@ def _riskneutral_batch(
     b_prev = np.zeros((count, d))
     s_log = np.zeros((count, d))
     breached = np.zeros(count, dtype=bool)
-    floor = 0.5 * xi[:, None]
-    kernel_rows = km.entries
     for i in range(n):
-        v_i = x @ params.projections.T
-        breached |= np.any(v_i <= floor, axis=1)
-        v_safe = np.where(v_i <= floor, 1.0, v_i)
-        th_i = (params.rate - params.drifts) / v_safe
+        low, v_safe = floor_breach(volatility(x, params), xi)
+        breached |= low
+        th_i = theta(v_safe, params)
         th_i[breached] = 0.0  # freeze breached paths; they are discarded later
         dw[:, i] = dw_star[:, i] + th_i * dt
-        b_next = np.tensordot(kernel_rows[i, : i + 1], dw[:, : i + 1], axes=([0], [1]))
+        b_next = np.tensordot(km.entries[i, : i + 1], dw[:, : i + 1], axes=([0], [1]))
         db_step = b_next - b_prev
         db_step[breached] = 0.0
-        x = _euler_step(scenario, xi, x, db_step, dt)
-        if constraint is not None:
-            x = project_into(x, constraint[0], constraint[1])
+        x = euler_step(scenario.coefficients, xi, x, db_step, dt, constraint)
         b_prev = b_next
         if not np.all(np.isfinite(x)):
             raise FloatingPointError(f"state became non-finite at step {i + 1}")
-        s_log += (params.rate - 0.5 * v_safe**2) * dt + v_safe * dw_star[:, i]
+        s_log += log_price_increments(v_safe, dw_star[:, i], params.rate, dt)
     with np.errstate(over="ignore"):  # breached paths may overflow; discarded later
-        terminal = params.initial_prices * np.exp(s_log)
+        terminal = asset_prices(s_log, params)
     return terminal, np.ones(count), breached
 
 
 def _run_batches(scenario, mc, batch_fn):
     seed = scenario.seed if mc.seed is None else mc.seed
-    km = build_kernel_matrix(scenario.grid, scenario.hurst)
+    km = _kernel_matrix(scenario)
     ranges = [
         (start, min(mc.batch_size, mc.paths - start))
         for start in range(0, mc.paths, mc.batch_size)
     ]
+
+    def run(batch):
+        start, count = batch
+        return batch_fn(scenario, km, seed, start, count, mc.project)
+
     if mc.threads > 1:
         with ThreadPoolExecutor(max_workers=mc.threads) as pool:
-            futures = [
-                pool.submit(batch_fn, scenario, km, seed, start, count, mc.project)
-                for start, count in ranges
-            ]
-            parts = [f.result() for f in futures]
+            parts = list(pool.map(run, ranges))
     else:
-        parts = [
-            batch_fn(scenario, km, seed, start, count, mc.project)
-            for start, count in ranges
-        ]
-    terminal = np.concatenate([p[0] for p in parts])
-    weight = np.concatenate([p[1] for p in parts])
-    breached = np.concatenate([p[2] for p in parts])
+        parts = list(map(run, ranges))
+    terminal, weight, breached = (np.concatenate(column) for column in zip(*parts))
     return terminal, weight, breached, seed
 
 
@@ -326,7 +316,7 @@ def _assemble(payoff, scenario, terminal, weight, breached, seed) -> MCResult:
             f"(limit {MAX_BREACH_FRACTION:.1%}); the estimate is not trustworthy"
         )
     keep = ~breached
-    discount = math.exp(-scenario.market.rate * scenario.grid.horizon)
+    discount = discount_factor(scenario.grid.horizon, scenario.market)
     values = discount * weight[keep] * payoff_values(payoff, terminal[keep])
     estimate = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(values.size))
@@ -394,48 +384,34 @@ def _norm_cdf(x: float) -> float:
 def simulate_scenario_paths(
     scenario: Scenario, n_paths: int, project: bool = False
 ) -> list[dict]:
-    """Full per-path pipeline output for plotting and inspection.
+    """Pipeline output of paths [0, n_paths) for plotting and inspection.
 
+    The paths are the physical estimator's paths for the scenario's seed.
     Returns one dict per path with keys xi, w, b, state, vol, prices, margin
     (the slack of the state inside its shifted constraint set at each grid
-    time).  Intended for small path counts; pricing uses the batched engine.
+    time).
     """
-    grid = scenario.grid
     params = scenario.market
-    km = build_kernel_matrix(grid, scenario.hurst)
-    out = []
-    for p in range(n_paths):
-        xi = float(xi_draws(scenario.xi, scenario.seed, p, 1)[0])
-        dw = w_increments(scenario, scenario.seed, p, 1)
-        b_values = transform_increments(dw, km)
-        poly = scenario.polyhedron(xi)
-        states = euler_paths(
-            scenario.coefficients,
-            xi,
-            np.diff(b_values, axis=1),
-            scenario.initial_state,
-            grid.dt,
-            project_onto=poly if project else None,
-        )[0]
-        w_path = SamplePath(grid, np.vstack([np.zeros(scenario.dims), np.cumsum(dw[0], axis=0)]))
-        vol = states @ params.projections.T
-        v_left = vol[:-1]
-        log_incr = (params.drifts - 0.5 * v_left**2) * grid.dt + v_left * dw[0]
-        prices = params.initial_prices * np.exp(
-            np.vstack([np.zeros(scenario.dims), np.cumsum(log_incr, axis=0)])
-        )
-        margin = np.min(
-            poly.offsets - states @ poly.normals.T, axis=1
-        )
-        out.append(
-            {
-                "xi": xi,
-                "w": w_path.values,
-                "b": b_values[0],
-                "state": states,
-                "vol": vol,
-                "prices": prices,
-                "margin": margin,
-            }
-        )
-    return out
+    xi, dw, b_values, states = _physical_paths(
+        scenario, _kernel_matrix(scenario), scenario.seed, 0, n_paths, project
+    )
+    start = np.zeros((n_paths, 1, scenario.dims))
+    w = np.concatenate([start, np.cumsum(dw, axis=1)], axis=1)
+    vol = volatility(states, params)
+    prices = price_paths(
+        log_price_increments(vol[:, :-1], dw, params.drifts, scenario.grid.dt), params
+    )
+    normals, offsets = _constraint_data(scenario, xi)
+    margin = np.min(offsets[:, None, :] - states @ normals.T, axis=2)
+    return [
+        {
+            "xi": float(xi[p]),
+            "w": w[p],
+            "b": b_values[p],
+            "state": states[p],
+            "vol": vol[p],
+            "prices": prices[p],
+            "margin": margin[p],
+        }
+        for p in range(n_paths)
+    ]

@@ -2,7 +2,7 @@
 
 The scheme is the plain first-order update
     U(t_{i+1}) = U(t_i) + mu(xi, U(t_i)) dt + sigma(xi, U(t_i)) (B(t_{i+1}) - B(t_i))
-and is only meaningful in the Young regime hurst > 1/2, which the config
+and is only meaningful in the Young regime hurst > 1/2, which `require_young`
 enforces.  No projection onto a constraint set is applied by default; callers
 needing hard feasibility can pass `project_onto`, which applies a Euclidean
 projection onto the polyhedron after every step.
@@ -27,6 +27,14 @@ from .rng import RandomSource
 from .viability import Polyhedron, project_into
 
 
+def require_young(hurst: float) -> None:
+    """Reject a Hurst index outside the Young regime (1/2, 1) the scheme needs."""
+    if not (0.5 < hurst < 1.0):
+        raise ValueError(
+            f"rough regime unsupported: hurst must lie in (1/2, 1), got {hurst}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class SolveConfig:
     """Initial state, Hurst index of the driver, and grid for one solve."""
@@ -40,15 +48,21 @@ class SolveConfig:
         if not np.all(np.isfinite(initial)):
             raise ValueError("initial state must be finite")
         object.__setattr__(self, "initial", initial)
-        if not (0.5 < self.hurst < 1.0):
-            raise ValueError(
-                f"rough regime unsupported: hurst must lie in (1/2, 1), got {self.hurst}"
-            )
+        require_young(self.hurst)
 
 
-def project_polyhedron(poly: Polyhedron, x: np.ndarray, iterations: int = 48) -> np.ndarray:
-    """Euclidean projection onto the polyhedron (points already inside unchanged)."""
-    return project_into(np.asarray(x, dtype=float), poly.normals, poly.offsets, iterations)
+def euler_step(coeffs: Coefficients, xi, x, db, dt: float, project_onto=None) -> np.ndarray:
+    """One Euler update of states x (paths, d) by driver increments db (paths, d),
+    then the projection onto `project_onto`, a (normals, offsets) pair, if given."""
+    mu = eval_mu(coeffs, xi, x)
+    if isinstance(coeffs, ModelCoefficients):
+        diffusion = (sigma_factors(coeffs, xi, x) * db) @ coeffs.directions
+    else:
+        diffusion = np.einsum("...ij,...j->...i", eval_sigma(coeffs, xi, x), db)
+    x = x + mu * dt + diffusion
+    if project_onto is not None:
+        x = project_into(x, project_onto[0], project_onto[1])
+    return x
 
 
 def euler_paths(
@@ -73,19 +87,9 @@ def euler_paths(
     if isinstance(project_onto, Polyhedron):
         project_onto = (project_onto.normals, project_onto.offsets)
     out[:, 0] = x
-    affine = isinstance(coeffs, ModelCoefficients)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n):
-            mu = eval_mu(coeffs, xi, x)
-            if affine:
-                diffusion = (sigma_factors(coeffs, xi, x) * db[:, i]) @ coeffs.directions
-            else:
-                diffusion = np.einsum(
-                    "...ij,...j->...i", eval_sigma(coeffs, xi, x), db[:, i]
-                )
-            x = x + mu * dt + diffusion
-            if project_onto is not None:
-                x = project_into(x, project_onto[0], project_onto[1])
+            x = euler_step(coeffs, xi, x, db[:, i], dt, project_onto)
             if not np.all(np.isfinite(x)):
                 bad = int(np.nonzero(~np.isfinite(x).all(axis=1))[0][0])
                 raise FloatingPointError(

@@ -3,17 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from fracvol import (
-    MarketParams,
-    SamplePath,
-    TimeGrid,
-    ViabilityBreachError,
+from fracvol import MarketParams, TimeGrid
+from fracvol.market import (
     discount_factor,
-    riskfree_price,
-    simulate_prices,
-    stochastic_exponential,
+    floor_breach,
+    log_price_increments,
+    log_weight,
+    price_paths,
     theta,
-    vol_from_state,
+    volatility,
 )
 
 
@@ -27,18 +25,21 @@ def two_asset_params(rate=0.05, drifts=(0.1, 0.02)):
     )
 
 
-def brownian_path(grid, d, seed):
+def brownian_increments(grid, d, seed, paths=()):
     rng = np.random.default_rng(seed)
-    inc = rng.normal(scale=math.sqrt(grid.dt), size=(grid.steps, d))
-    return SamplePath(grid, np.vstack([np.zeros(d), np.cumsum(inc, axis=0)]))
+    return rng.normal(scale=math.sqrt(grid.dt), size=paths + (grid.steps, d))
+
+
+def simulated_prices(vol, dw, params, dt):
+    """Price paths from a volatility path on the grid and Brownian increments."""
+    return price_paths(log_price_increments(vol[..., :-1, :], dw, params.drifts, dt), params)
 
 
 class TestVolProjection:
     def test_reference_projection(self):
-        grid = TimeGrid(1.0, 2)
-        u = SamplePath(grid, np.array([[1.0, 0.0], [2.0, -0.5], [0.3, 0.1]]))
-        v = vol_from_state(u, two_asset_params())
-        assert np.allclose(v.values, [[1.0, 1.0], [1.5, 2.0], [0.4, 0.3]])
+        u = np.array([[1.0, 0.0], [2.0, -0.5], [0.3, 0.1]])
+        v = volatility(u, two_asset_params())
+        assert np.allclose(v, [[1.0, 1.0], [1.5, 2.0], [0.4, 0.3]])
 
     def test_identity_projection(self):
         params = MarketParams(
@@ -48,31 +49,28 @@ class TestVolProjection:
             projections=np.eye(2),
             anchor_indices=(0, 1),
         )
-        grid = TimeGrid(1.0, 3)
-        u = brownian_path(grid, 2, 1)
-        assert np.array_equal(vol_from_state(u, params).values, u.values)
+        u = np.cumsum(brownian_increments(TimeGrid(1.0, 3), 2, 1), axis=0)
+        assert np.array_equal(volatility(u, params), u)
 
     def test_constant_state_constant_vol(self):
-        grid = TimeGrid(1.0, 4)
-        u = SamplePath(grid, np.tile([0.2, 0.3], (5, 1)))
-        v = vol_from_state(u, two_asset_params())
-        assert np.allclose(v.values, np.tile([0.5, 0.2], (5, 1)))
+        u = np.tile([0.2, 0.3], (5, 1))
+        v = volatility(u, two_asset_params())
+        assert np.allclose(v, np.tile([0.5, 0.2], (5, 1)))
+
+    def test_leading_path_axes(self):
+        u = np.random.default_rng(2).normal(size=(4, 3, 2))
+        v = volatility(u, two_asset_params())
+        for p in range(4):
+            assert np.array_equal(v[p], volatility(u[p], two_asset_params()))
 
 
-class TestRiskfree:
+class TestDiscount:
     def test_initial_value(self):
-        assert riskfree_price(0.0, two_asset_params()) == pytest.approx(1.0)
+        assert discount_factor(0.0, two_asset_params()) == 1.0
 
     def test_exponential_value(self):
-        assert riskfree_price(1.0, two_asset_params()) == pytest.approx(
-            math.exp(0.05), rel=1e-14
-        )
-
-    def test_discount_is_exact_inverse(self):
-        params = two_asset_params()
-        t = 0.73
-        assert discount_factor(t, params) * riskfree_price(t, params) == pytest.approx(
-            1.0, rel=1e-14
+        assert discount_factor(1.0, two_asset_params()) == pytest.approx(
+            math.exp(-0.05), rel=1e-14
         )
 
     def test_rate_must_be_positive(self):
@@ -80,38 +78,33 @@ class TestRiskfree:
             two_asset_params(rate=0.0)
 
 
-class TestSimulatePrices:
+class TestPricePaths:
     def test_zero_vol_deterministic_growth(self):
         grid = TimeGrid(1.0, 16)
         params = two_asset_params(drifts=(0.1, -0.05))
-        vol = SamplePath(grid, np.zeros((17, 2)))
-        w = brownian_path(grid, 2, 2)
-        prices = simulate_prices(vol, w, params)
+        vol = np.zeros((17, 2))
+        dw = brownian_increments(grid, 2, 2)
+        prices = simulated_prices(vol, dw, params, grid.dt)
         expected = np.exp(np.outer(grid.times, params.drifts))
-        assert np.allclose(prices.values, expected, rtol=1e-12)
+        assert np.allclose(prices, expected, rtol=1e-12)
 
     def test_zero_driver_constant_vol(self):
         grid = TimeGrid(1.0, 8)
         params = two_asset_params(drifts=(0.1, 0.02))
         v = np.array([0.5, 0.2])
-        vol = SamplePath(grid, np.tile(v, (9, 1)))
-        w = SamplePath(grid, np.zeros((9, 2)))
-        prices = simulate_prices(vol, w, params)
+        vol = np.tile(v, (9, 1))
+        prices = simulated_prices(vol, np.zeros((8, 2)), params, grid.dt)
         expected = np.exp(np.outer(grid.times, params.drifts - 0.5 * v**2))
-        assert np.allclose(prices.values, expected, rtol=1e-12)
+        assert np.allclose(prices, expected, rtol=1e-12)
 
     def test_lognormal_moments(self):
         grid = TimeGrid(1.0, 16)
         params = two_asset_params(drifts=(0.1, 0.02))
         v = np.array([0.5, 0.2])
-        vol = SamplePath(grid, np.tile(v, (17, 1)))
+        vol = np.tile(v, (17, 1))
         n_paths = 20_000
-        rng = np.random.default_rng(7)
-        logs = np.empty((n_paths, 2))
-        for i in range(n_paths):
-            inc = rng.normal(scale=math.sqrt(grid.dt), size=(grid.steps, 2))
-            w = SamplePath(grid, np.vstack([np.zeros(2), np.cumsum(inc, axis=0)]))
-            logs[i] = np.log(simulate_prices(vol, w, params).terminal)
+        dw = brownian_increments(grid, 2, 7, paths=(n_paths,))
+        logs = np.log(simulated_prices(vol, dw, params, grid.dt)[:, -1])
         for k in range(2):
             mean_target = params.drifts[k] - 0.5 * v[k] ** 2
             se_mean = logs[:, k].std(ddof=1) / math.sqrt(n_paths)
@@ -123,76 +116,68 @@ class TestSimulatePrices:
     def test_strict_positivity(self):
         grid = TimeGrid(1.0, 64)
         params = two_asset_params()
-        vol = SamplePath(grid, np.abs(brownian_path(grid, 2, 3).values) + 0.1)
-        w = brownian_path(grid, 2, 4)
-        assert np.all(simulate_prices(vol, w, params).values > 0)
+        w = np.vstack([np.zeros(2), np.cumsum(brownian_increments(grid, 2, 3), axis=0)])
+        vol = np.abs(w) + 0.1
+        dw = brownian_increments(grid, 2, 4)
+        assert np.all(simulated_prices(vol, dw, params, grid.dt) > 0)
+
+    def test_risk_neutral_drift_is_the_rate(self):
+        v = np.array([0.5, 0.2])
+        incr = log_price_increments(v, np.zeros(2), 0.05, 0.25)
+        assert np.allclose(incr, (0.05 - 0.5 * v**2) * 0.25)
 
 
 class TestTheta:
     def test_reference_arithmetic(self):
         params = two_asset_params(rate=0.05, drifts=(0.1, 0.02))
-        assert np.allclose(theta([0.5, 0.2], params), [-0.1, 0.15])
+        assert np.allclose(theta(np.array([0.5, 0.2]), params), [-0.1, 0.15])
 
     def test_zero_when_drifts_equal_rate(self):
         params = two_asset_params(rate=0.05, drifts=(0.05, 0.05))
-        assert np.allclose(theta([0.4, 0.9], params), 0.0)
+        assert np.allclose(theta(np.array([0.4, 0.9]), params), 0.0)
 
     def test_scaling_halves(self):
         params = two_asset_params()
         v = np.array([0.5, 0.2])
         assert np.allclose(theta(2 * v, params), 0.5 * theta(v, params))
 
+
+class TestFloorBreach:
     def test_floor_guard(self):
-        params = two_asset_params()
-        with pytest.raises(ViabilityBreachError, match="floor"):
-            theta([0.3, 0.2], params, xi_floor=0.5)
+        breached, _ = floor_breach(np.array([0.3, 0.2]), 0.5)
+        assert breached
         # above the floor the same state is fine
-        out = theta([0.3, 0.26], params, xi_floor=0.5)
-        assert np.all(np.isfinite(out))
+        breached, v_safe = floor_breach(np.array([0.3, 0.26]), 0.5)
+        assert not breached
+        assert np.array_equal(v_safe, [0.3, 0.26])
+        assert np.all(np.isfinite(theta(v_safe, two_asset_params())))
 
     def test_nonpositive_vol_rejected(self):
-        with pytest.raises(ViabilityBreachError):
-            theta([0.5, 0.0], two_asset_params())
+        breached, v_safe = floor_breach(np.array([0.5, 0.0]), 0.0)
+        assert breached
+        assert np.array_equal(v_safe, [0.5, 1.0])
+
+    def test_per_path_floor(self):
+        v = np.array([[[0.6, 0.4], [0.5, 0.3]], [[0.6, 0.4], [0.5, 0.3]]])
+        breached, v_safe = floor_breach(v, np.array([0.5, 0.7]))
+        assert breached.tolist() == [False, True]
+        assert np.array_equal(v_safe[0], v[0])
+        assert np.array_equal(v_safe[1], [[0.6, 0.4], [0.5, 1.0]])
 
 
-class TestStochasticExponential:
+class TestLogWeight:
     def test_zero_integrand_is_one(self):
-        grid = TimeGrid(1.0, 8)
-        path = stochastic_exponential(grid, np.zeros(8), np.zeros(8))
-        assert np.array_equal(path.values[:, 0], np.ones(9))
-
-    def test_zero_exponent_is_one(self):
-        grid = TimeGrid(1.0, 8)
-        rng = np.random.default_rng(5)
-        path = stochastic_exponential(
-            grid, rng.normal(size=8), rng.uniform(size=8), q=0.0
-        )
-        assert np.array_equal(path.values[:, 0], np.ones(9))
-
-    def test_starts_at_one(self):
-        grid = TimeGrid(1.0, 4)
-        path = stochastic_exponential(grid, np.ones(4), np.ones(4), q=0.7)
-        assert path.values[0, 0] == 1.0
+        dw = brownian_increments(TimeGrid(1.0, 8), 2, 5)
+        assert np.exp(log_weight(np.zeros((8, 2)), dw, 1 / 8)) == 1.0
 
     def test_constant_integrand_mean_one(self):
         grid = TimeGrid(1.0, 8)
         th = np.array([0.3, -0.4])
-        rng = np.random.default_rng(6)
         n_paths = 10_000
-        terminal = np.empty(n_paths)
-        for i in range(n_paths):
-            dw = rng.normal(scale=math.sqrt(grid.dt), size=(8, 2))
-            path = stochastic_exponential(
-                grid, dw @ th, np.full(8, th @ th * grid.dt), q=1.0
-            )
-            terminal[i] = path.terminal[0]
+        dw = brownian_increments(grid, 2, 6, paths=(n_paths,))
+        terminal = np.exp(log_weight(np.broadcast_to(th, dw.shape), dw, grid.dt))
         se = terminal.std(ddof=1) / math.sqrt(n_paths)
         assert abs(terminal.mean() - 1.0) <= 3 * se
-
-    def test_shape_validation(self):
-        grid = TimeGrid(1.0, 8)
-        with pytest.raises(ValueError, match="one increment per grid step"):
-            stochastic_exponential(grid, np.zeros(7), np.zeros(8))
 
 
 class TestMarketParamsValidation:

@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import fracvol.pricing as pricing
 from fracvol import (
     Basket,
     BreachRateError,
@@ -17,6 +18,7 @@ from fracvol import (
     physical_terminal_sample,
     price_physical_weighted,
     price_riskneutral,
+    simulate_scenario_paths,
 )
 from fracvol.scenario import constant_vol_scenario, section4_scenario
 
@@ -189,6 +191,32 @@ class TestRunMechanics:
     def test_minimum_paths(self):
         with pytest.raises(ValueError, match="paths"):
             MCConfig(paths=1)
+
+    def test_rough_regime_rejected_before_any_draw(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a path was drawn")
+
+        monkeypatch.setattr(pricing, "xi_draws", no_draws)
+        monkeypatch.setattr(pricing, "w_increments", no_draws)
+        sc = section4_scenario(steps=32, hurst=0.4)
+        mc = MCConfig(paths=100, seed=1)
+        for run in (
+            lambda: price_physical_weighted(Call(0, 1.0), sc, mc),
+            lambda: price_riskneutral(Call(0, 1.0), sc, mc),
+            lambda: physical_terminal_sample(sc, mc),
+            lambda: simulate_scenario_paths(sc, 2),
+        ):
+            with pytest.raises(ValueError, match="rough regime"):
+                run()
+
+    def test_simulated_paths_are_the_priced_paths(self):
+        sc = section4_scenario(steps=2**8)
+        paths = simulate_scenario_paths(sc, 8, project=True)
+        terminal, _, _ = physical_terminal_sample(sc, MCConfig(paths=8, seed=sc.seed))
+        # cumsum along the path and sum over it add in different orders
+        np.testing.assert_allclose(
+            np.array([p["prices"][-1] for p in paths]), terminal, rtol=1e-12
+        )
 
     def test_terminal_sample_shapes(self):
         sc = constant_vol_scenario()

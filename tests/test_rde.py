@@ -13,13 +13,13 @@ from fracvol import (
     convergence_probe,
     euler_solve,
     path_viability_margin,
-    project_polyhedron,
     shifted_polyhedron,
     wood_chan_sample,
 )
 from fracvol.pricing import xi_draws
 from fracvol.rde import euler_paths
 from fracvol.scenario import section4_scenario
+from fracvol.viability import project_into
 
 
 def zero_coefficients(d=2):
@@ -161,11 +161,11 @@ class TestEulerSolve:
         assert np.array_equal(batch[1], single.values)
 
 
-class TestProjectPolyhedron:
+class TestProjectInto:
     def test_round_trip(self):
         poly = shifted_polyhedron([[1.0, 1.0], [1.0, 0.0]], (0, 0), 0.5)
         pts = np.array([[2.0, 1.0], [-1.0, -2.0]])
-        proj = project_polyhedron(poly, pts)
+        proj = project_into(pts, poly.normals, poly.offsets)
         assert np.array_equal(proj[0], pts[0])
         assert path_viability_margin(proj[1][None, :], poly) >= -1e-10
 
