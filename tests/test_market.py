@@ -64,7 +64,9 @@ class TestVolProjection:
             assert np.array_equal(v[p], volatility(u[p], two_asset_params()))
 
 
-class TestDiscount:
+class TestRiskfree:
+    """The risk-free account exp(rate * t) enters only through its exact inverse."""
+
     def test_initial_value(self):
         assert discount_factor(0.0, two_asset_params()) == 1.0
 
@@ -73,12 +75,18 @@ class TestDiscount:
             math.exp(-0.05), rel=1e-14
         )
 
+    def test_discount_is_exact_inverse(self):
+        params = two_asset_params()
+        t = 0.73
+        account = params.initial_riskfree * math.exp(params.rate * t)
+        assert discount_factor(t, params) * account == pytest.approx(1.0, rel=1e-14)
+
     def test_rate_must_be_positive(self):
         with pytest.raises(ValueError, match="rate"):
             two_asset_params(rate=0.0)
 
 
-class TestPricePaths:
+class TestSimulatePrices:
     def test_zero_vol_deterministic_growth(self):
         grid = TimeGrid(1.0, 16)
         params = two_asset_params(drifts=(0.1, -0.05))
@@ -141,8 +149,7 @@ class TestTheta:
         v = np.array([0.5, 0.2])
         assert np.allclose(theta(2 * v, params), 0.5 * theta(v, params))
 
-
-class TestFloorBreach:
+    # floor_breach is the guard that keeps theta's reciprocal of V finite
     def test_floor_guard(self):
         breached, _ = floor_breach(np.array([0.3, 0.2]), 0.5)
         assert breached
@@ -165,10 +172,16 @@ class TestFloorBreach:
         assert np.array_equal(v_safe[1], [[0.6, 0.4], [0.5, 1.0]])
 
 
-class TestLogWeight:
+class TestStochasticExponential:
+    """The density exp(log_weight) of the risk-neutral measure on the grid."""
+
     def test_zero_integrand_is_one(self):
         dw = brownian_increments(TimeGrid(1.0, 8), 2, 5)
         assert np.exp(log_weight(np.zeros((8, 2)), dw, 1 / 8)) == 1.0
+
+    def test_starts_at_one(self):
+        # over no grid steps the weight is its start value
+        assert np.exp(log_weight(np.ones((0, 2)), np.ones((0, 2)), 0.25)) == 1.0
 
     def test_constant_integrand_mean_one(self):
         grid = TimeGrid(1.0, 8)
@@ -178,6 +191,11 @@ class TestLogWeight:
         terminal = np.exp(log_weight(np.broadcast_to(th, dw.shape), dw, grid.dt))
         se = terminal.std(ddof=1) / math.sqrt(n_paths)
         assert abs(terminal.mean() - 1.0) <= 3 * se
+
+    def test_shape_validation(self):
+        # one integrand value per grid step and component
+        with pytest.raises(ValueError):
+            log_weight(np.zeros((7, 2)), np.zeros((8, 2)), 1 / 8)
 
 
 class TestMarketParamsValidation:

@@ -161,7 +161,7 @@ class TestEulerSolve:
         assert np.array_equal(batch[1], single.values)
 
 
-class TestProjectInto:
+class TestProjectPolyhedron:
     def test_round_trip(self):
         poly = shifted_polyhedron([[1.0, 1.0], [1.0, 0.0]], (0, 0), 0.5)
         pts = np.array([[2.0, 1.0], [-1.0, -2.0]])
