@@ -14,6 +14,8 @@ anywhere upstream fails it:
   `BreachRateError` message instead;
 * `simulate_scenario_paths(..., 3, project=False/True)`, every key;
 * the kernel matrix on a 64-step grid at H = 0.3 and H = 0.7;
+* `sample_paths` of both fBm samplers (Wood–Chan and Cholesky), which draw
+  through `RandomSource` streams rather than pricing's batched draws;
 * the file names and bytes of a `reproduce-section4` bundle and of a
   `simulate --project` bundle.
 
@@ -33,6 +35,7 @@ from fracvol import (
     Basket,
     BreachRateError,
     Call,
+    FbmConfig,
     MCConfig,
     Put,
     TimeGrid,
@@ -40,6 +43,7 @@ from fracvol import (
     physical_terminal_sample,
     price_physical_weighted,
     price_riskneutral,
+    sample_paths,
     simulate_scenario_paths,
 )
 from fracvol.cli import main
@@ -111,6 +115,9 @@ def _digest(case: str, tmp_path) -> str:
     if kind == "kernel":
         hurst = float(rest[0])
         return _array_digest(build_kernel_matrix(TimeGrid(1.0, 64), hurst).entries)
+    if kind == "fbm":
+        cfg = FbmConfig(0.7, dims=2, seed=13)
+        return _array_digest(sample_paths(TimeGrid(1.0, 64), cfg, 4, method=rest[0]))
     if case == "bundle/reproduce-section4":
         out = tmp_path / "section4"
         argv = ["reproduce-section4", "--steps", "64", "--paths", "3", "--seed", "9"]
@@ -136,7 +143,8 @@ CASES = (
         for f in PAYOFFS
     ]
     + [f"simulate/{s}/{p}" for s in SCENARIOS for p in PROJECTIONS]
-    + ["kernel/0.3", "kernel/0.7", "bundle/reproduce-section4", "bundle/simulate-project"]
+    + ["kernel/0.3", "kernel/0.7", "fbm/wood-chan", "fbm/cholesky"]
+    + ["bundle/reproduce-section4", "bundle/simulate-project"]
 )
 
 GOLDEN = {
@@ -174,6 +182,8 @@ GOLDEN = {
     "simulate/constant/free": "8a7a273e16e294d6e910d99298fe4e8a842e498cb522e77d55cca44b35b86546",
     "kernel/0.3": "418fcfed154e8ec3757eeb33c3e87d02b3af7ef86a997abb042ca778eedf6d1c",
     "kernel/0.7": "7d9d4e117673dead4754b24be6b5ab9f9d56e862344c7912dbd7cd9a420cfae0",
+    "fbm/wood-chan": "d78f82c87c810d5f63ab402d0cd163cb4aae9b403fd1b51cd3e4096226579a4d",
+    "fbm/cholesky": "14acf0add04197694fe9a8051b076b31d9df3f2f7d46edb43b774942f7bafe02",
     "bundle/reproduce-section4": "32a98a632e520be726d0740440989453fe812bbd724fab6b1041b40658810f20",
     "bundle/simulate-project": "5ae1db61df7a5ae114b55b2df8f7b04f29b350c61410141cdd87eebd26a938a4",
 }
