@@ -26,6 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from .coefficients import ConstantXi, SingularXi, XiLaw, xi_inverse_cdf, XI_STREAM
 from .market import (
@@ -39,12 +40,16 @@ from .market import (
     volatility,
 )
 from .rde import euler_paths, euler_step, require_young
-from .rng import RandomSource
+from .rng import batch_uniforms, stream_keys
 from .scenario import Scenario
 from .viability import check_viability_conditions
 from .volterra import KernelMatrix, build_kernel_matrix, transform_increments
 
 MAX_BREACH_FRACTION = 1e-3
+DEFAULT_BATCH_SIZE = 4096
+# Brownian increments are drawn and reordered this many at a time, which
+# bounds the transient memory of `w_increments` beside its result.
+_DRAW_CHUNK = 1 << 16
 
 
 class BreachRateError(RuntimeError):
@@ -117,7 +122,7 @@ class MCConfig:
 
     paths: int
     seed: int | None = None
-    batch_size: int = 4096
+    batch_size: int = DEFAULT_BATCH_SIZE
     threads: int = 1
     check_conditions: bool = True
     project: bool = True
@@ -151,11 +156,8 @@ def xi_draws(law: XiLaw, seed: int, start: int, count: int) -> np.ndarray:
     """Mixing-variable draws for paths [start, start + count)."""
     if isinstance(law, ConstantXi):
         return np.full(count, law.value)
-    base = RandomSource(seed)
-    u = np.empty(count)
-    for b in range(count):
-        u[b] = base.for_path(start + b).stream(XI_STREAM).uniforms(1)[0]
-    return xi_inverse_cdf(law, u)
+    keys = stream_keys(seed, range(start, start + count), [XI_STREAM])
+    return xi_inverse_cdf(law, batch_uniforms(keys, 1).reshape(count))
 
 
 def w_increments(scenario: Scenario, seed: int, start: int, count: int) -> np.ndarray:
@@ -163,13 +165,12 @@ def w_increments(scenario: Scenario, seed: int, start: int, count: int) -> np.nd
     n = scenario.grid.steps
     d = scenario.dims
     sq_dt = math.sqrt(scenario.grid.dt)
-    base = RandomSource(seed)
     out = np.empty((count, n, d))
-    for b in range(count):
-        src = base.for_path(start + b)
-        for k in range(d):
-            out[b, :, k] = src.stream(k).normals(n)
-    out *= sq_dt
+    chunk = max(1, _DRAW_CHUNK // (n * d))
+    for lo in range(0, count, chunk):
+        hi = min(lo + chunk, count)
+        u = batch_uniforms(stream_keys(seed, range(start + lo, start + hi), range(d)), n)
+        np.multiply(ndtri(u, out=u).transpose(0, 2, 1), sq_dt, out=out[lo:hi])
     return out
 
 
@@ -238,7 +239,7 @@ def _riskneutral_batch(
     params = scenario.market
     xi = xi_draws(scenario.xi, seed, start, count)
     dw_star = w_increments(scenario, seed, start, count)
-    dw = np.empty_like(dw_star)
+    dw = np.empty((n, count * d))  # row i: physical increments of step i, all paths
     constraint = _constraint_data(scenario, xi) if project else None
 
     x = np.broadcast_to(scenario.initial_state, (count, d)).copy()
@@ -250,8 +251,8 @@ def _riskneutral_batch(
         breached |= low
         th_i = theta(v_safe, params)
         th_i[breached] = 0.0  # freeze breached paths; they are discarded later
-        dw[:, i] = dw_star[:, i] + th_i * dt
-        b_next = np.tensordot(km.entries[i, : i + 1], dw[:, : i + 1], axes=([0], [1]))
+        dw[i] = (dw_star[:, i] + th_i * dt).reshape(-1)
+        b_next = np.dot(km.entries[i, None, : i + 1], dw[: i + 1]).reshape(count, d)
         db_step = b_next - b_prev
         db_step[breached] = 0.0
         x = euler_step(scenario.coefficients, xi, x, db_step, dt, constraint)
@@ -349,8 +350,12 @@ def physical_terminal_sample(scenario: Scenario, mc: MCConfig):
 
     Exposes the raw physical-measure sample so that moment identities (weight
     mean one, weighted discounted prices matching spot) can be tested without
-    re-simulating per payoff.
+    re-simulating per payoff.  Like the estimators, it first rejects a
+    scenario that fails the cone-mode check unless `mc.check_conditions` is
+    off.
     """
+    if mc.check_conditions:
+        _check_scenario(scenario)
     terminal, weight, breached, _ = _run_batches(scenario, mc, _physical_batch)
     return terminal, weight, breached
 
@@ -389,14 +394,24 @@ def simulate_scenario_paths(
     The paths are the physical estimator's paths for the scenario's seed.
     Returns one dict per path with keys xi, w, b, state, vol, prices, margin
     (the slack of the state inside its shifted constraint set at each grid
-    time).
+    time).  Paths are built in batches of DEFAULT_BATCH_SIZE, which bounds the
+    transient memory; the draws are keyed per path, so batching moves no bits.
     """
+    km = _kernel_matrix(scenario)
+    out = []
+    for start in range(0, n_paths, DEFAULT_BATCH_SIZE):
+        count = min(DEFAULT_BATCH_SIZE, n_paths - start)
+        out += _simulated_batch(scenario, km, start, count, project)
+    return out
+
+
+def _simulated_batch(scenario, km, start, count, project) -> list[dict]:
+    """`simulate_scenario_paths` output for paths [start, start + count)."""
     params = scenario.market
     xi, dw, b_values, states = _physical_paths(
-        scenario, _kernel_matrix(scenario), scenario.seed, 0, n_paths, project
+        scenario, km, scenario.seed, start, count, project
     )
-    start = np.zeros((n_paths, 1, scenario.dims))
-    w = np.concatenate([start, np.cumsum(dw, axis=1)], axis=1)
+    w = np.concatenate([np.zeros((count, 1, scenario.dims)), np.cumsum(dw, axis=1)], axis=1)
     vol = volatility(states, params)
     prices = price_paths(
         log_price_increments(vol[:, :-1], dw, params.drifts, scenario.grid.dt), params
@@ -413,5 +428,5 @@ def simulate_scenario_paths(
             "prices": prices[p],
             "margin": margin[p],
         }
-        for p in range(n_paths)
+        for p in range(count)
     ]

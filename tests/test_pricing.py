@@ -20,6 +20,8 @@ from fracvol import (
     price_riskneutral,
     simulate_scenario_paths,
 )
+from fracvol.coefficients import XI_STREAM, xi_inverse_cdf
+from fracvol.rng import RandomSource
 from fracvol.scenario import constant_vol_scenario, section4_scenario
 
 
@@ -172,7 +174,8 @@ class TestRunMechanics:
         res = price_physical_weighted(Call(0, 1.0), sc, mc)
         assert res.breached == 0
 
-    def test_condition_check_rejects_outward_drift(self):
+    @staticmethod
+    def _outward_drift_scenario():
         sc = section4_scenario(steps=16)
         bad = ModelCoefficients(
             drift_matrix=sc.coefficients.drift_matrix,
@@ -183,10 +186,22 @@ class TestRunMechanics:
             offsets=sc.coefficients.offsets,
             directions=sc.coefficients.directions,
         )
-        broken = section4_scenario(steps=16)
-        object.__setattr__(broken, "coefficients", bad)
+        object.__setattr__(sc, "coefficients", bad)
+        return sc
+
+    def test_condition_check_rejects_outward_drift(self):
+        broken = self._outward_drift_scenario()
         with pytest.raises(ValueError, match="cone-mode"):
             price_physical_weighted(Call(0, 1.0), broken, MCConfig(paths=500, seed=1))
+
+    def test_terminal_sample_checks_scenario(self):
+        broken = self._outward_drift_scenario()
+        with pytest.raises(ValueError, match="cone-mode"):
+            physical_terminal_sample(broken, MCConfig(paths=500, seed=1))
+        sample = physical_terminal_sample(
+            broken, MCConfig(paths=500, seed=1, check_conditions=False)
+        )
+        assert sample[0].shape == (500, 2)
 
     def test_minimum_paths(self):
         with pytest.raises(ValueError, match="paths"):
@@ -224,3 +239,39 @@ class TestRunMechanics:
         assert term.shape == (250, 2)
         assert wt.shape == (250,)
         assert br.shape == (250,)
+
+    def test_simulate_batching_moves_no_bits(self, monkeypatch):
+        sc = section4_scenario(steps=32, seed=5)
+        whole = simulate_scenario_paths(sc, 5, project=True)
+        monkeypatch.setattr(pricing, "DEFAULT_BATCH_SIZE", 2)
+        split = simulate_scenario_paths(sc, 5, project=True)
+        assert len(split) == len(whole) == 5
+        for a, b in zip(whole, split):
+            assert a.keys() == b.keys()
+            for key in a:
+                assert np.asarray(a[key]).tobytes() == np.asarray(b[key]).tobytes()
+
+
+class TestKeyedDraws:
+    """The batched draws equal one Philox stream per (path, component)."""
+
+    @pytest.mark.parametrize("chunk", [None, 3 * 32 * 2 - 1])
+    def test_batched_draws_equal_per_stream(self, monkeypatch, chunk):
+        if chunk is not None:  # split the 7 paths into blocks of 2 paths
+            monkeypatch.setattr(pricing, "_DRAW_CHUNK", chunk)
+        sc = section4_scenario(steps=32, seed=5)
+        seed, start, count = 29, 5, 7
+        base = RandomSource(seed)
+        paths = [base.for_path(p) for p in range(start, start + count)]
+
+        u = np.array([src.stream(XI_STREAM).uniforms(1)[0] for src in paths])
+        xi = pricing.xi_draws(sc.xi, seed, start, count)
+        assert xi.tobytes() == xi_inverse_cdf(sc.xi, u).tobytes()
+
+        n, d = sc.grid.steps, sc.dims
+        dw = np.stack([[src.stream(k).normals(n) for k in range(d)] for src in paths])
+        dw = np.ascontiguousarray(dw.transpose(0, 2, 1)) * math.sqrt(sc.grid.dt)
+        got = pricing.w_increments(sc, seed, start, count)
+        assert got.shape == (count, n, d)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == dw.tobytes()

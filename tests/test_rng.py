@@ -1,6 +1,9 @@
 import numpy as np
+import pytest
 
 from fracvol import NormalStream, RandomSource, stream_key
+from fracvol.coefficients import XI_STREAM
+from fracvol.rng import batch_uniforms, stream_keys
 
 
 def test_uniforms_open_interval():
@@ -39,3 +42,46 @@ def test_normal_moments_sane():
     z = RandomSource(3).stream(0).normals(200_000)
     assert abs(z.mean()) < 0.01
     assert abs(z.std() - 1.0) < 0.01
+
+
+BIG_KEYS = [0, 1, stream_key(7, 3, 1), 2**63, 2**63 + 12345, 2**64 - 1]
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 16, 1025])
+def test_batch_rows_equal_single_streams(n):
+    u = batch_uniforms(np.array(BIG_KEYS, dtype=np.uint64), n)
+    assert u.shape == (len(BIG_KEYS), n)
+    for row, key in zip(u, BIG_KEYS):
+        assert np.array_equal(row, NormalStream(key).uniforms(n))
+
+
+def test_batch_keeps_key_shape():
+    keys = stream_keys(3, range(4), range(2))
+    u = batch_uniforms(keys, 5)
+    assert u.shape == (4, 2, 5)
+    assert np.array_equal(u[2, 1], NormalStream(stream_key(3, 2, 1)).uniforms(5))
+
+
+def _reference_key(seed, path, component):
+    """The key definition in Python integers: seed XOR splitmix64(path * phi + c + 1)."""
+    mask = (1 << 64) - 1
+    x = (path * 0x9E3779B97F4A7C15 + component + 1) & mask
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & mask
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & mask
+    x ^= x >> 31
+    return (seed & mask) ^ x
+
+
+def test_stream_keys_match_stream_key():
+    paths = [0, 1, 17, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 3]
+    components = [0, 1, 2, XI_STREAM]
+    for seed in (0, 11, -1, 2**64 - 1):
+        keys = stream_keys(seed, paths, components)
+        assert keys.dtype == np.uint64
+        assert keys.shape == (len(paths), len(components))
+        for i, p in enumerate(paths):
+            for j, c in enumerate(components):
+                expected = _reference_key(seed, p, c)
+                assert int(keys[i, j]) == stream_key(seed, p, c) == expected
