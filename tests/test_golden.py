@@ -16,6 +16,9 @@ anywhere upstream fails it:
 * the kernel matrix on a 64-step grid at H = 0.3 and H = 0.7;
 * `sample_paths` of both fBm samplers (Wood–Chan and Cholesky), which draw
   through `RandomSource` streams rather than pricing's batched draws;
+* the JSON of `check_viability_conditions` reports in cone and hyperplane
+  mode with 64 and 256 samples per face, on both presets at each ξ probe of
+  pricing's scenario check;
 * the file names and bytes of a `reproduce-section4` bundle and of a
   `simulate --project` bundle.
 
@@ -40,6 +43,7 @@ from fracvol import (
     Put,
     TimeGrid,
     build_kernel_matrix,
+    check_viability_conditions,
     physical_terminal_sample,
     price_physical_weighted,
     price_riskneutral,
@@ -61,6 +65,11 @@ PAYOFFS = {
 ESTIMATORS = {"physical": price_physical_weighted, "riskneutral": price_riskneutral}
 PROJECTIONS = {"projected": True, "free": False}
 SIMULATE_KEYS = ("xi", "w", "b", "state", "vol", "prices", "margin")
+# Pricing checks the singular law at its cutoff and half of it, a constant
+# law at its value.
+CHECKER_PROBES = {"worked": ("1", "0.5"), "constant": ("0.1",)}
+CHECKER_MODES = ("cone", "hyperplane")
+CHECKER_SAMPLES = ("64", "256")
 
 
 def _config(project: bool) -> MCConfig:
@@ -118,6 +127,14 @@ def _digest(case: str, tmp_path) -> str:
     if kind == "fbm":
         cfg = FbmConfig(0.7, dims=2, seed=13)
         return _array_digest(sample_paths(TimeGrid(1.0, 64), cfg, 4, method=rest[0]))
+    if kind == "checker":
+        scenario, mode, samples, xi = rest
+        scenario, xi = SCENARIOS[scenario](), float(xi)
+        report = check_viability_conditions(
+            scenario.coefficients, scenario.polyhedron(xi), xi,
+            mode=mode, samples_per_face=int(samples),
+        )
+        return _text_digest(report.to_json())
     if case == "bundle/reproduce-section4":
         out = tmp_path / "section4"
         argv = ["reproduce-section4", "--steps", "64", "--paths", "3", "--seed", "9"]
@@ -144,6 +161,13 @@ CASES = (
     ]
     + [f"simulate/{s}/{p}" for s in SCENARIOS for p in PROJECTIONS]
     + ["kernel/0.3", "kernel/0.7", "fbm/wood-chan", "fbm/cholesky"]
+    + [
+        f"checker/{s}/{m}/{n}/{xi}"
+        for s in SCENARIOS
+        for m in CHECKER_MODES
+        for n in CHECKER_SAMPLES
+        for xi in CHECKER_PROBES[s]
+    ]
     + ["bundle/reproduce-section4", "bundle/simulate-project"]
 )
 
@@ -184,6 +208,18 @@ GOLDEN = {
     "kernel/0.7": "7d9d4e117673dead4754b24be6b5ab9f9d56e862344c7912dbd7cd9a420cfae0",
     "fbm/wood-chan": "d78f82c87c810d5f63ab402d0cd163cb4aae9b403fd1b51cd3e4096226579a4d",
     "fbm/cholesky": "14acf0add04197694fe9a8051b076b31d9df3f2f7d46edb43b774942f7bafe02",
+    "checker/worked/cone/64/1": "2e10b47b0088735d0e1a9df215e70e6a3581f8a606ff57580314196702b3b279",
+    "checker/worked/cone/64/0.5": "2618627412c6f3a8f43728a357d0b66fadf008ee2750071351cd1e1ee91a0947",
+    "checker/worked/cone/256/1": "4e528cef0f46396adbacc737ab8043af8fecedce902b6a09c3a997b9734fbb54",
+    "checker/worked/cone/256/0.5": "d66cefc35781a6936e47328e32b380dc95ffa3450c32d26dd5f6a3a044dfceb0",
+    "checker/worked/hyperplane/64/1": "5020de03867715cced257b28090450500b5b250acc90f9368c113d660737baa3",
+    "checker/worked/hyperplane/64/0.5": "dd5d60d067a0d353d27616bb982f28e19a812df0120f202da792ccca76eb0378",
+    "checker/worked/hyperplane/256/1": "99d063131c063c983b7c128ed582ac784f851bf80bae51e7a948cc9a2176bf52",
+    "checker/worked/hyperplane/256/0.5": "3324b636d176d2c64ba02befeae33ae2366cfe0120c336775f5f971c3b48c560",
+    "checker/constant/cone/64/0.1": "710e9532809a017dec876268a9cbb6c798bff1ac33f6947aa7880818528ce5f9",
+    "checker/constant/cone/256/0.1": "d3af0e7aff75910f289dd1400bc1df88b0112026876eae3ed960d7718e41ec0f",
+    "checker/constant/hyperplane/64/0.1": "a3407bfe673bc49c4169c63e5715cb5d65194ca5914504fd9099c9c96f06603e",
+    "checker/constant/hyperplane/256/0.1": "37a0983204e2c356793dc573e202c963b1c5f1c325743a58dad93b683c4b0397",
     "bundle/reproduce-section4": "32a98a632e520be726d0740440989453fe812bbd724fab6b1041b40658810f20",
     "bundle/simulate-project": "5ae1db61df7a5ae114b55b2df8f7b04f29b350c61410141cdd87eebd26a938a4",
 }
