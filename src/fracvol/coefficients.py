@@ -139,7 +139,8 @@ class ModelCoefficients:
     """The affine drift/diffusion family described in the module docstring.
 
     Row j of `weights` is w_j, row j of `directions` is s_j; diffusion column j
-    is (<w_j, x> + xi_weights[j] * xi + offsets[j]) * directions[j].
+    is (<w_j, x> + xi_weights[j] * xi + offsets[j]) * directions[j].  The
+    arrays are read-only copies of the inputs.
     """
 
     drift_matrix: np.ndarray
@@ -156,9 +157,10 @@ class ModelCoefficients:
             "weights", "xi_weights", "offsets", "directions",
         )
         for name in names:
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float)
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
+            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         d = self.drift_matrix.shape[0]
         shapes = {

@@ -21,7 +21,8 @@ class MarketParams:
 
     Row k of `projections` is the vector h_k defining volatility component k as
     <h_k, U(t)>; `anchor_indices` locate the coordinate used to anchor the
-    shifted constraint set, and each h_k must be nonzero there.
+    shifted constraint set, and each h_k must be nonzero there.  The arrays are
+    read-only copies of the inputs.
     """
 
     rate: float
@@ -32,9 +33,11 @@ class MarketParams:
     initial_riskfree: float = 1.0
 
     def __post_init__(self):
-        drifts = np.atleast_1d(np.asarray(self.drifts, dtype=float))
-        prices = np.atleast_1d(np.asarray(self.initial_prices, dtype=float))
-        proj = np.atleast_2d(np.asarray(self.projections, dtype=float))
+        drifts = np.atleast_1d(np.array(self.drifts, dtype=float))
+        prices = np.atleast_1d(np.array(self.initial_prices, dtype=float))
+        proj = np.atleast_2d(np.array(self.projections, dtype=float))
+        for arr in (drifts, prices, proj):
+            arr.setflags(write=False)
         indices = tuple(int(i) for i in self.anchor_indices)
         object.__setattr__(self, "drifts", drifts)
         object.__setattr__(self, "initial_prices", prices)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtri
@@ -286,8 +287,14 @@ def _run_batches(scenario, mc, batch_fn):
     return terminal, weight, breached, seed
 
 
+@lru_cache(maxsize=8)
 def _check_scenario(scenario: Scenario) -> None:
-    """Reject scenarios whose boundary conditions fail the cone-mode check."""
+    """Reject scenarios whose boundary conditions fail the cone-mode check.
+
+    The result depends only on the scenario, whose arrays are read-only, so a
+    passing scenario is certified once per instance; a failing one raises on
+    every call, since exceptions are not cached.
+    """
     law = scenario.xi
     if isinstance(law, SingularXi):
         probes = (law.cutoff, 0.5 * law.cutoff)

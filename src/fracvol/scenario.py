@@ -30,6 +30,13 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
+    """One market, its state equation and its driver.
+
+    `initial_state` is a read-only copy, and the market and coefficient arrays
+    are read-only too, so results cached per instance (pricing's scenario
+    check) stay valid.
+    """
+
     market: MarketParams
     coefficients: Coefficients
     xi: XiLaw
@@ -39,7 +46,8 @@ class Scenario:
     seed: int
 
     def __post_init__(self):
-        initial = np.atleast_1d(np.asarray(self.initial_state, dtype=float))
+        initial = np.atleast_1d(np.array(self.initial_state, dtype=float))
+        initial.setflags(write=False)
         object.__setattr__(self, "initial_state", initial)
         if not (0.0 < self.hurst < 1.0):
             raise ScenarioError(f"hurst must lie in (0, 1), got {self.hurst}")

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,8 @@ from .rng import stream_key
 
 _CHECKER_SEED = 0x5EED
 _GEOM_TOL = 1e-9
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +156,8 @@ def project_into(
     Dykstra's alternating projections: exact for one half-space, geometrically
     convergent for intersections.  `offsets` may carry leading batch axes to
     give every point its own constraint levels.  Points already inside are
-    returned unchanged.
+    returned unchanged.  If points still move in the last of `iterations`
+    sweeps, the result is returned as it stands and a warning is logged.
     """
     x = np.asarray(x, dtype=float)
     pts = np.atleast_2d(x).astype(float)
@@ -165,6 +169,7 @@ def project_into(
     sub_off = offsets[outside]
     sq = np.einsum("kd,kd->k", normals, normals)
     corrections = np.zeros((normals.shape[0],) + sub.shape)
+    moved = 0.0
     for _ in range(iterations):
         moved = 0.0
         for k in range(normals.shape[0]):
@@ -176,6 +181,12 @@ def project_into(
             sub = stepped
         if moved == 0.0:
             break
+    if moved > 0.0:
+        logger.warning(
+            "Dykstra projection did not converge in %d sweeps: largest final move %.3e",
+            iterations,
+            moved,
+        )
     out = pts.copy()
     out[outside] = sub
     return out.reshape(np.shape(x)) if np.ndim(x) > 1 else out[0]
@@ -349,8 +360,8 @@ def _face_samples(
     scale = float(np.max(hi - lo))
     geom = _GEOM_TOL * max(scale, 1.0)
     kept = []
-    attempts = 0
-    while len(kept) < count and attempts < 20:
+    total = 0
+    while total < count and len(kept) < 20:
         u = rng.uniform(lo, hi, size=(4 * count, lo.size))
         x = u + np.outer((offset - u @ normal) / (normal @ normal), normal)
         ok = np.all(x >= lo - geom, axis=1) & np.all(x <= hi + geom, axis=1)
@@ -360,7 +371,7 @@ def _face_samples(
                 residuals = x @ poly.normals[others].T - poly.offsets[others]
                 ok &= np.all(residuals <= tol + geom, axis=1)
         kept.append(x[ok])
-        attempts += 1
+        total += kept[-1].shape[0]
     if not kept:
         return np.empty((0, lo.size))
     return np.concatenate(kept, axis=0)[:count]

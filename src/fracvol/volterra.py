@@ -10,6 +10,7 @@ and reduces bias near the diagonal).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -156,10 +157,30 @@ class KernelMatrix:
 
 
 def build_kernel_matrix(grid: TimeGrid, hurst: float) -> KernelMatrix:
-    """Kernel matrix for the grid, cached per (horizon, steps, hurst)."""
+    """Kernel matrix for the grid, cached per (horizon, steps, hurst).
+
+    A grid whose steps x steps matrix would not fit in the machine's physical
+    memory is rejected before anything is allocated.
+    """
     if not (0.0 < hurst < 1.0):
         raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
+    need = grid.steps**2 * 8
+    memory = _physical_memory_bytes()
+    if memory is not None and need > memory:
+        raise ValueError(
+            f"a {grid.steps}-step kernel matrix needs {need / 2**30:.1f} GiB, more than "
+            f"the {memory / 2**30:.1f} GiB of physical memory on this machine"
+        )
     return _kernel_matrix_cached(grid.horizon, grid.steps, hurst)
+
+
+def _physical_memory_bytes() -> int | None:
+    """Physical memory size, or None where the system does not report it."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return memory if memory > 0 else None
 
 
 @lru_cache(maxsize=1)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -159,8 +160,7 @@ class TestRunMechanics:
             offsets=base.coefficients.offsets,
             directions=base.coefficients.directions,
         )
-        object.__setattr__(base, "coefficients", drifting)
-        return base
+        return dataclasses.replace(base, coefficients=drifting)
 
     def test_breach_rate_error_without_projection(self):
         sc = self._drifting_down_scenario()
@@ -186,8 +186,7 @@ class TestRunMechanics:
             offsets=sc.coefficients.offsets,
             directions=sc.coefficients.directions,
         )
-        object.__setattr__(sc, "coefficients", bad)
-        return sc
+        return dataclasses.replace(sc, coefficients=bad)
 
     def test_condition_check_rejects_outward_drift(self):
         broken = self._outward_drift_scenario()
@@ -250,6 +249,74 @@ class TestRunMechanics:
             assert a.keys() == b.keys()
             for key in a:
                 assert np.asarray(a[key]).tobytes() == np.asarray(b[key]).tobytes()
+
+
+class TestScenarioCheckMemo:
+    """Pricing certifies a scenario once per instance, at each of its xi probes."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        probes = []
+        real = pricing.check_viability_conditions
+
+        def counting(coeffs, poly, xi, **kwargs):
+            probes.append(xi)
+            return real(coeffs, poly, xi, **kwargs)
+
+        monkeypatch.setattr(pricing, "check_viability_conditions", counting)
+        return probes
+
+    def test_one_check_per_probe(self, checked):
+        sc = section4_scenario(steps=16)
+        mc = MCConfig(paths=64, seed=3)
+        price_physical_weighted(Call(0, 1.0), sc, mc)
+        price_riskneutral(Call(0, 1.0), sc, mc)
+        physical_terminal_sample(sc, mc)
+        assert checked == [1.0, 0.5]
+
+    def test_new_instance_checked_afresh(self, checked):
+        mc = MCConfig(paths=64, seed=3)
+        for _ in range(2):
+            physical_terminal_sample(constant_vol_scenario(), mc)
+        assert checked == [0.1, 0.1]
+
+    def test_rejection_raises_on_every_call(self, checked):
+        broken = TestRunMechanics._outward_drift_scenario()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="cone-mode"):
+                price_physical_weighted(Call(0, 1.0), broken, MCConfig(paths=64, seed=1))
+        assert checked == [1.0, 1.0]
+
+    def test_unchecked_runs_make_no_call(self, checked):
+        sc = section4_scenario(steps=16)
+        mc = MCConfig(paths=64, seed=3, check_conditions=False)
+        price_physical_weighted(Call(0, 1.0), sc, mc)
+        price_riskneutral(Call(0, 1.0), sc, mc)
+        physical_terminal_sample(sc, mc)
+        assert checked == []
+
+
+class TestScenarioArrays:
+    def test_arrays_are_read_only(self):
+        sc = section4_scenario(steps=16)
+        for arr in (sc.coefficients.drift_const, sc.market.projections, sc.initial_state):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 7.0
+
+    def test_caller_arrays_stay_writable(self):
+        base = section4_scenario(steps=16)
+        drift_const = np.zeros(2)
+        projections = np.array([[1.0, 1.0], [1.0, 0.0]])
+        initial = np.array([1.0, 0.0])
+        coefficients = dataclasses.replace(base.coefficients, drift_const=drift_const)
+        market = dataclasses.replace(base.market, projections=projections)
+        sc = dataclasses.replace(
+            base, coefficients=coefficients, market=market, initial_state=initial
+        )
+        drift_const[0] = projections[0, 0] = initial[0] = 7.0
+        assert sc.coefficients.drift_const[0] == 0.0
+        assert sc.market.projections[0, 0] == 1.0
+        assert sc.initial_state[0] == 1.0
 
 
 class TestKeyedDraws:

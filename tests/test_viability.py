@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,8 @@ from fracvol import (
     shifted_polyhedron,
     slack,
 )
+from fracvol import viability
+from fracvol.rng import stream_key
 from fracvol.scenario import constant_vol_scenario, section4_scenario
 from fracvol.viability import project_into
 
@@ -126,6 +130,93 @@ class TestProjection:
         proj = project_into(pts, poly.normals, offsets)
         assert np.allclose(proj[0], [0.5, 0.0], atol=1e-10)
         assert np.allclose(proj[1], [2.0, 0.0], atol=1e-10)
+
+
+    def test_nonconvergence_is_reported(self, caplog):
+        # a wedge |y| <= 0.1 x; (-1, 0.3) projects onto its apex, which
+        # Dykstra's zigzag between the two faces approaches slowly
+        normals = np.array([[-0.1, 1.0], [-0.1, -1.0]])
+        x = np.array([-1.0, 0.3])
+        with caplog.at_level(logging.WARNING, logger="fracvol.viability"):
+            capped = project_into(x, normals, np.zeros(2))
+        [record] = caplog.records
+        assert "did not converge in 48 sweeps" in record.getMessage()
+        assert "largest final move" in record.getMessage()
+        assert np.linalg.norm(capped) > 0.1
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="fracvol.viability"):
+            converged = project_into(x, normals, np.zeros(2), iterations=2000)
+        assert not caplog.records
+        assert np.allclose(converged, 0.0, atol=1e-12)
+
+
+def _twenty_round_samples(poly, face, lo, hi, count, tol, restrict):
+    """The face sampler's draws over all 20 rounds it may take, filtered alike."""
+    normal, offset = poly.normals[face], poly.offsets[face]
+    rng = np.random.default_rng(stream_key(viability._CHECKER_SEED, face, int(restrict)))
+    geom = viability._GEOM_TOL * max(float(np.max(hi - lo)), 1.0)
+    others = [k for k in range(len(poly.faces)) if k != face]
+    kept = []
+    for _ in range(20):
+        u = rng.uniform(lo, hi, size=(4 * count, lo.size))
+        x = u + np.outer((offset - u @ normal) / (normal @ normal), normal)
+        ok = np.all(x >= lo - geom, axis=1) & np.all(x <= hi + geom, axis=1)
+        if restrict and others:
+            ok &= np.all(x @ poly.normals[others].T - poly.offsets[others] <= tol + geom, axis=1)
+        kept.append(x[ok])
+    return np.concatenate(kept)
+
+
+class TestFaceSamples:
+    @staticmethod
+    def _slab(width):
+        """x <= 0 cut to |y| <= width: few samples of face 0 survive in cone mode."""
+        return Polyhedron(
+            [
+                HalfSpace(np.zeros(2), np.array([1.0, 0.0])),
+                HalfSpace(np.array([0.0, width]), np.array([0.0, 1.0])),
+                HalfSpace(np.array([0.0, -width]), np.array([0.0, -1.0])),
+            ]
+        )
+
+    @pytest.mark.parametrize("width", [0.1, 0.01])
+    @pytest.mark.parametrize("count", [64, 256])
+    def test_first_rows_of_all_rounds(self, width, count):
+        # width 0.1 keeps about 6 points a round, so the sampler stops part of
+        # the way; width 0.01 keeps fewer than `count` in all 20 rounds
+        poly = self._slab(width)
+        lo, hi = np.full(2, -4.0), np.full(2, 4.0)
+        got = viability._face_samples(poly, 0, lo, hi, count, 1e-10, True)
+        reference = _twenty_round_samples(poly, 0, lo, hi, count, 1e-10, True)
+        assert got.tobytes() == reference[:count].tobytes()
+
+    @pytest.mark.parametrize("make", [section4_scenario, constant_vol_scenario])
+    def test_one_round_on_the_presets(self, make, monkeypatch):
+        # every preset face keeps at least 128 of the first 256 draws
+        sc = make()
+        rounds = []
+        default_rng = np.random.default_rng
+
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def uniform(self, *args, **kwargs):
+                rounds.append(1)
+                return self.rng.uniform(*args, **kwargs)
+
+        xi = sc.xi.upper
+        poly = sc.polyhedron(xi)
+        lo, hi = viability.default_box(poly, xi)
+        for face in range(len(poly.faces)):
+            for restrict in (True, False):
+                reference = _twenty_round_samples(poly, face, lo, hi, 64, 1e-10, restrict)
+                rounds.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(np.random, "default_rng", CountingRng)
+                    got = viability._face_samples(poly, face, lo, hi, 64, 1e-10, restrict)
+                assert rounds == [1]
+                assert got.tobytes() == reference[:64].tobytes()
 
 
 class TestChebyshevCenter:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -131,6 +132,17 @@ class TestKernelMatrix:
         a = build_kernel_matrix(TimeGrid(1.0, 16), 0.7)
         b = build_kernel_matrix(TimeGrid(1.0, 16), 0.7)
         assert a is b
+
+    def test_oversized_grid_rejected_before_allocation(self):
+        # 2^20 steps need 8 TiB for the matrix alone
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="physical memory"):
+                build_kernel_matrix(TimeGrid(1.0, 2**20), 0.7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
 
 class TestDuTransform:
