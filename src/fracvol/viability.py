@@ -22,13 +22,17 @@ For the affine coefficient family the conditions are affine in the state, so a
 face passes everywhere on its box-clipped polytope iff it passes at the
 polytope's vertices; the checker enumerates those vertices exactly and adds
 uniform boundary samples (the only evidence available for callable fields).
+
+`project_into` is the exact Euclidean projection onto such a set, which pricing
+applies after every Euler step: a closed-form step for points outside one
+face, and at corners an enumeration of active sets checked against the KKT
+conditions (Nocedal & Wright, *Numerical Optimization*, ch. 16).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,8 +44,6 @@ from .rng import stream_key
 
 _CHECKER_SEED = 0x5EED
 _GEOM_TOL = 1e-9
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,48 +150,65 @@ def path_viability_margin(path, poly: Polyhedron) -> float:
     return float(np.min(slack(poly, values)))
 
 
-def project_into(
-    x: np.ndarray, normals: np.ndarray, offsets: np.ndarray, iterations: int = 48
-) -> np.ndarray:
-    """Euclidean projection of points onto {y : normals @ y <= offsets}.
+def project_into(x: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Euclidean projection of points onto {y : normals @ y <= offsets}, exactly.
 
-    Dykstra's alternating projections: exact for one half-space, geometrically
-    convergent for intersections.  `offsets` may carry leading batch axes to
+    A point outside one face steps straight onto it, y = x - (excess / |n_k|^2) n_k,
+    in one dense update of all points.  A point outside two or more faces, or
+    whose step lands outside a face it did not violate, is projected by
+    `_project_by_active_sets` instead.  `offsets` may carry leading batch axes to
     give every point its own constraint levels.  Points already inside are
-    returned unchanged.  If points still move in the last of `iterations`
-    sweeps, the result is returned as it stands and a warning is logged.
+    returned unchanged; a point keeps the rounding excess (about one ulp) of
+    the face it was moved onto.  Raises ValueError when no active set satisfies
+    the KKT conditions, which means the set is empty.
     """
     x = np.asarray(x, dtype=float)
-    pts = np.atleast_2d(x).astype(float)
-    offsets = np.broadcast_to(np.asarray(offsets, dtype=float), pts.shape[:-1] + (normals.shape[0],))
-    outside = np.any(pts @ normals.T > offsets, axis=-1)
-    if not np.any(outside):
+    excess = np.maximum(x @ normals.T - offsets, 0.0)
+    if not excess.any():
         return x
-    sub = pts[outside]
-    sub_off = offsets[outside]
-    sq = np.einsum("kd,kd->k", normals, normals)
-    corrections = np.zeros((normals.shape[0],) + sub.shape)
-    moved = 0.0
-    for _ in range(iterations):
-        moved = 0.0
-        for k in range(normals.shape[0]):
-            y = sub + corrections[k]
-            excess = np.maximum(y @ normals[k] - sub_off[:, k], 0.0)
-            stepped = y - np.outer(excess / sq[k], normals[k])
-            corrections[k] = y - stepped
-            moved = max(moved, float(np.max(np.abs(stepped - sub))))
-            sub = stepped
-        if moved == 0.0:
-            break
-    if moved > 0.0:
-        logger.warning(
-            "Dykstra projection did not converge in %d sweeps: largest final move %.3e",
-            iterations,
-            moved,
+    y = x - (excess / np.einsum("kd,kd->k", normals, normals)) @ normals
+    touched = (excess > 0.0) | (y @ normals.T > offsets)
+    corner = np.count_nonzero(touched, axis=-1) > 1
+    if corner.any():
+        offsets = np.broadcast_to(offsets, excess.shape)
+        y[corner] = _project_by_active_sets(x[corner], normals, offsets[corner])
+    return y
+
+
+def _project_by_active_sets(x: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Projection of points x (k, d) with offsets (k, m) by enumeration of active sets.
+
+    For each linearly independent set A of at most d faces, the nearest point
+    of their common hyperplane is p = x - lam @ N_A with (N_A N_A^T) lam =
+    N_A x - b_A.  The KKT conditions of the projection hold where lam >= 0 and
+    p is feasible; of the candidates with lam >= 0 (within a tolerance relative
+    to the point's scale) each point keeps the least infeasible one, which
+    must be feasible within that tolerance.
+    """
+    m, d = normals.shape
+    norms = np.sqrt(np.einsum("kd,kd->k", normals, normals))
+    tol = _GEOM_TOL * (
+        1.0 + np.max(np.abs(x), axis=-1) + np.max(np.abs(offsets) / norms, axis=-1)
+    )
+    best = np.full(x.shape, np.nan)
+    best_gap = np.full(x.shape[0], np.inf)
+    for size in range(1, min(m, d) + 1):
+        for combo in map(list, itertools.combinations(range(m), size)):
+            rows = normals[combo]
+            gram = rows @ rows.T
+            if np.linalg.det(gram) <= _GEOM_TOL * np.prod(np.diag(gram)):
+                continue  # linearly dependent faces
+            lam = np.linalg.solve(gram, (x @ rows.T - offsets[:, combo]).T).T
+            p = x - lam @ rows
+            gap = np.max((p @ normals.T - offsets) / norms, axis=-1)
+            take = (np.min(lam * norms[combo], axis=-1) >= -tol) & (gap < best_gap)
+            best[take], best_gap[take] = p[take], gap[take]
+    if not np.all(best_gap <= tol):
+        raise ValueError(
+            "projection failed: no active set satisfies the KKT conditions, "
+            "so the constraint set is empty"
         )
-    out = pts.copy()
-    out[outside] = sub
-    return out.reshape(np.shape(x)) if np.ndim(x) > 1 else out[0]
+    return best
 
 
 def chebyshev_center(poly: Polyhedron, box) -> tuple[np.ndarray, float]:

@@ -5,7 +5,9 @@ import pytest
 
 from fracvol import (
     FbmConfig,
+    HalfSpace,
     ModelCoefficients,
+    Polyhedron,
     RandomSource,
     SamplePath,
     SolveConfig,
@@ -114,6 +116,24 @@ class TestEulerSolve:
         cfg = SolveConfig(np.array([1.0]), 0.7, grid)
         with pytest.raises(FloatingPointError, match="step 2"):
             euler_solve(coeffs, 0.0, zero_driver(grid, 1), cfg)
+
+    def test_overflow_outside_two_faces_names_step(self):
+        # the overflowing state lies outside both faces of x >= -1e200; the
+        # projection leaves it to the solver's finiteness check
+        coeffs = ModelCoefficients(
+            drift_matrix=1e160 * np.eye(1),
+            xi_drift=np.zeros(1),
+            drift_const=np.zeros(1),
+            weights=np.zeros((1, 1)),
+            xi_weights=np.zeros(1),
+            offsets=np.zeros(1),
+            directions=np.eye(1),
+        )
+        grid = TimeGrid(1.0, 8)
+        cfg = SolveConfig(np.array([-1.0]), 0.7, grid)
+        faces = Polyhedron([HalfSpace([-1e200], [-1.0]), HalfSpace([-1e200], [-2.0])])
+        with pytest.raises(FloatingPointError, match="step 2"):
+            euler_solve(coeffs, 0.0, zero_driver(grid, 1), cfg, project_onto=faces)
 
     def test_grid_mismatch_rejected(self):
         cfg = SolveConfig(np.array([1.0, 0.0]), 0.7, TimeGrid(1.0, 8))

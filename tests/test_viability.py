@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import nnls
 
 from fracvol import (
     HalfSpace,
@@ -21,6 +22,24 @@ from fracvol import viability
 from fracvol.rng import stream_key
 from fracvol.scenario import constant_vol_scenario, section4_scenario
 from fracvol.viability import project_into
+
+
+@st.composite
+def polyhedra_with_clouds(draw):
+    """(normals, offsets, points): 2-4 integer faces in 2-D or 3-D around a known
+    interior point, and a cloud of 32 points near and far from it."""
+    d = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(2, 4))
+    rows = st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any)
+    normals = np.array(draw(st.lists(rows, min_size=m, max_size=m)), dtype=float)
+    center = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d)))
+    margins = np.array(draw(st.lists(st.floats(0.05, 2.0), min_size=m, max_size=m)))
+    offsets = normals @ center + margins * np.linalg.norm(normals, axis=1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    near = center + rng.normal(scale=1.5, size=(16, d))
+    far = center + 10.0 * rng.normal(size=(16, d))
+    return normals, offsets, np.concatenate([near, far])
+
 
 H_ROWS = np.array([[1.0, 1.0], [1.0, 0.0]])
 ANCHORS = (0, 0)
@@ -132,22 +151,58 @@ class TestProjection:
         assert np.allclose(proj[1], [2.0, 0.0], atol=1e-10)
 
 
-    def test_nonconvergence_is_reported(self, caplog):
-        # a wedge |y| <= 0.1 x; (-1, 0.3) projects onto its apex, which
-        # Dykstra's zigzag between the two faces approaches slowly
+    def test_wedge_apex_is_exact(self, caplog):
+        # a wedge |y| <= 0.1 x; (-1, 0.3) projects onto its apex, which an
+        # alternating projection approaches only slowly
         normals = np.array([[-0.1, 1.0], [-0.1, -1.0]])
         x = np.array([-1.0, 0.3])
-        with caplog.at_level(logging.WARNING, logger="fracvol.viability"):
-            capped = project_into(x, normals, np.zeros(2))
-        [record] = caplog.records
-        assert "did not converge in 48 sweeps" in record.getMessage()
-        assert "largest final move" in record.getMessage()
-        assert np.linalg.norm(capped) > 0.1
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="fracvol.viability"):
-            converged = project_into(x, normals, np.zeros(2), iterations=2000)
+        with caplog.at_level(logging.DEBUG, logger="fracvol"):
+            proj = project_into(x, normals, np.zeros(2))
         assert not caplog.records
-        assert np.allclose(converged, 0.0, atol=1e-12)
+        assert np.max(np.abs(proj)) <= 1e-14
+
+    def test_infeasible_set_raises(self):
+        # x <= -1 and -x <= -1 have no common point
+        normals = np.array([[1.0], [-1.0]])
+        with pytest.raises(ValueError, match="KKT"):
+            project_into(np.array([0.0]), normals, np.array([-1.0, -1.0]))
+        with pytest.raises(ValueError, match="KKT"):
+            project_into(np.array([[3.0], [-0.5]]), normals, np.array([-1.0, -1.0]))
+
+    @given(case=polyhedra_with_clouds())
+    @settings(max_examples=60, deadline=None)
+    def test_projection_properties(self, case):
+        normals, offsets, pts = case
+        proj = project_into(pts, normals, offsets)
+        norms = np.linalg.norm(normals, axis=1)
+        scale = 1.0 + np.max(np.abs(pts)) + np.max(np.abs(offsets) / norms)
+        tol = 1e-9 * scale
+        residuals = (proj @ normals.T - offsets) / norms
+        # feasible
+        assert np.all(residuals <= tol)
+        # idempotent
+        assert np.max(np.abs(project_into(proj, normals, offsets) - proj)) <= tol
+        # non-expansive
+        half = pts.shape[0] // 2
+        gap = np.linalg.norm(proj[:half] - proj[half:], axis=1)
+        assert np.all(gap <= np.linalg.norm(pts[:half] - pts[half:], axis=1) + tol)
+        # KKT: x - P(x) is a nonnegative combination of the active normals
+        for x, p, res in zip(pts, proj, residuals):
+            if np.all(x @ normals.T <= offsets):
+                assert np.array_equal(p, x)
+                continue
+            active = np.abs(res) <= tol
+            assert active.any()
+            _, rnorm = nnls(normals[active].T, x - p)
+            assert rnorm <= tol
+        # per-row offsets broadcast: a shared row equals its tiled copy, and
+        # each row's own levels give that row's projection
+        tiled = np.tile(offsets, (pts.shape[0], 1))
+        assert np.array_equal(project_into(pts, normals, tiled), proj)
+        widened = tiled + np.linspace(0.0, 1.0, pts.shape[0])[:, None]
+        rows = project_into(pts, normals, widened)
+        for x, row_offsets, p in zip(pts, widened, rows):
+            assert np.allclose(project_into(x, normals, row_offsets), p, rtol=0.0, atol=tol)
 
 
 def _twenty_round_samples(poly, face, lo, hi, count, tol, restrict):

@@ -4,6 +4,7 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from fracvol import (
@@ -98,6 +99,21 @@ class TestKernelMatrix:
         km = build_kernel_matrix(TimeGrid(1.0, 8), 0.5)
         rows, cols = np.tril_indices(8)
         assert np.array_equal(km.entries[rows, cols], np.ones(rows.size))
+
+    @given(
+        steps=st.integers(1, 64),
+        horizon=st.floats(0.25, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_half_hurst_kernel_is_the_cumulative_sum(self, steps, horizon, seed):
+        grid = TimeGrid(horizon, steps)
+        km = build_kernel_matrix(grid, 0.5)
+        assert np.array_equal(km.entries, np.tril(np.ones((steps, steps))))
+        dw = np.random.default_rng(seed).standard_normal((3, steps, 2)) * math.sqrt(grid.dt)
+        b = transform_increments(dw, km)
+        assert np.array_equal(b[:, 0], np.zeros((3, 2)))
+        assert np.max(np.abs(b[:, 1:] - np.cumsum(dw, axis=1))) <= 1e-14
 
     def test_strictly_lower_triangular_support(self):
         km = build_kernel_matrix(TimeGrid(1.0, 6), 0.7)
