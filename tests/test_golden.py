@@ -13,7 +13,10 @@ anywhere upstream fails it:
   unprojected worked example breaches the floor, so its estimators pin the
   `BreachRateError` message instead;
 * `simulate_scenario_paths(..., 3, project=False/True)`, every key;
-* the kernel matrix on a 64-step grid at H = 0.3 and H = 0.7;
+* the kernel matrix on a 64-step grid at H = 0.3 and H = 0.7, and at the
+  sizes the workloads build: 1024 steps at H = 0.7 (522 753 interior cells,
+  the largest kernel any workload builds) and 256 steps at H = 0.55 and
+  H = 0.85;
 * `sample_paths` of both fBm samplers (Wood–Chan and Cholesky), which draw
   through `RandomSource` streams rather than pricing's batched draws;
 * the JSON of `check_viability_conditions` reports in cone and hyperplane
@@ -122,8 +125,9 @@ def _digest(case: str, tmp_path) -> str:
         )
         return _array_digest(*(p[key] for p in paths for key in SIMULATE_KEYS))
     if kind == "kernel":
-        hurst = float(rest[0])
-        return _array_digest(build_kernel_matrix(TimeGrid(1.0, 64), hurst).entries)
+        *steps, hurst = rest
+        grid = TimeGrid(1.0, int(steps[0]) if steps else 64)
+        return _array_digest(build_kernel_matrix(grid, float(hurst)).entries)
     if kind == "fbm":
         cfg = FbmConfig(0.7, dims=2, seed=13)
         return _array_digest(sample_paths(TimeGrid(1.0, 64), cfg, 4, method=rest[0]))
@@ -160,7 +164,8 @@ CASES = (
         for f in PAYOFFS
     ]
     + [f"simulate/{s}/{p}" for s in SCENARIOS for p in PROJECTIONS]
-    + ["kernel/0.3", "kernel/0.7", "fbm/wood-chan", "fbm/cholesky"]
+    + ["kernel/0.3", "kernel/0.7", "kernel/1024/0.7", "kernel/256/0.55", "kernel/256/0.85"]
+    + ["fbm/wood-chan", "fbm/cholesky"]
     + [
         f"checker/{s}/{m}/{n}/{xi}"
         for s in SCENARIOS
@@ -206,6 +211,9 @@ GOLDEN = {
     "simulate/constant/free": "8a7a273e16e294d6e910d99298fe4e8a842e498cb522e77d55cca44b35b86546",
     "kernel/0.3": "418fcfed154e8ec3757eeb33c3e87d02b3af7ef86a997abb042ca778eedf6d1c",
     "kernel/0.7": "7d9d4e117673dead4754b24be6b5ab9f9d56e862344c7912dbd7cd9a420cfae0",
+    "kernel/1024/0.7": "49195c4f266eda7e1209ae624215a233418e0f063466b9e8e713516812fb9149",
+    "kernel/256/0.55": "5c07a37059729650246cf82b758c6f805fda0a96636b293622e5284f078537ec",
+    "kernel/256/0.85": "77f62f11f4b281bd7a0cbcdd12fe482d0c02d0c10610f623827c450e0d6ae635",
     "fbm/wood-chan": "d78f82c87c810d5f63ab402d0cd163cb4aae9b403fd1b51cd3e4096226579a4d",
     "fbm/cholesky": "14acf0add04197694fe9a8051b076b31d9df3f2f7d46edb43b774942f7bafe02",
     "checker/worked/cone/64/1": "2e10b47b0088735d0e1a9df215e70e6a3581f8a606ff57580314196702b3b279",
