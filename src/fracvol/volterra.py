@@ -79,39 +79,78 @@ def _hyp2f1_large_neg(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray
     return lead_a + lead_b
 
 
+# Arguments summed together by `_series`: 2^15 doubles are 256 KiB per buffer.
+_SERIES_CHUNK = 2**15
+
+
 def _series(a: float, b: float, c: float, w) -> np.ndarray:
-    """Sum_k (a)_k (b)_k / ((c)_k k!) w^k elementwise for |w| < 1."""
-    w_all = np.atleast_1d(np.asarray(w, dtype=float))
-    sums = np.ones_like(w_all)
-    idx = np.arange(w_all.size)
-    w_act = w_all.ravel().copy()
-    t_act = np.ones_like(w_act)
-    s_act = np.ones_like(w_act)
+    """Sum_k (a)_k (b)_k / ((c)_k k!) w^k elementwise for |w| < 1.
+
+    Arguments are summed largest |w| first, in chunks of `_SERIES_CHUNK`, so
+    that the elements of a chunk need similar numbers of terms.  The order
+    moves no bits: each element takes the same terms, partial sums and
+    stopping test, in the same floating-point operations, as when summed alone.
+    """
+    w = np.asarray(w, dtype=float)
+    flat = w.ravel()
+    order = np.argsort(-np.abs(flat))
+    sums = np.empty(flat.size)
+    for start in range(0, flat.size, _SERIES_CHUNK):
+        pick = order[start : start + _SERIES_CHUNK]
+        sums[pick] = _series_chunk(a, b, c, flat[pick])
+    return sums[0] if w.ndim == 0 else sums.reshape(w.shape)
+
+
+def _series_chunk(a: float, b: float, c: float, w: np.ndarray) -> np.ndarray:
+    """`_series` of a 1-D chunk, updated in place over a shrinking active prefix.
+
+    An element that passes the stopping test leaves the prefix [:n]; one that
+    finishes ahead of elements behind it swaps places with one of them.
+    """
+    n = w.size
+    # while |ratio| <= 1, max(|w|, |ratio| |w|) is |w| exactly, so the tail
+    # ratio q and the threshold rtol (1 - q) are fixed per element; above 1,
+    # the capped |w| gives the same q as |w| itself
+    q_fixed = np.minimum(np.abs(w), 1.0 - 1e-12)
+    tol_fixed = _SERIES_RTOL * (1.0 - q_fixed)
+    t, s, pos = np.ones(n), np.ones(n), np.arange(n)
+    step, rhs, done = np.empty(n), np.empty(n), np.empty(n, bool)
+    out = np.empty(n)
     k = 0
-    while idx.size:
+    while n:
         if k >= _SERIES_MAX_TERMS:
-            worst = int(np.argmax(np.abs(t_act)))
+            worst = int(np.argmax(np.abs(t[:n])))
             raise HypergeometricError(
                 f"series did not converge within {_SERIES_MAX_TERMS} terms: "
-                f"last term {t_act[worst]:.3e}, partial sum {s_act[worst]:.8e}, "
-                f"mapped argument w = {w_act[worst]:.8f}"
+                f"last term {t[worst]:.3e}, partial sum {s[worst]:.8e}, "
+                f"mapped argument w = {w[worst]:.8f}"
             )
         ratio = (a + k) * (b + k) / ((c + k) * (k + 1.0))
-        t_act = t_act * (ratio * w_act)
-        s_act = s_act + t_act
+        np.multiply(ratio, w[:n], out=step[:n])
+        np.multiply(t[:n], step[:n], out=t[:n])
+        np.add(s[:n], t[:n], out=s[:n])
         k += 1
         # geometric tail bound with common ratio q per entry
-        absw = np.abs(w_act)
-        q = np.minimum(np.maximum(absw, np.abs(ratio) * absw), 1.0 - 1e-12)
-        done = np.abs(t_act) * q <= _SERIES_RTOL * (1.0 - q) * np.abs(s_act)
-        if np.any(done):
-            flat = sums.reshape(-1)
-            flat[idx[done]] = s_act[done]
-            keep = ~done
-            idx, w_act, t_act, s_act = idx[keep], w_act[keep], t_act[keep], s_act[keep]
-    if np.isscalar(w) or np.ndim(w) == 0:
-        return sums[0]
-    return sums.reshape(np.shape(w))
+        if abs(ratio) <= 1.0:
+            q, tol = q_fixed[:n], tol_fixed[:n]
+        else:
+            qw = q_fixed[:n]
+            q = np.minimum(np.maximum(qw, np.abs(ratio) * qw), 1.0 - 1e-12)
+            tol = _SERIES_RTOL * (1.0 - q)
+        np.multiply(np.abs(t[:n], out=step[:n]), q, out=step[:n])
+        np.multiply(tol, np.abs(s[:n], out=rhs[:n]), out=rhs[:n])
+        np.less_equal(step[:n], rhs[:n], out=done[:n])
+        if not np.count_nonzero(done[:n]):
+            continue
+        finished = np.flatnonzero(done[:n])
+        out[pos[finished]] = s[finished]
+        last, n = n, n - finished.size
+        holes = finished[finished < n]
+        if holes.size:
+            movers = n + np.flatnonzero(~done[n:last])
+            for buf in (w, q_fixed, tol_fixed, t, s, pos):
+                buf[holes] = buf[movers]
+    return out
 
 
 def kernel_K(t: float, s: float, hurst: float) -> float:

@@ -1,10 +1,12 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
 from fracvol import (
@@ -19,8 +21,14 @@ from fracvol import (
     kernel_K,
     wood_chan_sample,
 )
+from fracvol import volterra
 from fracvol.pricing import w_increments
-from fracvol.volterra import HypergeometricError, transform_increments
+from fracvol.volterra import (
+    _SERIES_MAX_TERMS,
+    _SERIES_RTOL,
+    HypergeometricError,
+    transform_increments,
+)
 
 mp.mp.dps = 30
 
@@ -65,6 +73,108 @@ class TestHyp2f1:
         # so an extreme argument exhausts the term cap
         with pytest.raises(HypergeometricError, match="partial sum"):
             hyp2f1(0.01, -0.01, 0.51, -1e9)
+
+
+def _series_reference(a, b, c, w):
+    """The hypergeometric series as first written: all arguments at once,
+    compacted by fancy indexing whenever one converges."""
+    w_all = np.atleast_1d(np.asarray(w, dtype=float))
+    sums = np.ones_like(w_all)
+    idx = np.arange(w_all.size)
+    w_act = w_all.ravel().copy()
+    t_act = np.ones_like(w_act)
+    s_act = np.ones_like(w_act)
+    k = 0
+    while idx.size:
+        if k >= _SERIES_MAX_TERMS:
+            worst = int(np.argmax(np.abs(t_act)))
+            raise HypergeometricError(
+                f"series did not converge within {_SERIES_MAX_TERMS} terms: "
+                f"last term {t_act[worst]:.3e}, partial sum {s_act[worst]:.8e}, "
+                f"mapped argument w = {w_act[worst]:.8f}"
+            )
+        ratio = (a + k) * (b + k) / ((c + k) * (k + 1.0))
+        t_act = t_act * (ratio * w_act)
+        s_act = s_act + t_act
+        k += 1
+        # geometric tail bound with common ratio q per entry
+        absw = np.abs(w_act)
+        q = np.minimum(np.maximum(absw, np.abs(ratio) * absw), 1.0 - 1e-12)
+        done = np.abs(t_act) * q <= _SERIES_RTOL * (1.0 - q) * np.abs(s_act)
+        if np.any(done):
+            flat = sums.reshape(-1)
+            flat[idx[done]] = s_act[done]
+            keep = ~done
+            idx, w_act, t_act, s_act = idx[keep], w_act[keep], t_act[keep], s_act[keep]
+    if np.isscalar(w) or np.ndim(w) == 0:
+        return sums[0]
+    return sums.reshape(np.shape(w))
+
+
+# (a, b, c) as the kernel's mapped series and its 1/z continuation pass them
+# at H = 0.3 and H = 0.7, and one whose term ratio exceeds 1 from the start
+SERIES_PARAMETERS = [
+    (-0.2, 1.0, 1.2),
+    (-0.2, 0.6, 0.6),
+    (0.2, 1.0, 0.8),
+    (0.2, 1.4, 1.4),
+    (2.0, 3.0, 0.5),
+]
+# _cell_mean_square passes (targets, quadrature nodes) arrays
+CELL_NODES = volterra._tanh_sinh_unit()[0].size
+
+
+@st.composite
+def series_arguments(draw):
+    """Arrays over a small pool of values in (-0.99, 0.99), so values repeat."""
+    value = st.floats(-0.99, 0.99, exclude_min=True, exclude_max=True)
+    pool = np.array(draw(st.lists(value, min_size=1, max_size=24)))
+    shape = draw(
+        st.one_of(
+            st.just(()),
+            st.tuples(st.integers(0, 2000)),
+            st.tuples(st.integers(1, 12), st.just(CELL_NODES)),
+        )
+    )
+    return pool[draw(arrays(np.intp, shape, elements=st.integers(0, pool.size - 1)))]
+
+
+class TestSeries:
+    @given(
+        abc=st.one_of(
+            st.sampled_from(SERIES_PARAMETERS),
+            st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5), st.floats(0.2, 2.5)),
+        ),
+        w=series_arguments(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_reference_bit_for_bit(self, abc, w):
+        expected = _series_reference(*abc, w)
+        for chunk in (1, 7, volterra._SERIES_CHUNK):
+            with mock.patch.object(volterra, "_SERIES_CHUNK", chunk):
+                got = volterra._series(*abc, w)
+            assert np.shape(got) == np.shape(expected)
+            np.testing.assert_array_equal(got, expected)
+
+    def test_ratio_above_one_matches_reference(self):
+        w = np.linspace(-0.98, 0.98, 301)
+        np.testing.assert_array_equal(
+            volterra._series(2.0, 3.0, 0.5, w), _series_reference(2.0, 3.0, 0.5, w)
+        )
+
+    def test_nonconvergence_in_a_later_chunk_names_its_argument(self):
+        # 2F1(8, 1; 1; w) = (1 - w)^-8: at w = 0.82 the sum is large and the
+        # series stops after 282 terms; at w = -0.8 it is small and needs 338.
+        # Sorted by |w| in chunks of 2, the slow argument sits in the third chunk.
+        w = np.array([0.82, -0.8, 0.82, 0.82, 0.82])
+        with mock.patch.object(volterra, "_SERIES_CHUNK", 2), mock.patch.object(
+            volterra, "_SERIES_MAX_TERMS", 300
+        ):
+            converged = volterra._series(8.0, 1.0, 1.0, w[w > 0])
+            with pytest.raises(HypergeometricError, match="within 300 terms") as info:
+                volterra._series(8.0, 1.0, 1.0, w)
+        assert np.all(np.isfinite(converged))
+        assert "w = -0.80000000" in str(info.value)
 
 
 class TestKernel:
