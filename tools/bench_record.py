@@ -1,18 +1,17 @@
 """Record the benchmark's end-to-end metrics for one checkout in BENCH_<n>.json.
 
-    python3 tools/bench_record.py --out BENCH_7.json [--runs 5] [--seconds 30]
-                                  [--root PATH]
+    python3 tools/bench_record.py --out BENCH_7.json [--root PATH]
 
 For every workload that BENCHMARK.json lists, the script runs the benchmark
-command (`python3 perfbench/run.py`) --runs times untraced, with seeds 1..runs,
-and once traced with seed 1, one process at a time, from the checkout at
---root (default: this repository).  It writes, per workload, the median and
+command (`python3 perfbench/run.py`) for BENCHMARK.json's run_seconds, RUNS
+times untraced with seeds 1..RUNS and once traced with seed 1, one process at
+a time, from the checkout at --root (default: this repository).  It writes, per workload, the median and
 quartiles of each end-to-end metric and of each traced per-layer metric, the
 request and failure counts and first three request digests of every run (equal
 seeds give equal digests unless output bits moved), and the provenance that the details
 line of the first run reports (nproc, versions, git commit, source sha256).
-Run it on an otherwise idle host; it takes about runs x (seconds + 10) s per
-workload.
+Run it on an otherwise idle host; it takes about (RUNS + 1) x (run_seconds +
+10) s per workload.
 """
 
 from __future__ import annotations
@@ -27,27 +26,22 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 900
+RUNS = 5
 
 
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--runs", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="seconds per run (default: BENCHMARK.json run_seconds)")
     parser.add_argument("--root", type=Path, default=ROOT,
                         help="checkout to measure (default: this repository)")
-    args = parser.parse_args(argv)
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
-    return args
+    return parser.parse_args(argv)
 
 
-def run_once(spec: dict, root: Path, workload: str, seed: int, seconds: float,
+def run_once(spec: dict, root: Path, workload: str, seed: int,
              trace: int) -> tuple[dict, dict]:
     """(details, result) of one benchmark process."""
     cmd = spec["command"] + ["--workload", workload, "--seed", str(seed),
-                             "--seconds", str(seconds), "--trace", str(trace)]
+                             "--seconds", str(spec["run_seconds"]), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S, check=True)
     *_, details, result = done.stdout.strip().splitlines()
@@ -63,12 +57,12 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def record_workload(spec: dict, args, workload: str, seconds: float) -> tuple[dict, dict]:
+def record_workload(spec: dict, root: Path, workload: str) -> tuple[dict, dict]:
     """(record, provenance) of one workload over all its runs."""
     runs, metrics, units, provenance = [], {}, {}, None
-    for trace, count in ((0, args.runs), (1, 1)):
+    for trace, count in ((0, RUNS), (1, 1)):
         for seed in range(1, count + 1):
-            details, result = run_once(spec, args.root, workload, seed, seconds, trace)
+            details, result = run_once(spec, root, workload, seed, trace)
             provenance = provenance or details["provenance"]
             runs.append({"seed": seed, "trace": trace, "attempted": result["attempted"],
                          "failed": result["failed"], "correct": result["correct"],
@@ -89,17 +83,16 @@ def record_workload(spec: dict, args, workload: str, seconds: float) -> tuple[di
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((args.root / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
     workloads, provenance = {}, {}
     for entry in spec["workloads"]:
         name = entry["name"]
-        workloads[name], provenance[name] = record_workload(spec, args, name, seconds)
+        workloads[name], provenance[name] = record_workload(spec, args.root, name)
     record = {
         "nproc": len(os.sched_getaffinity(0)),
         "command": spec["command"],
-        "runs": args.runs,
+        "runs": RUNS,
         "traced_runs": 1,
-        "seconds": seconds,
+        "seconds": spec["run_seconds"],
         "provenance": provenance,
         "workloads": workloads,
     }
