@@ -45,17 +45,12 @@ EXIT_USAGE = 2
 EXIT_BREACH = 3
 
 
-def _fmt(value: float) -> str:
-    """Shortest round-trip decimal form; byte-stable across runs."""
-    return repr(float(value))
-
-
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = len(columns[0])
+    """Cells are repr(float(v)), the shortest round-trip decimal; byte-stable across runs."""
+    rows = np.asarray(np.column_stack(columns), dtype=float).tolist()
     with open(path, "w", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        for i in range(rows):
-            handle.write(",".join(_fmt(col[i]) for col in columns) + "\n")
+        handle.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def _write_sim_paths(out: Path, scenario: Scenario, results: list[dict]) -> None:

@@ -199,16 +199,11 @@ def eval_mu(coeffs: Coefficients, xi, x) -> np.ndarray:
     return np.asarray(coeffs.mu(xi, x), dtype=float)
 
 
-def sigma_factors(coeffs: ModelCoefficients, xi, x) -> np.ndarray:
-    """Scalar factor of each diffusion column for the affine family."""
-    x = np.asarray(x, dtype=float)
-    shift = np.multiply.outer(np.asarray(xi, dtype=float), coeffs.xi_weights)
-    return x @ coeffs.weights.T + shift + coeffs.offsets
-
-
 def eval_sigma(coeffs: Coefficients, xi, x) -> np.ndarray:
     """Diffusion matrix at (xi, x); column j is parallel to directions[j]."""
+    x = np.asarray(x, dtype=float)
     if isinstance(coeffs, ModelCoefficients):
-        factors = sigma_factors(coeffs, xi, x)
+        shift = np.multiply.outer(np.asarray(xi, dtype=float), coeffs.xi_weights)
+        factors = x @ coeffs.weights.T + shift + coeffs.offsets
         return factors[..., None, :] * coeffs.directions.T
-    return np.asarray(coeffs.sigma(xi, np.asarray(x, dtype=float)), dtype=float)
+    return np.asarray(coeffs.sigma(xi, x), dtype=float)

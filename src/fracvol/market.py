@@ -77,10 +77,13 @@ def floor_breach(v: np.ndarray, xi) -> tuple[np.ndarray, np.ndarray]:
 
     `xi` carries the leading path axes of `v`.  Below the floor the weights
     lose their integrability, so the estimators discard those paths and only
-    need finite placeholder values for them.
+    need finite placeholder values for them; with none below the floor, `v`
+    itself comes back.
     """
     xi = np.asarray(xi, dtype=float)
     low = v <= 0.5 * xi.reshape(xi.shape + (1,) * (v.ndim - xi.ndim))
+    if not low.any():
+        return np.zeros(low.shape[: xi.ndim], dtype=bool), v
     return np.any(low, axis=tuple(range(xi.ndim, v.ndim))), np.where(low, 1.0, v)
 
 

@@ -40,7 +40,7 @@ from .market import (
     theta,
     volatility,
 )
-from .rde import euler_paths, euler_step, require_young
+from .rde import check_finite, euler_paths, euler_stepper, require_young
 from .rng import batch_uniforms, stream_keys
 from .scenario import Scenario
 from .viability import check_viability_conditions
@@ -243,24 +243,29 @@ def _riskneutral_batch(
     dw = np.empty((n, count * d))  # row i: physical increments of step i, all paths
     constraint = _constraint_data(scenario, xi) if project else None
 
+    step = euler_stepper(scenario.coefficients, xi, dt, constraint)
     x = np.broadcast_to(scenario.initial_state, (count, d)).copy()
     b_prev = np.zeros((count, d))
     s_log = np.zeros((count, d))
     breached = np.zeros(count, dtype=bool)
-    for i in range(n):
-        low, v_safe = floor_breach(volatility(x, params), xi)
-        breached |= low
-        th_i = theta(v_safe, params)
-        th_i[breached] = 0.0  # freeze breached paths; they are discarded later
-        dw[i] = (dw_star[:, i] + th_i * dt).reshape(-1)
-        b_next = np.dot(km.entries[i, None, : i + 1], dw[: i + 1]).reshape(count, d)
-        db_step = b_next - b_prev
-        db_step[breached] = 0.0
-        x = euler_step(scenario.coefficients, xi, x, db_step, dt, constraint)
-        b_prev = b_next
-        if not np.all(np.isfinite(x)):
-            raise FloatingPointError(f"state became non-finite at step {i + 1}")
-        s_log += log_price_increments(v_safe, dw_star[:, i], params.rate, dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            low, v_safe = floor_breach(volatility(x, params), xi)
+            breached |= low
+            frozen = breached.any()  # breached paths are frozen, and discarded later
+            th_i = theta(v_safe, params)
+            if frozen:
+                th_i[breached] = 0.0
+            dw_i = np.multiply(th_i, dt, out=dw[i].reshape(count, d))
+            dw_i += dw_star[:, i]
+            b_next = np.dot(km.entries[i, None, : i + 1], dw[: i + 1]).reshape(count, d)
+            db_step = b_next - b_prev
+            if frozen:
+                db_step[breached] = 0.0
+            x = step(x, db_step)
+            check_finite(x, i + 1)
+            b_prev = b_next
+            s_log += log_price_increments(v_safe, dw_star[:, i], params.rate, dt)
     with np.errstate(over="ignore"):  # breached paths may overflow; discarded later
         terminal = asset_prices(s_log, params)
     return terminal, np.ones(count), breached

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import (
-    Coefficients,
-    ModelCoefficients,
-    eval_mu,
-    eval_sigma,
-    sigma_factors,
-)
+from .coefficients import Coefficients, ModelCoefficients, eval_mu, eval_sigma
 from .fbm import FbmConfig, wood_chan_sample
 from .grids import SamplePath, TimeGrid
 from .rng import RandomSource
@@ -51,18 +45,50 @@ class SolveConfig:
         require_young(self.hurst)
 
 
-def euler_step(coeffs: Coefficients, xi, x, db, dt: float, project_onto=None) -> np.ndarray:
-    """One Euler update of states x (paths, d) by driver increments db (paths, d),
-    then the projection onto `project_onto`, a (normals, offsets) pair, if given."""
-    mu = eval_mu(coeffs, xi, x)
+def euler_stepper(coeffs: Coefficients, xi, dt: float, project_onto=None):
+    """The Euler update `step(x, db)` of states x (paths, d) by driver increments
+    db (paths, d), then the projection onto `project_onto`, a (normals, offsets)
+    pair, if given.  What does not change between steps is computed here, once
+    per batch; a step returns a fresh array and leaves its arguments unchanged."""
     if isinstance(coeffs, ModelCoefficients):
-        diffusion = (sigma_factors(coeffs, xi, x) * db) @ coeffs.directions
+        drift_t, weights_t = coeffs.drift_matrix.T, coeffs.weights.T
+        drift_shift = np.multiply.outer(xi, coeffs.xi_drift)
+        factor_shift = np.multiply.outer(xi, coeffs.xi_weights)
+
+        def advance(x, db):
+            # eval_mu and eval_sigma term for term, in place in fresh buffers
+            mu = x @ drift_t
+            mu += drift_shift
+            mu += coeffs.drift_const
+            mu *= dt
+            factors = x @ weights_t
+            factors += factor_shift
+            factors += coeffs.offsets
+            factors *= db
+            mu += x
+            mu += factors @ coeffs.directions
+            return mu
     else:
-        diffusion = np.einsum("...ij,...j->...i", eval_sigma(coeffs, xi, x), db)
-    x = x + mu * dt + diffusion
-    if project_onto is not None:
-        x = project_into(x, project_onto[0], project_onto[1])
-    return x
+
+        def advance(x, db):
+            diffusion = np.einsum("...ij,...j->...i", eval_sigma(coeffs, xi, x), db)
+            return x + eval_mu(coeffs, xi, x) * dt + diffusion
+
+    if project_onto is None:
+        return advance
+    return lambda x, db: project_into(advance(x, db), *project_onto)
+
+
+def check_finite(x: np.ndarray, step: int) -> None:
+    """Raise FloatingPointError, naming the step and the first bad path, unless
+    every state of the batch x (paths, d) is finite.  Both time-stepping loops
+    run under np.errstate(over="ignore", invalid="ignore") and leave overflow
+    to this check."""
+    if not np.isfinite(x).all():
+        bad = int(np.nonzero(~np.isfinite(x).all(axis=1))[0][0])
+        raise FloatingPointError(
+            f"state became non-finite at step {step} (path {bad} of the batch)"
+        )
 
 
 def euler_paths(
@@ -86,15 +112,12 @@ def euler_paths(
     x = np.broadcast_to(np.asarray(initial, dtype=float), (paths, d)).copy()
     if isinstance(project_onto, Polyhedron):
         project_onto = (project_onto.normals, project_onto.offsets)
+    step = euler_stepper(coeffs, xi, dt, project_onto)
     out[:, 0] = x
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n):
-            x = euler_step(coeffs, xi, x, db[:, i], dt, project_onto)
-            if not np.all(np.isfinite(x)):
-                bad = int(np.nonzero(~np.isfinite(x).all(axis=1))[0][0])
-                raise FloatingPointError(
-                    f"state became non-finite at step {i + 1} (path {bad} of the batch)"
-                )
+            x = step(x, db[:, i])
+            check_finite(x, i + 1)
             out[:, i + 1] = x
     return out
 

@@ -163,12 +163,16 @@ def project_into(x: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.
     the KKT conditions, which means the set is empty.
     """
     x = np.asarray(x, dtype=float)
-    excess = np.maximum(x @ normals.T - offsets, 0.0)
+    excess = x @ normals.T
+    excess -= offsets
+    np.maximum(excess, 0.0, out=excess)
     if not excess.any():
         return x
-    y = x - (excess / np.einsum("kd,kd->k", normals, normals)) @ normals
-    touched = (excess > 0.0) | (y @ normals.T > offsets)
-    corner = np.count_nonzero(touched, axis=-1) > 1
+    touched = excess > 0.0
+    excess /= np.einsum("kd,kd->k", normals, normals)
+    y = x - excess @ normals
+    touched |= y @ normals.T > offsets
+    corner = touched.sum(axis=-1) > 1
     if corner.any():
         offsets = np.broadcast_to(offsets, excess.shape)
         y[corner] = _project_by_active_sets(x[corner], normals, offsets[corner])

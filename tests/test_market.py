@@ -171,6 +171,20 @@ class TestTheta:
         assert np.array_equal(v_safe[0], v[0])
         assert np.array_equal(v_safe[1], [[0.6, 0.4], [0.5, 1.0]])
 
+    @pytest.mark.parametrize("xi", [0.5, np.array([0.5, 0.7])])
+    def test_no_breach_matches_replacement(self, xi):
+        # with nothing below the floor the mask is all False, with the shape a
+        # breach would give it, and the values are those of v
+        v = np.array([[[0.6, 0.4], [0.5, 0.36]], [[0.6, 0.4], [0.5, 0.36]]])
+        breached, v_safe = floor_breach(v, xi)
+        assert breached.shape == np.shape(xi) and breached.dtype == bool
+        assert not breached.any()
+        assert v_safe.tobytes() == v.tobytes()
+        v[1, 1, 1] = 0.2  # one breach: the same mask shape, one flag set
+        breached, _ = floor_breach(v, xi)
+        assert breached.shape == np.shape(xi)
+        assert breached.tolist() == (True if np.ndim(xi) == 0 else [False, True])
+
 
 class TestStochasticExponential:
     """The density exp(log_weight) of the risk-neutral measure on the grid."""

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -22,8 +23,10 @@ from fracvol import (
     simulate_scenario_paths,
 )
 from fracvol.coefficients import XI_STREAM, xi_inverse_cdf
+from fracvol.market import floor_breach, log_price_increments, theta, volatility
 from fracvol.rng import RandomSource
 from fracvol.scenario import constant_vol_scenario, section4_scenario
+from test_rde import reference_step
 
 
 def bond_payoff(terminal):
@@ -342,3 +345,87 @@ class TestKeyedDraws:
         assert got.shape == (count, n, d)
         assert got.flags.c_contiguous
         assert got.tobytes() == dw.tobytes()
+
+
+def riskneutral_reference(scenario, km, seed, start, count, project):
+    """The risk-neutral batch written plainly: every write and every step spelled out."""
+    n, d, dt = scenario.grid.steps, scenario.dims, scenario.grid.dt
+    params = scenario.market
+    xi = pricing.xi_draws(scenario.xi, seed, start, count)
+    dw_star = pricing.w_increments(scenario, seed, start, count)
+    dw = np.empty((n, count * d))
+    constraint = pricing._constraint_data(scenario, xi) if project else None
+    x = np.tile(scenario.initial_state, (count, 1))
+    b_prev, s_log = np.zeros((count, d)), np.zeros((count, d))
+    breached = np.zeros(count, dtype=bool)
+    for i in range(n):
+        low, v_safe = floor_breach(volatility(x, params), xi)
+        breached |= low
+        th_i = theta(v_safe, params)
+        th_i[breached] = 0.0
+        dw[i] = (dw_star[:, i] + th_i * dt).reshape(-1)
+        b_next = np.dot(km.entries[i, None, : i + 1], dw[: i + 1]).reshape(count, d)
+        db = b_next - b_prev
+        db[breached] = 0.0
+        x = reference_step(scenario.coefficients, xi, x, db, dt, constraint)
+        b_prev = b_next
+        s_log += log_price_increments(v_safe, dw_star[:, i], params.rate, dt)
+    with np.errstate(over="ignore"):
+        return params.initial_prices * np.exp(s_log), breached
+
+
+class TestRiskNeutralLoop:
+    @staticmethod
+    def _breaching_scenario():
+        # state noise takes some paths' second volatility component U1 below its
+        # floor xi/2 = 0.25, at different steps; once frozen, the drift pulls
+        # U1 back towards 0.6, so a breached path need not stay below the floor
+        base = constant_vol_scenario(vol=(1.0, 0.6), xi_value=0.5, steps=64)
+        coeffs = dataclasses.replace(
+            base.coefficients,
+            drift_matrix=np.diag([-2.0, 0.0]),
+            drift_const=np.array([1.2, 0.0]),
+            offsets=np.full(2, 0.4),
+        )
+        return dataclasses.replace(base, coefficients=coeffs)
+
+    @pytest.mark.parametrize("case", ["breach", "projected"])
+    def test_equals_plain_loop(self, case):
+        if case == "breach":
+            sc, project = self._breaching_scenario(), False
+        else:
+            sc, project = section4_scenario(steps=64), True
+        km = pricing._kernel_matrix(sc)
+        terminal, weight, breached = pricing._riskneutral_batch(sc, km, 3, 10, 300, project)
+        want_terminal, want_breached = riskneutral_reference(sc, km, 3, 10, 300, project)
+        assert terminal.tobytes() == want_terminal.tobytes()
+        assert np.array_equal(breached, want_breached)
+        assert np.all(weight == 1.0)
+        if case == "breach":  # some paths breach, at different steps, and some never do
+            assert 0 < np.count_nonzero(breached) < breached.size
+            assert np.unique(terminal[breached], axis=0).shape[0] > 1
+
+    def test_overflow_names_step_and_path(self):
+        # from U1 = 1e308, the drift U1 + xi * c overflows at the first step exactly on
+        # the paths with xi * c > max - 1e308; c puts that level between the
+        # largest two draws, so one path breaks, and it is not the first
+        sc = section4_scenario(steps=8)
+        seed, count = 5, 40
+        xi = pricing.xi_draws(sc.xi, seed, 0, count)
+        top, second = np.sort(xi)[-2:][::-1]
+        bad = int(np.argmax(xi))
+        assert bad > 0 and top - second > 1e-6 * top
+        c = (np.finfo(float).max - 1e308) / (0.5 * (top + second))
+        coeffs = dataclasses.replace(
+            sc.coefficients,
+            drift_matrix=np.diag([1.0, 0.0]),
+            xi_drift=np.array([c, 0.0]),
+            weights=np.zeros((2, 2)),  # no diffusion
+            xi_weights=np.zeros(2),
+        )
+        sc = dataclasses.replace(sc, coefficients=coeffs, initial_state=np.array([1e308, 0.0]))
+        km = pricing._kernel_matrix(sc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # raises before any overflow warning
+            with pytest.raises(FloatingPointError, match=rf"step 1 \(path {bad} of the batch\)"):
+                pricing._riskneutral_batch(sc, km, seed, 0, count, False)

@@ -18,8 +18,9 @@ from fracvol import (
     shifted_polyhedron,
     wood_chan_sample,
 )
-from fracvol.pricing import xi_draws
-from fracvol.rde import euler_paths
+from fracvol.coefficients import eval_mu
+from fracvol.pricing import _constraint_data, xi_draws
+from fracvol.rde import euler_paths, euler_stepper
 from fracvol.scenario import section4_scenario
 from fracvol.viability import project_into
 
@@ -67,6 +68,14 @@ def constant_diffusion_coefficients(matrix):
 
 def zero_driver(grid, d=2):
     return SamplePath(grid, np.zeros((grid.steps + 1, d)))
+
+
+def reference_step(coeffs, xi, x, db, dt, project_onto):
+    """One Euler step of the affine family written plainly, operation for operation."""
+    shift = np.multiply.outer(np.asarray(xi, dtype=float), coeffs.xi_weights)
+    factors = x @ coeffs.weights.T + shift + coeffs.offsets
+    x = x + eval_mu(coeffs, xi, x) * dt + (factors * db) @ coeffs.directions
+    return x if project_onto is None else project_into(x, *project_onto)
 
 
 class TestEulerSolve:
@@ -179,6 +188,54 @@ class TestEulerSolve:
         )
         assert np.array_equal(batch[0], single.values)
         assert np.array_equal(batch[1], single.values)
+
+
+class TestEulerStepper:
+    """The per-batch step equals the plain formula bit for bit and aliases nothing."""
+
+    @staticmethod
+    def _batch(paths=64, steps=32):
+        sc = section4_scenario(steps=steps)
+        xi = xi_draws(sc.xi, sc.seed, 0, paths)
+        rng = np.random.default_rng(11)
+        # large increments push many paths out of K(xi), some past two faces
+        db = rng.normal(scale=0.5, size=(paths, steps, sc.dims))
+        return sc, xi, db
+
+    @pytest.mark.parametrize("project", [False, True])
+    def test_step_leaves_arguments_unchanged(self, project):
+        sc, xi, db = self._batch()
+        constraint = _constraint_data(sc, xi) if project else None
+        x = np.random.default_rng(12).normal(size=(xi.size, sc.dims))
+        args = [x, db[:, 0], xi] + (list(constraint) if project else [])
+        before = [a.copy() for a in args]
+        step = euler_stepper(sc.coefficients, xi, sc.grid.dt, constraint)
+        y = step(x, db[:, 0])
+        for a, b in zip(args, before):
+            assert np.array_equal(a, b)
+        assert not any(np.shares_memory(y, a) for a in args)
+        want = reference_step(sc.coefficients, xi, x, db[:, 0], sc.grid.dt, constraint)
+        assert y.tobytes() == want.tobytes()
+        assert step(x, db[:, 0]).tobytes() == want.tobytes()  # a second call sees the same x
+
+    @pytest.mark.parametrize("project", [False, True])
+    def test_paths_equal_plain_recursion(self, project):
+        sc, xi, db = self._batch()
+        constraint = _constraint_data(sc, xi) if project else None
+        out = euler_paths(sc.coefficients, xi, db, sc.initial_state, sc.grid.dt, constraint)
+        x = np.tile(sc.initial_state, (xi.size, 1))
+        states = [x]
+        for i in range(db.shape[1]):
+            x = reference_step(sc.coefficients, xi, x, db[:, i], sc.grid.dt, constraint)
+            states.append(x)
+        assert out.tobytes() == np.stack(states, axis=1).tobytes()
+        # the rows hold different states, so no step wrote into an earlier one
+        assert not np.array_equal(out[:, 1], out[:, 2])
+        # the same increments take unprojected paths out of K(xi); projected
+        # ones stay inside up to the rounding excess of a projection
+        normals, offsets = _constraint_data(sc, xi)
+        excess = np.max(out @ normals.T - offsets[:, None])
+        assert excess <= 1e-12 if project else excess > 0.1
 
 
 class TestProjectPolyhedron:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fracvol import ConstantXi, SingularXi
-from fracvol.cli import main
+from fracvol.cli import _write_csv, main
 from fracvol.scenario import (
     ScenarioError,
     constant_vol_scenario,
@@ -259,6 +259,17 @@ class TestPriceCommand:
         path = write_scenario(tmp_path, sc)
         assert main(["price", path, "--payoff", "bond", "--paths", "500"]) == 3
         assert "breached" in capsys.readouterr().err
+
+
+class TestCsvCells:
+    def test_cells_are_float_reprs(self, tmp_path):
+        values = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e16, 1 / 3])
+        columns = [values, values[::-1], np.arange(values.size)]
+        _write_csv(tmp_path / "cells.csv", ["a", "b", "i"], columns)
+        lines = (tmp_path / "cells.csv").read_text().split("\n")
+        assert lines[0] == "a,b,i" and lines[-1] == ""
+        want = [",".join(repr(float(col[r])) for col in columns) for r in range(values.size)]
+        assert lines[1:-1] == want
 
 
 class TestReproduceCommand:
