@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -78,17 +77,6 @@ def _write_json(path: Path, doc: dict) -> None:
     with open(path, "w", newline="\n") as handle:
         json.dump(doc, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def _default_threads() -> int:
-    value = os.environ.get("THREADS", "1")
-    try:
-        threads = int(value)
-    except ValueError as exc:
-        raise ValueError(f"THREADS must be a positive integer, got {value!r}") from exc
-    if threads < 1:
-        raise ValueError(f"THREADS must be a positive integer, got {threads}")
-    return threads
 
 
 def cmd_fbm(args) -> int:
@@ -197,12 +185,7 @@ def _build_payoff(args, scenario: Scenario):
 def cmd_price(args) -> int:
     scenario = load_scenario(args.scenario)
     payoff = _build_payoff(args, scenario)
-    mc = MCConfig(
-        paths=args.paths,
-        seed=args.seed,
-        threads=args.threads if args.threads else _default_threads(),
-        project=not args.no_project,
-    )
+    mc = MCConfig(paths=args.paths, seed=args.seed, project=not args.no_project)
     estimators = {
         "physical": price_physical_weighted,
         "riskneutral": price_riskneutral,
@@ -230,6 +213,7 @@ def cmd_reproduce_section4(args) -> int:
     scenario = section4_scenario(
         steps=args.steps, horizon=args.horizon, rate=args.rate, seed=args.seed
     )
+    results = simulate_scenario_paths(scenario, args.paths)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     normalizer = xi_normalizer(3, 1.0, 1.0)
@@ -240,8 +224,6 @@ def cmd_reproduce_section4(args) -> int:
     )
     _write_json(out / "viability_report.json", report.to_dict())
     _write_json(out / "scenario.json", scenario_to_dict(scenario))
-
-    results = simulate_scenario_paths(scenario, args.paths)
     _write_sim_paths(out, scenario, results)
     summary = {
         "normalizer": normalizer,
@@ -321,8 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default="physical")
     p_price.add_argument("--both", action="store_true",
                          help="run both estimators and report the agreement z-score")
-    p_price.add_argument("--threads", type=int, default=None,
-                         help="path-parallel batches (default: THREADS env or 1)")
     p_price.add_argument("--no-project", action="store_true",
                          help="skip the per-step projection onto the constraint set "
                               "(floor breaches then abort paths and can fail the run)")

@@ -158,6 +158,8 @@ def sample_paths(
     samplers = {"wood-chan": wood_chan_sample, "cholesky": cholesky_sample}
     if method not in samplers:
         raise ValueError(f"method must be one of {sorted(samplers)}, got {method!r}")
+    if n_paths < 1:
+        raise ValueError(f"need at least 1 path, got {n_paths}")
     sampler = samplers[method]
     base = RandomSource(cfg.seed)
     out = np.empty((n_paths, grid.steps + 1, cfg.dims))

@@ -22,7 +22,6 @@ coincide path for path, and in general they are common-random-number coupled.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -124,15 +123,14 @@ class MCConfig:
     paths: int
     seed: int | None = None
     batch_size: int = DEFAULT_BATCH_SIZE
-    threads: int = 1
     check_conditions: bool = True
     project: bool = True
 
     def __post_init__(self):
         if self.paths < 2:
             raise ValueError("need at least 2 paths for a standard error")
-        if self.batch_size < 1 or self.threads < 1:
-            raise ValueError("batch_size and threads must be positive")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be positive")
 
 
 @dataclass(frozen=True)
@@ -175,6 +173,31 @@ def w_increments(scenario: Scenario, seed: int, start: int, count: int) -> np.nd
     return out
 
 
+# (scenario, seed, start, count, xi, dW) of the last batch drawn, or None.
+_last_draws = None
+
+
+def _batch_draws(scenario: Scenario, seed: int, start: int, count: int):
+    """Read-only (xi, dW) of paths [start, start + count), drawn once per batch.
+
+    Pricing on one (scenario, seed, batch) again, by the other estimator or for
+    another payoff, reuses the last batch's draws instead of drawing them anew.
+    The slot is emptied before another batch is drawn, so it never holds two.
+    It is keyed on the scenario instance, whose arrays are read-only.  The slot
+    is read once and replaced whole, so concurrent callers at worst draw twice.
+    """
+    global _last_draws
+    last = _last_draws
+    if last is not None and last[0] is scenario and last[1:4] == (seed, start, count):
+        return last[4:]
+    last = _last_draws = None
+    xi = xi_draws(scenario.xi, seed, start, count)
+    dw = w_increments(scenario, seed, start, count)
+    xi.flags.writeable = dw.flags.writeable = False
+    _last_draws = (scenario, seed, start, count, xi, dw)
+    return xi, dw
+
+
 def _constraint_data(scenario: Scenario, xi: np.ndarray):
     """Half-space data of the shifted sets K(xi), one offset row per path.
 
@@ -198,8 +221,7 @@ def _physical_paths(
 
     With `project`, every Euler step is projected onto the path's own K(xi).
     """
-    xi = xi_draws(scenario.xi, seed, start, count)
-    dw = w_increments(scenario, seed, start, count)
+    xi, dw = _batch_draws(scenario, seed, start, count)
     b_values = transform_increments(dw, km)
     db = np.diff(b_values, axis=1)
     constraint = _constraint_data(scenario, xi) if project else None
@@ -238,8 +260,7 @@ def _riskneutral_batch(
     n, d = grid.steps, scenario.dims
     dt = grid.dt
     params = scenario.market
-    xi = xi_draws(scenario.xi, seed, start, count)
-    dw_star = w_increments(scenario, seed, start, count)
+    xi, dw_star = _batch_draws(scenario, seed, start, count)
     dw = np.empty((n, count * d))  # row i: physical increments of step i, all paths
     constraint = _constraint_data(scenario, xi) if project else None
 
@@ -274,20 +295,10 @@ def _riskneutral_batch(
 def _run_batches(scenario, mc, batch_fn):
     seed = scenario.seed if mc.seed is None else mc.seed
     km = _kernel_matrix(scenario)
-    ranges = [
-        (start, min(mc.batch_size, mc.paths - start))
+    parts = [
+        batch_fn(scenario, km, seed, start, min(mc.batch_size, mc.paths - start), mc.project)
         for start in range(0, mc.paths, mc.batch_size)
     ]
-
-    def run(batch):
-        start, count = batch
-        return batch_fn(scenario, km, seed, start, count, mc.project)
-
-    if mc.threads > 1:
-        with ThreadPoolExecutor(max_workers=mc.threads) as pool:
-            parts = list(pool.map(run, ranges))
-    else:
-        parts = list(map(run, ranges))
     terminal, weight, breached = (np.concatenate(column) for column in zip(*parts))
     return terminal, weight, breached, seed
 
@@ -409,6 +420,8 @@ def simulate_scenario_paths(
     time).  Paths are built in batches of DEFAULT_BATCH_SIZE, which bounds the
     transient memory; the draws are keyed per path, so batching moves no bits.
     """
+    if n_paths < 1:
+        raise ValueError(f"need at least 1 path, got {n_paths}")
     km = _kernel_matrix(scenario)
     out = []
     for start in range(0, n_paths, DEFAULT_BATCH_SIZE):

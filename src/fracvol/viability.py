@@ -172,7 +172,10 @@ def project_into(x: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.
     excess /= np.einsum("kd,kd->k", normals, normals)
     y = x - excess @ normals
     touched |= y @ normals.T > offsets
-    corner = touched.sum(axis=-1) > 1
+    # Count touched faces by a uint8 matmul, about half the time of a bool sum
+    # over the short face axis; the count cannot wrap with under 256 faces.
+    m = normals.shape[0]
+    corner = touched.view(np.uint8) @ np.ones(m, np.uint8 if m < 256 else np.intp) > 1
     if corner.any():
         offsets = np.broadcast_to(offsets, excess.shape)
         y[corner] = _project_by_active_sets(x[corner], normals, offsets[corner])

@@ -131,6 +131,7 @@ class TestRunMechanics:
         sc = constant_vol_scenario()
         mc = MCConfig(paths=3_000, seed=47)
         a = price_physical_weighted(Call(0, 1.0), sc, mc)
+        pricing._last_draws = None  # draw the batch again rather than reuse it
         b = price_physical_weighted(Call(0, 1.0), sc, mc)
         assert a == b
 
@@ -138,16 +139,6 @@ class TestRunMechanics:
         sc = constant_vol_scenario(seed=123)
         res = price_physical_weighted(Call(0, 1.0), sc, MCConfig(paths=2_000))
         assert res.seed == 123
-
-    def test_threaded_run_matches_serial(self):
-        sc = constant_vol_scenario()
-        serial = price_riskneutral(
-            Call(0, 1.0), sc, MCConfig(paths=6_000, seed=49, batch_size=1024)
-        )
-        threaded = price_riskneutral(
-            Call(0, 1.0), sc, MCConfig(paths=6_000, seed=49, batch_size=1024, threads=4)
-        )
-        assert serial == threaded
 
     @staticmethod
     def _drifting_down_scenario():
@@ -320,6 +311,87 @@ class TestScenarioArrays:
         assert sc.coefficients.drift_const[0] == 0.0
         assert sc.market.projections[0, 0] == 1.0
         assert sc.initial_state[0] == 1.0
+
+
+class TestBatchDrawMemo:
+    """Pricing draws each batch's xi and dW once per (scenario, seed, batch)."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """Slot contents seen at each `w_increments` call, starting from an empty slot."""
+        monkeypatch.setattr(pricing, "_last_draws", None)
+        seen = []
+        real = pricing.w_increments
+
+        def counting(*args, **kwargs):
+            seen.append(pricing._last_draws)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pricing, "w_increments", counting)
+        return seen
+
+    @staticmethod
+    def _pricings(sc, mc, before=lambda: None):
+        runs = [
+            (price_physical_weighted, Call(0, 1.0)),
+            (price_riskneutral, Call(0, 1.0)),
+            (price_physical_weighted, Put(1, 1.1)),
+            (price_riskneutral, Basket([0.5, 0.5], 1.0)),
+        ]
+        results = []
+        for pricer, payoff in runs:
+            before()
+            results.append(pricer(payoff, sc, mc))
+        return results
+
+    def test_one_draw_for_every_estimator_and_payoff(self, draws):
+        sc = section4_scenario(steps=16)
+        self._pricings(sc, MCConfig(paths=256, seed=3))
+        assert len(draws) == 1
+        assert sc.seed != 3
+        simulate_scenario_paths(sc, 256)  # draws the batch of the scenario's seed
+        physical_terminal_sample(sc, MCConfig(paths=256, seed=sc.seed))  # and reuses it
+        assert len(draws) == 2
+
+    def test_equals_fresh_draws(self, draws):
+        sc = section4_scenario(steps=16)
+        mc = MCConfig(paths=256, seed=3)
+        shared = self._pricings(sc, mc)
+
+        def empty_slot():
+            pricing._last_draws = None
+
+        fresh = self._pricings(sc, mc, before=empty_slot)
+        assert len(draws) == 1 + 4
+        assert shared == fresh
+
+    def test_other_keys_miss(self, draws):
+        sc = section4_scenario(steps=16)
+        runs = [
+            (sc, MCConfig(paths=256, seed=3)),
+            (sc, MCConfig(paths=256, seed=4)),  # seed
+            (sc, MCConfig(paths=256, seed=4, batch_size=128)),  # two batches
+            (dataclasses.replace(sc), MCConfig(paths=256, seed=4, batch_size=128)),
+        ]
+        for scenario, mc in runs:
+            price_physical_weighted(Call(0, 1.0), scenario, mc)
+        assert len(draws) == 1 + 1 + 2 + 2
+
+    def test_memoised_arrays_are_read_only(self, draws):
+        sc = section4_scenario(steps=16)
+        price_riskneutral(Call(0, 1.0), sc, MCConfig(paths=64, seed=3))
+        xi, dw = pricing._batch_draws(sc, 3, 0, 64)
+        assert len(draws) == 1
+        with pytest.raises(ValueError, match="read-only"):
+            xi[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            dw[0, 0, 0] = 1.0
+
+    def test_slot_empty_while_drawing(self, draws):
+        sc = section4_scenario(steps=16)
+        price_riskneutral(Call(0, 1.0), sc, MCConfig(paths=300, seed=3, batch_size=100))
+        assert draws == [None, None, None]
+        assert pricing._last_draws[:4] == (sc, 3, 200, 100)
 
 
 class TestKeyedDraws:

@@ -98,6 +98,14 @@ class TestFbmCommand:
         assert main(["fbm", "--hurst", "1.2", "--steps", "8"]) == 2
         assert "hurst" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_nonpositive_path_count_rejected(self, tmp_path, capsys, count):
+        out = tmp_path / "fbm"
+        argv = ["fbm", "--hurst", "0.7", "--steps", "8", "--paths", count, "--out", str(out)]
+        assert main(argv) == 2
+        assert f"need at least 1 path, got {count}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_methods_agree_within_reported_errors(self, tmp_path):
         stats = {}
         for method in ("woodchan", "cholesky"):
@@ -201,6 +209,14 @@ class TestSimulateCommand:
         assert report["projected"] is True
         assert all(m >= -1e-9 for m in report["worst_margin"])
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_nonpositive_path_count_rejected(self, tmp_path, capsys, count):
+        path = write_scenario(tmp_path, constant_vol_scenario(steps=8))
+        out = tmp_path / "sim"
+        assert main(["simulate", path, "--paths", count, "--out", str(out)]) == 2
+        assert f"need at least 1 path, got {count}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPriceCommand:
     def test_bond_payoff(self, tmp_path, capsys):
@@ -244,13 +260,6 @@ class TestPriceCommand:
         path = write_scenario(tmp_path, constant_vol_scenario())
         assert main(["price", path, "--payoff", "basket"]) == 2
         assert "--weights" in capsys.readouterr().err
-
-    def test_threads_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("THREADS", "2")
-        path = write_scenario(tmp_path, constant_vol_scenario())
-        assert main(["price", path, "--payoff", "bond", "--paths", "1000"]) == 0
-        monkeypatch.setenv("THREADS", "zero")
-        assert main(["price", path, "--payoff", "bond", "--paths", "1000"]) == 2
 
     def test_breach_rate_exit_code(self, tmp_path, capsys):
         # initial volatility already sits at half the mixing floor, so every
@@ -305,3 +314,11 @@ class TestReproduceCommand:
             )
             blobs.append(blob)
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_nonpositive_path_count_rejected(self, tmp_path, capsys, count):
+        out = tmp_path / "bundle"
+        argv = ["reproduce-section4", "--steps", "64", "--paths", count, "--out", str(out)]
+        assert main(argv) == 2
+        assert f"need at least 1 path, got {count}" in capsys.readouterr().err
+        assert not out.exists()

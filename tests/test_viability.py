@@ -161,6 +161,12 @@ class TestProjection:
         assert not caplog.records
         assert np.max(np.abs(proj)) <= 1e-14
 
+    def test_corner_count_does_not_wrap(self):
+        # 256 copies of the face x <= 0: a uint8 count of the touched faces
+        # would wrap to 0 and step the point through every copy at once
+        proj = project_into(np.array([[1.0]]), np.ones((256, 1)), np.zeros(256))
+        assert np.array_equal(proj, [[0.0]])
+
     def test_infeasible_set_raises(self):
         # x <= -1 and -x <= -1 have no common point
         normals = np.array([[1.0], [-1.0]])
