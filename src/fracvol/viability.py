@@ -403,6 +403,16 @@ def _face_samples(
     return np.concatenate(kept, axis=0)[:count]
 
 
+def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u . v over the last axis, broadcast over the others.
+
+    Each product is taken as one (1, d) @ (d, 1) matmul, which numpy hands to
+    the dot routine a 1-D `u @ v` uses, so that it keeps that product's bits;
+    a (k, d) @ (d, n) matmul may round it differently.
+    """
+    return np.matmul(u[..., None, :], v[..., :, None])[..., 0, 0]
+
+
 def check_viability_conditions(
     coeffs: Coefficients,
     poly: Polyhedron,
@@ -459,39 +469,31 @@ def check_viability_conditions(
         face_report.points = pts.shape[0]
         mu = eval_mu(coeffs, xi, pts)
         sigma = eval_sigma(coeffs, xi, pts)
-        worst = float("-inf")
-        worst_point = pts[0]
-        worst_kind = ""
-
-        def consider(value, point, kind):
-            nonlocal worst, worst_point, worst_kind
-            if value > worst:
-                worst, worst_point, worst_kind = float(value), point, kind
-
+        # scores laid out (point, face, drift then diffusion column j); the
+        # first maximum is the one a strict `>` scan in that order would keep,
+        # and faces inactive at a point or NaN scores can never be the worst
+        faces = poly.normals if mode == "cone" else -normal[None, :]
+        drift = _dots(faces, mu[:, None])
+        columns = np.swapaxes(sigma, -1, -2)[:, None]
+        scores = np.concatenate([drift[..., None], _dots(faces[:, None], columns)], axis=-1)
         if mode == "cone":
             residuals = pts @ poly.normals.T - poly.offsets
-            active_tol = max(tol, _GEOM_TOL * scale)
-            for i in range(pts.shape[0]):
-                active = np.nonzero(np.abs(residuals[i]) <= active_tol)[0]
-                for a in active:
-                    s = poly.normals[a]
-                    consider(s @ mu[i], pts[i], f"drift against face {a} normal")
-                    for j in range(sigma.shape[-1]):
-                        consider(
-                            s @ sigma[i, :, j],
-                            pts[i],
-                            f"diffusion column {j} against face {a} normal",
-                        )
+            scores[~(np.abs(residuals) <= max(tol, _GEOM_TOL * scale))] = -np.inf
         else:
-            h = -normal
-            for i in range(pts.shape[0]):
-                consider(-(h @ mu[i]), pts[i], "drift (inward component)")
-                for j in range(sigma.shape[-1]):
-                    consider(
-                        abs(h @ sigma[i, :, j]), pts[i], f"diffusion column {j} (|projection|)"
-                    )
+            np.negative(scores[..., 0], out=scores[..., 0])
+            np.abs(scores[..., 1:], out=scores[..., 1:])
+        scores[np.isnan(scores)] = -np.inf
+        where = np.unravel_index(np.argmax(scores), scores.shape)
+        worst = float(scores[where])
+        worst_kind = "drift" if where[-1] == 0 else f"diffusion column {where[-1] - 1}"
+        if worst == float("-inf"):
+            worst_kind = ""
+        elif mode == "cone":
+            worst_kind += f" against face {where[1]} normal"
+        else:
+            worst_kind += " (inward component)" if where[-1] == 0 else " (|projection|)"
         face_report.worst_violation = worst
-        face_report.worst_point = worst_point
+        face_report.worst_point = pts[where[0]]
         face_report.worst_kind = worst_kind
         face_report.status = "pass" if worst <= tol else "fail"
         report.faces.append(face_report)

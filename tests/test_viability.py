@@ -19,6 +19,7 @@ from fracvol import (
     slack,
 )
 from fracvol import viability
+from fracvol.coefficients import CallableCoefficients, ModelCoefficients
 from fracvol.rng import stream_key
 from fracvol.scenario import constant_vol_scenario, section4_scenario
 from fracvol.viability import project_into
@@ -373,3 +374,161 @@ class TestConditionChecker:
 
         parsed = json.loads(report.to_json())
         assert parsed == doc
+
+
+# `check_viability_conditions` before its scores became arrays, kept verbatim
+# but for its docstring, annotations and `viability.` prefixes: the array
+# scoring must report the same worst value, point and kind, bit for bit.
+def _loop_checker(
+    coeffs,
+    poly,
+    xi: float,
+    mode: str = "cone",
+    samples_per_face: int = 256,
+    box=None,
+    tol: float = 1e-10,
+):
+    """`check_viability_conditions` as it was with its per-point scoring loop."""
+    if mode not in ("cone", "hyperplane"):
+        raise ValueError(f"mode must be 'cone' or 'hyperplane', got {mode!r}")
+    if box is None:
+        box = viability.default_box(poly, xi)
+    lo, hi = viability._box_arrays(box, poly.dims)
+    _, margin = viability.chebyshev_center(poly, (lo, hi))
+    if margin <= 0:
+        raise ValueError(
+            "polyhedron has no interior point inside the box; widen the box"
+        )
+    affine = isinstance(coeffs, viability.ModelCoefficients)
+    box_normals, box_offsets = viability._box_inequalities(lo, hi)
+    scale = float(np.max(np.abs(np.concatenate([lo, hi]))) + 1.0)
+    report = viability.ConditionReport(
+        mode=mode, xi=float(xi), tol=float(tol), exact_for_affine=affine
+    )
+
+    for k in range(len(poly.faces)):
+        normal = poly.normals[k]
+        offset = poly.offsets[k]
+        if mode == "cone":
+            others = [j for j in range(len(poly.faces)) if j != k]
+            ineq_normals = np.vstack([poly.normals[others], box_normals]) if others else box_normals
+            ineq_offsets = (
+                np.concatenate([poly.offsets[others], box_offsets]) if others else box_offsets
+            )
+        else:
+            ineq_normals, ineq_offsets = box_normals, box_offsets
+        vertices = viability._polytope_vertices(normal, offset, ineq_normals, ineq_offsets, scale)
+        samples = viability._face_samples(
+            poly, k, lo, hi, samples_per_face, tol, restrict_to_set=(mode == "cone")
+        )
+        points = list(vertices) + list(samples)
+        face_report = viability.FaceReport(face=k, status="unsampled", vertices=len(vertices))
+        if not points:
+            report.faces.append(face_report)
+            continue
+        pts = np.vstack(points)
+        face_report.points = pts.shape[0]
+        mu = viability.eval_mu(coeffs, xi, pts)
+        sigma = viability.eval_sigma(coeffs, xi, pts)
+        worst = float("-inf")
+        worst_point = pts[0]
+        worst_kind = ""
+
+        def consider(value, point, kind):
+            nonlocal worst, worst_point, worst_kind
+            if value > worst:
+                worst, worst_point, worst_kind = float(value), point, kind
+
+        if mode == "cone":
+            residuals = pts @ poly.normals.T - poly.offsets
+            active_tol = max(tol, viability._GEOM_TOL * scale)
+            for i in range(pts.shape[0]):
+                active = np.nonzero(np.abs(residuals[i]) <= active_tol)[0]
+                for a in active:
+                    s = poly.normals[a]
+                    consider(s @ mu[i], pts[i], f"drift against face {a} normal")
+                    for j in range(sigma.shape[-1]):
+                        consider(
+                            s @ sigma[i, :, j],
+                            pts[i],
+                            f"diffusion column {j} against face {a} normal",
+                        )
+        else:
+            h = -normal
+            for i in range(pts.shape[0]):
+                consider(-(h @ mu[i]), pts[i], "drift (inward component)")
+                for j in range(sigma.shape[-1]):
+                    consider(
+                        abs(h @ sigma[i, :, j]), pts[i], f"diffusion column {j} (|projection|)"
+                    )
+        face_report.worst_violation = worst
+        face_report.worst_point = worst_point
+        face_report.worst_kind = worst_kind
+        face_report.status = "pass" if worst <= tol else "fail"
+        report.faces.append(face_report)
+    return report
+
+
+@st.composite
+def checker_cases(draw):
+    """(coefficients, polyhedron, mode): 2-4 faces in 2-D or 3-D around an
+    interior point, and an affine or callable field, all with entries that are
+    small integers, so that scores tie exactly, or floats, so that sums round.  The callable fields score NaN on part of the state space,
+    which may be all of it."""
+    d = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(2, 4))
+    floats = st.floats(-2.0, 2.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-3)
+    entry = draw(st.sampled_from([st.integers(-2, 2), floats]))
+
+    def ints(*shape):
+        size = int(np.prod(shape))
+        values = draw(st.lists(entry, min_size=size, max_size=size))
+        return np.array(values, dtype=float).reshape(shape)
+
+    rows = st.lists(entry, min_size=d, max_size=d).filter(any)
+    normals = np.array(draw(st.lists(rows, min_size=m, max_size=m)), dtype=float)
+    center = ints(d)
+    poly = Polyhedron([HalfSpace(center + n, n) for n in normals])
+    mode = draw(st.sampled_from(["cone", "hyperplane"]))
+    drift, xi_drift, const = ints(d, d), ints(d), ints(d)
+    weights, xi_weights, offsets, directions = ints(d, d), ints(d), ints(d), ints(d, d)
+    if draw(st.booleans()):
+        coeffs = ModelCoefficients(drift, xi_drift, const, weights, xi_weights, offsets, directions)
+        return coeffs, poly, mode
+    cut = draw(st.integers(-6, 6))
+
+    def mu(xi, x):
+        value = x @ drift.T + xi * xi_drift + const
+        return np.where(x[..., :1] > cut, np.nan, value)
+
+    def sigma(xi, x):
+        factors = np.floor(x) @ weights.T + xi * xi_weights + offsets
+        return np.where(x[..., :1, None] < -cut, np.nan, factors[..., None, :] * directions.T)
+
+    return CallableCoefficients(dims=d, mu=mu, sigma=sigma), poly, mode
+
+
+class TestArrayScoring:
+    @given(case=checker_cases(), xi=st.sampled_from([0.0, 0.5, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_per_point_loop_bit_for_bit(self, case, xi):
+        coeffs, poly, mode = case
+        got = check_viability_conditions(coeffs, poly, xi, mode=mode, samples_per_face=16)
+        expected = _loop_checker(coeffs, poly, xi, mode=mode, samples_per_face=16)
+        assert got.to_json() == expected.to_json()
+
+    def test_all_nan_scores_keep_the_first_point(self):
+        nan_field = CallableCoefficients(
+            dims=2,
+            mu=lambda xi, x: np.full(x.shape, np.nan),
+            sigma=lambda xi, x: np.full(x.shape + (2,), np.nan),
+        )
+        for mode in ("cone", "hyperplane"):
+            report = check_viability_conditions(
+                nan_field, reference_set(0.5), 0.5, mode=mode, box=BOX, samples_per_face=8
+            )
+            expected = _loop_checker(
+                nan_field, reference_set(0.5), 0.5, mode=mode, box=BOX, samples_per_face=8
+            )
+            assert report.to_json() == expected.to_json()
+            assert all(f.worst_kind == "" and f.status == "pass" for f in report.faces)

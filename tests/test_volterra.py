@@ -265,6 +265,72 @@ class TestKernelMatrix:
             tracemalloc.stop()
         assert peak < 2**16
 
+    # chunks of 1 or 7 sum each cell's series nearly alone, which takes minutes
+    # on the larger grids, so those take chunks that still cut them into 17-22
+    # bands
+    @pytest.mark.parametrize(
+        "steps, chunks",
+        [(1, (1, 7)), (2, (1, 7)), (3, (1, 7)), (5, (1, 7)), (64, (128,)), (257, (2048,))],
+    )
+    @pytest.mark.parametrize("hurst", [0.51, 0.55, 0.85, 0.3])
+    def test_banded_build_matches_one_pass_build_bit_for_bit(self, steps, chunks, hurst):
+        expected = _one_pass_kernel(1.0, steps, hurst)
+        for chunk in chunks + (volterra._SERIES_CHUNK,):
+            with mock.patch.object(volterra, "_SERIES_CHUNK", chunk):
+                got = volterra._kernel_matrix_cached.__wrapped__(1.0, steps, hurst)
+            np.testing.assert_array_equal(got.entries, expected)
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 5, 64, 257])
+    @pytest.mark.parametrize("chunk", [1, 7, 128, 2048])
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_bands_cover_each_midpoint_cell_once(self, steps, chunk, first):
+        seen = np.zeros((steps, steps), int)
+        with mock.patch.object(volterra, "_SERIES_CHUNK", chunk):
+            bands = list(volterra._midpoint_bands(steps, first))
+        for rows, cols in bands:
+            np.add.at(seen, (rows, cols), 1)
+        rows, cols = np.indices((steps, steps))
+        assert np.array_equal(seen, (cols >= first) & (cols <= rows - first))
+        # a chunk narrower than the triangle's row count cannot hold a band of
+        # one cell a row; then the bands stop at that
+        assert all(band.size <= max(chunk, steps) for band, _ in bands)
+        assert len(bands) >= -(-int(seen.sum()) // chunk)
+
+    def test_build_holds_the_matrix_and_one_band(self):
+        # a 1024-step build traced 55.6 MiB in one pass over the triangle
+        steps = 1024
+        tracemalloc.start()
+        try:
+            volterra._kernel_matrix_cached.__wrapped__(1.0, steps, 0.7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < steps**2 * 8 + 12 * 2**20
+
+
+def _one_pass_kernel(horizon: float, steps: int, hurst: float) -> np.ndarray:
+    """Kernel entries as built before the s/t bands, in one pass over the triangle."""
+    grid = TimeGrid(horizon, steps)
+    dt = grid.dt
+    targets = grid.times[1:]
+    mids = grid.times[:-1] + 0.5 * dt
+    entries = np.zeros((steps, steps))
+    rows, cols = np.tril_indices(steps)
+    if abs(hurst - 0.5) < volterra._NEAR_HALF_BAND:
+        entries[rows, cols] = volterra._kernel_values(targets[rows], mids[cols], hurst)
+        return entries
+    interior = (cols > 0) & (cols < rows)
+    entries[rows[interior], cols[interior]] = volterra._kernel_values(
+        targets[rows[interior]], mids[cols[interior]], hurst
+    )
+    # first column: cells (0, dt]
+    entries[:, 0] = np.sqrt(volterra._cell_mean_square(targets, 0.0, dt, hurst))
+    if steps > 1:
+        # diagonal cells (t_i - dt, t_i]
+        diag_sq = volterra._cell_mean_square(targets[1:], targets[1:] - dt, targets[1:], hurst)
+        entries[np.arange(1, steps), np.arange(1, steps)] = np.sqrt(diag_sq)
+    return entries
+
 
 class TestDuTransform:
     def test_identity_at_half(self):
