@@ -19,6 +19,9 @@ anywhere upstream fails it:
   H = 0.85;
 * `sample_paths` of both fBm samplers (Wood–Chan and Cholesky), which draw
   through `RandomSource` streams rather than pricing's batched draws;
+* `batch_uniforms` of keyed streams at the shapes the workloads draw: 2048
+  streams of 16 (a `c09` batch), 256 of 1 (a `c10` mixing draw), 512 of 256
+  (a `c10` batch) and 3 of 5;
 * the JSON of `check_viability_conditions` reports in cone and hyperplane
   mode with 64 and 256 samples per face, on both presets at each ξ probe of
   pricing's scenario check;
@@ -31,6 +34,7 @@ numpy or BLAS build may change the last bits of matrix products and sums; on
 such a stack, re-pin only after checking that the program did not change.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -54,6 +58,7 @@ from fracvol import (
     simulate_scenario_paths,
 )
 from fracvol.cli import main
+from fracvol.rng import batch_uniforms, stream_keys
 from fracvol.scenario import constant_vol_scenario, scenario_to_dict, section4_scenario
 
 SCENARIOS = {
@@ -73,6 +78,9 @@ SIMULATE_KEYS = ("xi", "w", "b", "state", "vol", "prices", "margin")
 CHECKER_PROBES = {"worked": ("1", "0.5"), "constant": ("0.1",)}
 CHECKER_MODES = ("cone", "hyperplane")
 CHECKER_SAMPLES = ("64", "256")
+# (streams, draws per stream) of the pinned `batch_uniforms` calls.
+RNG_SHAPES = ("2048x16", "256x1", "512x256", "3x5")
+RNG_SEED = 2024
 
 
 def _config(project: bool) -> MCConfig:
@@ -98,10 +106,9 @@ def _bundle_digest(out) -> str:
     return sha.hexdigest()
 
 
-def _estimate_digest(estimator, payoff, scenario, project) -> str:
+def _estimate_digest(estimator, payoff, scenario, mc) -> str:
     try:
-        scenario = SCENARIOS[scenario]()
-        result = ESTIMATORS[estimator](PAYOFFS[payoff], scenario, _config(project))
+        result = ESTIMATORS[estimator](PAYOFFS[payoff], scenario, mc)
     except BreachRateError as exc:
         return _text_digest(f"BreachRateError: {exc}")
     return _text_digest(json.dumps(result.to_dict(), sort_keys=True))
@@ -117,7 +124,9 @@ def _digest(case: str, tmp_path) -> str:
         return _array_digest(*sample)
     if kind in ESTIMATORS:
         scenario, projection, payoff = rest
-        return _estimate_digest(kind, payoff, scenario, PROJECTIONS[projection])
+        return _estimate_digest(
+            kind, payoff, SCENARIOS[scenario](), _config(PROJECTIONS[projection])
+        )
     if kind == "simulate":
         scenario, projection = rest
         paths = simulate_scenario_paths(
@@ -131,6 +140,9 @@ def _digest(case: str, tmp_path) -> str:
     if kind == "fbm":
         cfg = FbmConfig(0.7, dims=2, seed=13)
         return _array_digest(sample_paths(TimeGrid(1.0, 64), cfg, 4, method=rest[0]))
+    if kind == "rng":
+        streams, n = map(int, rest[0].split("x"))
+        return _array_digest(batch_uniforms(stream_keys(RNG_SEED, range(streams), [0]), n))
     if kind == "checker":
         scenario, mode, samples, xi = rest
         scenario, xi = SCENARIOS[scenario](), float(xi)
@@ -166,6 +178,7 @@ CASES = (
     + [f"simulate/{s}/{p}" for s in SCENARIOS for p in PROJECTIONS]
     + ["kernel/0.3", "kernel/0.7", "kernel/1024/0.7", "kernel/256/0.55", "kernel/256/0.85"]
     + ["fbm/wood-chan", "fbm/cholesky"]
+    + [f"rng/{shape}" for shape in RNG_SHAPES]
     + [
         f"checker/{s}/{m}/{n}/{xi}"
         for s in SCENARIOS
@@ -216,6 +229,10 @@ GOLDEN = {
     "kernel/256/0.85": "77f62f11f4b281bd7a0cbcdd12fe482d0c02d0c10610f623827c450e0d6ae635",
     "fbm/wood-chan": "d78f82c87c810d5f63ab402d0cd163cb4aae9b403fd1b51cd3e4096226579a4d",
     "fbm/cholesky": "14acf0add04197694fe9a8051b076b31d9df3f2f7d46edb43b774942f7bafe02",
+    "rng/2048x16": "eebda2aa9b538c9d3c4826a349a77addf3c73a9e53b511e0947af5cdc93e1aea",
+    "rng/256x1": "4e8830fe4ea63eea255c49d0623e5cdbae9e7e943c3973064172272df259ece1",
+    "rng/512x256": "ac530f25783ae99debc7a1913fc5dcce8f2888ae5e9d37a09f1f119d682979b2",
+    "rng/3x5": "686ead96bfb57dd4f0c20223a793833c4e71bd932f4c6d8e97613e215c1a44d8",
     "checker/worked/cone/64/1": "2e10b47b0088735d0e1a9df215e70e6a3581f8a606ff57580314196702b3b279",
     "checker/worked/cone/64/0.5": "2618627412c6f3a8f43728a357d0b66fadf008ee2750071351cd1e1ee91a0947",
     "checker/worked/cone/256/1": "4e528cef0f46396adbacc737ab8043af8fecedce902b6a09c3a997b9734fbb54",
@@ -240,6 +257,22 @@ def test_every_case_is_pinned():
 @pytest.mark.parametrize("case", CASES)
 def test_golden_digest(case, tmp_path):
     assert _digest(case, tmp_path) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("batch_size", [256, 600])
+@pytest.mark.parametrize("projection", PROJECTIONS)
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_every_payoff_on_one_instance(estimator, scenario, projection, batch_size):
+    # Every payoff priced in turn on one scenario instance, as in three batches
+    # (each batch evicts the last from pricing's one-batch slot) and in one
+    # batch of all 600 paths (later payoffs reuse the first one's batch); the
+    # batch layout moves no bits of these estimates.
+    instance = SCENARIOS[scenario]()
+    mc = dataclasses.replace(_config(PROJECTIONS[projection]), batch_size=batch_size)
+    for payoff in PAYOFFS:
+        digest = _estimate_digest(estimator, payoff, instance, mc)
+        assert digest == GOLDEN[f"{estimator}/{scenario}/{projection}/{payoff}"], payoff
 
 
 def test_unprojected_worked_example_breaches():
