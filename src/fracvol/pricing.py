@@ -173,29 +173,52 @@ def w_increments(scenario: Scenario, seed: int, start: int, count: int) -> np.nd
     return out
 
 
-# (scenario, seed, start, count, xi, dW) of the last batch drawn, or None.
+# (scenario, seed, start, count, xi, dW, outputs) of the last batch drawn, or
+# None.  `outputs` maps (batch function, project) to that function's read-only
+# (terminal, weight, breached) of the batch; it goes with the draws it used.
 _last_draws = None
 
 
-def _batch_draws(scenario: Scenario, seed: int, start: int, count: int):
-    """Read-only (xi, dW) of paths [start, start + count), drawn once per batch.
+def _batch_slot(scenario: Scenario, seed: int, start: int, count: int):
+    """The slot of paths [start, start + count), drawn anew unless it holds them.
 
     Pricing on one (scenario, seed, batch) again, by the other estimator or for
     another payoff, reuses the last batch's draws instead of drawing them anew.
     The slot is emptied before another batch is drawn, so it never holds two.
     It is keyed on the scenario instance, whose arrays are read-only.  The slot
-    is read once and replaced whole, so concurrent callers at worst draw twice.
+    is read once and replaced whole, so concurrent callers at worst draw or
+    compute a batch twice.
     """
     global _last_draws
     last = _last_draws
     if last is not None and last[0] is scenario and last[1:4] == (seed, start, count):
-        return last[4:]
-    last = _last_draws = None
+        return last
+    _last_draws = None
     xi = xi_draws(scenario.xi, seed, start, count)
     dw = w_increments(scenario, seed, start, count)
     xi.flags.writeable = dw.flags.writeable = False
-    _last_draws = (scenario, seed, start, count, xi, dw)
-    return xi, dw
+    last = _last_draws = (scenario, seed, start, count, xi, dw, {})
+    return last
+
+
+def _batch_draws(scenario: Scenario, seed: int, start: int, count: int):
+    """Read-only (xi, dW) of paths [start, start + count), drawn once per batch."""
+    return _batch_slot(scenario, seed, start, count)[4:6]
+
+
+def _batch_outputs(batch_fn, scenario, km, seed: int, start: int, count: int, project: bool):
+    """Read-only `batch_fn` outputs of paths [start, start + count), computed
+    once per batch: another payoff priced by the same estimator on the same
+    (scenario, seed, batch) reuses them from the draw slot.  A batch that
+    raises stores nothing."""
+    outputs = _batch_slot(scenario, seed, start, count)[6]
+    key = (batch_fn, project)
+    if key not in outputs:
+        result = batch_fn(scenario, km, seed, start, count, project)
+        for array in result:
+            array.flags.writeable = False
+        outputs[key] = result
+    return outputs[key]
 
 
 def _constraint_data(scenario: Scenario, xi: np.ndarray):
@@ -296,7 +319,9 @@ def _run_batches(scenario, mc, batch_fn):
     seed = scenario.seed if mc.seed is None else mc.seed
     km = _kernel_matrix(scenario)
     parts = [
-        batch_fn(scenario, km, seed, start, min(mc.batch_size, mc.paths - start), mc.project)
+        _batch_outputs(
+            batch_fn, scenario, km, seed, start, min(mc.batch_size, mc.paths - start), mc.project
+        )
         for start in range(0, mc.paths, mc.batch_size)
     ]
     terminal, weight, breached = (np.concatenate(column) for column in zip(*parts))

@@ -76,7 +76,9 @@ def euler_stepper(coeffs: Coefficients, xi, dt: float, project_onto=None):
 
     if project_onto is None:
         return advance
-    return lambda x, db: project_into(advance(x, db), *project_onto)
+    normals, offsets = project_onto
+    sq_norms = np.einsum("kd,kd->k", normals, normals)
+    return lambda x, db: project_into(advance(x, db), normals, offsets, sq_norms)
 
 
 def check_finite(x: np.ndarray, step: int) -> None:

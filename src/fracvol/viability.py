@@ -150,7 +150,9 @@ def path_viability_margin(path, poly: Polyhedron) -> float:
     return float(np.min(slack(poly, values)))
 
 
-def project_into(x: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+def project_into(
+    x: np.ndarray, normals: np.ndarray, offsets: np.ndarray, sq_norms: np.ndarray | None = None
+) -> np.ndarray:
     """Euclidean projection of points onto {y : normals @ y <= offsets}, exactly.
 
     A point outside one face steps straight onto it, y = x - (excess / |n_k|^2) n_k,
@@ -160,7 +162,8 @@ def project_into(x: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.
     give every point its own constraint levels.  Points already inside are
     returned unchanged; a point keeps the rounding excess (about one ulp) of
     the face it was moved onto.  Raises ValueError when no active set satisfies
-    the KKT conditions, which means the set is empty.
+    the KKT conditions, which means the set is empty.  A caller that projects
+    onto the same faces many times may pass their squared norms `sq_norms`.
     """
     x = np.asarray(x, dtype=float)
     excess = x @ normals.T
@@ -169,7 +172,7 @@ def project_into(x: np.ndarray, normals: np.ndarray, offsets: np.ndarray) -> np.
     if not excess.any():
         return x
     touched = excess > 0.0
-    excess /= np.einsum("kd,kd->k", normals, normals)
+    excess /= np.einsum("kd,kd->k", normals, normals) if sq_norms is None else sq_norms
     y = x - excess @ normals
     touched |= y @ normals.T > offsets
     # Count touched faces by a uint8 matmul, about half the time of a bool sum

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fracvol.pricing as pricing
+import fracvol.rde as rde
 from fracvol import (
     Basket,
     BreachRateError,
@@ -392,6 +393,96 @@ class TestBatchDrawMemo:
         price_riskneutral(Call(0, 1.0), sc, MCConfig(paths=300, seed=3, batch_size=100))
         assert draws == [None, None, None]
         assert pricing._last_draws[:4] == (sc, 3, 200, 100)
+
+
+class TestBatchOutputMemo:
+    """Each estimator computes a batch's outputs once per (scenario, seed, batch)."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """Calls of the per-batch path work so far, starting from an empty slot."""
+        monkeypatch.setattr(pricing, "_last_draws", None)
+        calls = []
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for module, name in [
+            (pricing, "euler_stepper"),
+            (rde, "euler_stepper"),
+            (pricing, "transform_increments"),
+        ]:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        return calls
+
+    @pytest.mark.parametrize("pricer", [price_physical_weighted, price_riskneutral])
+    def test_second_payoff_reuses_outputs(self, runs, pricer):
+        sc, mc = section4_scenario(steps=16), MCConfig(paths=256, seed=3)
+        pricer(Call(0, 1.0), sc, mc)
+        first = list(runs)
+        assert "euler_stepper" in first
+        pricer(Put(1, 1.1), sc, mc)
+        pricer(Basket([0.5, 0.5], 1.0), sc, mc)
+        assert runs == first
+
+    def test_other_keys_miss(self, runs):
+        sc = constant_vol_scenario()
+        mc = MCConfig(paths=256, seed=3)
+        cases = [
+            (sc, mc),
+            (sc, dataclasses.replace(mc, project=False)),  # projection
+            (sc, dataclasses.replace(mc, seed=4)),  # seed
+            (sc, dataclasses.replace(mc, seed=4, batch_size=128)),  # two batches
+            (dataclasses.replace(sc), dataclasses.replace(mc, seed=4, batch_size=128)),
+        ]
+        batches = []
+        for scenario, config in cases:
+            price_physical_weighted(Call(0, 1.0), scenario, config)
+            batches.append(runs.count("transform_increments"))
+        assert batches == [1, 2, 3, 5, 7]
+
+    def test_failed_batch_stores_nothing(self, runs):
+        # every state overflows at the first step: 1e308 + 8e308 * dt, dt = 1/4
+        base = constant_vol_scenario(steps=4)
+        coeffs = dataclasses.replace(base.coefficients, drift_matrix=np.diag([8.0, 0.0]))
+        sc = dataclasses.replace(
+            base, coefficients=coeffs, initial_state=np.array([1e308, 0.2])
+        )
+        mc = MCConfig(paths=16, seed=3, check_conditions=False, project=False)
+        for pricer in (price_physical_weighted, price_riskneutral) * 2:
+            with pytest.raises(FloatingPointError, match="step 1"):
+                pricer(Call(0, 1.0), sc, mc)
+        assert pricing._last_draws[:4] == (sc, 3, 0, 16)
+        assert pricing._last_draws[6] == {}
+        assert runs.count("euler_stepper") == 4
+
+    def test_outputs_read_only(self, runs):
+        sc, mc = section4_scenario(steps=16), MCConfig(paths=64, seed=3)
+        terminal, weight, breached = physical_terminal_sample(sc, mc)
+        terminal[0, 0] = weight[0] = 0.0  # the caller's copies
+        outputs = pricing._last_draws[6][(pricing._physical_batch, True)]
+        assert outputs[0][0, 0] != 0.0 and outputs[1][0] != 0.0
+        for array in outputs:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        price_riskneutral(Call(0, 1.0), sc, mc)
+        for array in pricing._last_draws[6][(pricing._riskneutral_batch, True)]:
+            assert not array.flags.writeable
+
+    def test_emptying_the_slot_recomputes(self, runs):
+        sc, mc = section4_scenario(steps=16), MCConfig(paths=64, seed=3)
+        a = price_riskneutral(Call(0, 1.0), sc, mc)
+        pricing._last_draws = None
+        b = price_riskneutral(Put(1, 1.1), sc, mc)
+        assert runs.count("euler_stepper") == 2
+        pricing._last_draws = None
+        assert price_riskneutral(Call(0, 1.0), sc, mc) == a
+        assert price_riskneutral(Put(1, 1.1), sc, mc) == b
+        assert runs.count("euler_stepper") == 3
 
 
 class TestKeyedDraws:

@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import fracvol.rng as rng
 from fracvol import NormalStream, RandomSource, stream_key
 from fracvol.coefficients import XI_STREAM
 from fracvol.rng import batch_uniforms, stream_keys
@@ -45,14 +49,53 @@ def test_normal_moments_sane():
 
 
 BIG_KEYS = [0, 1, stream_key(7, 3, 1), 2**63, 2**63 + 12345, 2**64 - 1]
+# BIG_KEYS repeated up to the vectorised path's stream-count floor.
+MANY_BIG_KEYS = BIG_KEYS * -(-rng._VECTOR_MIN_STREAMS // len(BIG_KEYS))
 
 
 @pytest.mark.parametrize("n", [1, 3, 4, 5, 16, 1025])
 def test_batch_rows_equal_single_streams(n):
-    u = batch_uniforms(np.array(BIG_KEYS, dtype=np.uint64), n)
-    assert u.shape == (len(BIG_KEYS), n)
-    for row, key in zip(u, BIG_KEYS):
-        assert np.array_equal(row, NormalStream(key).uniforms(n))
+    vectorised = mock.patch.object(rng, "_raw_vectorised", wraps=rng._raw_vectorised)
+    for keys in (BIG_KEYS, MANY_BIG_KEYS):
+        with vectorised as spy:
+            u = batch_uniforms(np.array(keys, dtype=np.uint64), n)
+        assert spy.called == (keys is MANY_BIG_KEYS and n <= rng._VECTOR_MAX_DRAWS)
+        assert u.shape == (len(keys), n)
+        for row, key in zip(u, keys):
+            assert np.array_equal(row, NormalStream(key).uniforms(n))
+
+
+SPECIAL_KEYS = [0, 1, 2**63, 2**64 - 1]
+KEY_VALUES = st.sampled_from(SPECIAL_KEYS) | st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    keys=st.lists(KEY_VALUES, max_size=70),
+    d=st.none() | st.integers(1, 3),
+    n=st.integers(0, rng._VECTOR_MAX_DRAWS + 9),
+    chunk=st.sampled_from([1, 5, rng._VECTOR_CHUNK]),
+)
+@example(keys=[], d=None, n=7, chunk=1)
+@example(keys=[], d=2, n=0, chunk=5)
+@example(keys=[2**64 - 1], d=None, n=rng._VECTOR_MAX_DRAWS + 1, chunk=1)
+@example(keys=[2**63], d=1, n=rng._VECTOR_MAX_DRAWS, chunk=5)
+@example(keys=SPECIAL_KEYS * 11, d=3, n=13, chunk=rng._VECTOR_CHUNK)
+def test_vectorised_philox_equals_single_streams(keys, d, n, chunk):
+    # Keys of shape (k,) or (k, d), k from 0; the vectorised routine in key
+    # chunks of `chunk` blocks, called directly and through batch_uniforms,
+    # with and without the stream-count floor, against one stream per key.
+    if d is not None:
+        keys = [[key ^ j for j in range(d)] for key in keys]
+    keys = np.array(keys, dtype=np.uint64).reshape((-1,) if d is None else (-1, d))
+    expected = np.array([NormalStream(int(key)).uniforms(n) for key in keys.flat])
+    expected = expected.reshape(keys.shape + (n,))
+    with mock.patch.object(rng, "_VECTOR_CHUNK", chunk):
+        raw = rng._raw_vectorised(keys.reshape(-1), n)
+        assert np.array_equal(rng._to_uniforms(raw).reshape(expected.shape), expected)
+        assert np.array_equal(batch_uniforms(keys, n), expected)
+        with mock.patch.object(rng, "_VECTOR_MIN_STREAMS", 0):
+            assert np.array_equal(batch_uniforms(keys, n), expected)
 
 
 def test_batch_keeps_key_shape():

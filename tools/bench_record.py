@@ -10,8 +10,10 @@ quartiles of each end-to-end metric and of each traced per-layer metric, the
 request and failure counts and first three request digests of every run (equal
 seeds give equal digests unless output bits moved), and the provenance that the details
 line of the first run reports (nproc, versions, git commit, source sha256).
-Run it on an otherwise idle host; it takes about (RUNS + 1) x (run_seconds +
-10) s per workload.
+When it finishes it prints the source sha256 and git commit it recorded, and
+says so if the checkout's src/ differs from that commit, whose hash then
+names no commit.  Run it on an otherwise idle host; it takes about (RUNS + 1)
+x (run_seconds + 10) s per workload.
 """
 
 from __future__ import annotations
@@ -97,6 +99,12 @@ def main(argv=None) -> int:
         "workloads": workloads,
     }
     args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    for sha, commit in sorted({(p["source_sha256"], p["git_commit"]) for p in provenance.values()}):
+        print(f"{args.out}: source_sha256 {sha}, git commit {commit}")
+    dirty = subprocess.run(["git", "-C", str(args.root), "status", "--porcelain", "--", "src"],
+                           capture_output=True, text=True).stdout
+    if dirty:
+        print(f"src/ has changes not in that commit:\n{dirty}", end="")
     return 0
 
 
