@@ -1,7 +1,6 @@
 """Constrained fractional stochastic volatility simulation and pricing."""
 
 from .coefficients import (
-    CallableCoefficients,
     ConstantXi,
     ModelCoefficients,
     SingularXi,

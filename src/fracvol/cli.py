@@ -129,7 +129,6 @@ def cmd_check_viability(args) -> int:
         scenario.polyhedron(xi),
         xi,
         mode=args.mode,
-        samples_per_face=args.samples,
         box=box,
         tol=args.tol,
     )
@@ -230,6 +229,7 @@ def cmd_reproduce_section4(args) -> int:
         "viability_passed": report.passed,
         "paths": args.paths,
         "seed": args.seed,
+        "projected": False,
         "assumptions": {
             "rate": args.rate,
             "horizon": args.horizon,
@@ -273,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--mode", choices=["cone", "hyperplane"], default="cone")
     p_check.add_argument("--xi", type=float, default=None,
                          help="mixing value to check (default: the law's upper bound)")
-    p_check.add_argument("--samples", type=int, default=256)
     p_check.add_argument("--tol", type=float, default=1e-10)
     p_check.add_argument("--box", type=float, nargs=2, default=None,
                          metavar=("LO", "HI"),

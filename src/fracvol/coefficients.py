@@ -7,10 +7,9 @@ The built-in family is affine in both the state and the mixing variable xi:
 
 It is globally Lipschitz with bounded higher derivatives, is serializable in
 scenario files, and its boundary behavior is affine in the state, so the
-viability checker can certify it exactly at polytope vertices.  Arbitrary
-callables are accepted through :class:`CallableCoefficients`; those get
-sampling-based checks only, and their measurability with respect to the
-initial information set is the caller's responsibility.
+viability checker certifies it exactly at polytope vertices.  It is the only
+family the engine accepts: its Jacobians, A for the drift and s_j w_j^T for
+diffusion column j, are constant.
 """
 
 from __future__ import annotations
@@ -178,32 +177,16 @@ class ModelCoefficients:
         return self.drift_matrix.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class CallableCoefficients:
-    """Escape hatch for user-supplied fields mu(xi, x) -> (d,), sigma(xi, x) -> (d, d)."""
-
-    dims: int
-    mu: callable
-    sigma: callable
-
-
-Coefficients = ModelCoefficients | CallableCoefficients
-
-
-def eval_mu(coeffs: Coefficients, xi, x) -> np.ndarray:
+def eval_mu(coeffs: ModelCoefficients, xi, x) -> np.ndarray:
     """Drift field at mixing value xi and state x; x may carry leading batch axes."""
     x = np.asarray(x, dtype=float)
-    if isinstance(coeffs, ModelCoefficients):
-        shift = np.multiply.outer(np.asarray(xi, dtype=float), coeffs.xi_drift)
-        return x @ coeffs.drift_matrix.T + shift + coeffs.drift_const
-    return np.asarray(coeffs.mu(xi, x), dtype=float)
+    shift = np.multiply.outer(np.asarray(xi, dtype=float), coeffs.xi_drift)
+    return x @ coeffs.drift_matrix.T + shift + coeffs.drift_const
 
 
-def eval_sigma(coeffs: Coefficients, xi, x) -> np.ndarray:
+def eval_sigma(coeffs: ModelCoefficients, xi, x) -> np.ndarray:
     """Diffusion matrix at (xi, x); column j is parallel to directions[j]."""
     x = np.asarray(x, dtype=float)
-    if isinstance(coeffs, ModelCoefficients):
-        shift = np.multiply.outer(np.asarray(xi, dtype=float), coeffs.xi_weights)
-        factors = x @ coeffs.weights.T + shift + coeffs.offsets
-        return factors[..., None, :] * coeffs.directions.T
-    return np.asarray(coeffs.sigma(xi, x), dtype=float)
+    shift = np.multiply.outer(np.asarray(xi, dtype=float), coeffs.xi_weights)
+    factors = x @ coeffs.weights.T + shift + coeffs.offsets
+    return factors[..., None, :] * coeffs.directions.T

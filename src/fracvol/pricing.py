@@ -343,11 +343,7 @@ def _check_scenario(scenario: Scenario) -> None:
         probes = (law.value,)
     for xi in probes:
         report = check_viability_conditions(
-            scenario.coefficients,
-            scenario.polyhedron(xi),
-            xi,
-            mode="cone",
-            samples_per_face=64,
+            scenario.coefficients, scenario.polyhedron(xi), xi, mode="cone"
         )
         if not report.passed:
             raise ValueError(

@@ -3,9 +3,11 @@
 The scheme is the plain first-order update
     U(t_{i+1}) = U(t_i) + mu(xi, U(t_i)) dt + sigma(xi, U(t_i)) (B(t_{i+1}) - B(t_i))
 and is only meaningful in the Young regime hurst > 1/2, which `require_young`
-enforces.  No projection onto a constraint set is applied by default; callers
-needing hard feasibility can pass `project_onto`, which applies a Euclidean
-projection onto the polyhedron after every step.
+enforces.  The coefficients are the affine family of `coefficients`, so a step
+is a few matrix products on the whole batch (`euler_stepper`).  No projection
+onto a constraint set is applied by default; callers needing hard feasibility
+can pass `project_onto`, which applies a Euclidean projection onto the
+polyhedron after every step.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import Coefficients, ModelCoefficients, eval_mu, eval_sigma
+from .coefficients import ModelCoefficients
 from .fbm import FbmConfig, wood_chan_sample
 from .grids import SamplePath, TimeGrid
 from .rng import RandomSource
@@ -45,34 +47,28 @@ class SolveConfig:
         require_young(self.hurst)
 
 
-def euler_stepper(coeffs: Coefficients, xi, dt: float, project_onto=None):
+def euler_stepper(coeffs: ModelCoefficients, xi, dt: float, project_onto=None):
     """The Euler update `step(x, db)` of states x (paths, d) by driver increments
     db (paths, d), then the projection onto `project_onto`, a (normals, offsets)
     pair, if given.  What does not change between steps is computed here, once
     per batch; a step returns a fresh array and leaves its arguments unchanged."""
-    if isinstance(coeffs, ModelCoefficients):
-        drift_t, weights_t = coeffs.drift_matrix.T, coeffs.weights.T
-        drift_shift = np.multiply.outer(xi, coeffs.xi_drift)
-        factor_shift = np.multiply.outer(xi, coeffs.xi_weights)
+    drift_t, weights_t = coeffs.drift_matrix.T, coeffs.weights.T
+    drift_shift = np.multiply.outer(xi, coeffs.xi_drift)
+    factor_shift = np.multiply.outer(xi, coeffs.xi_weights)
 
-        def advance(x, db):
-            # eval_mu and eval_sigma term for term, in place in fresh buffers
-            mu = x @ drift_t
-            mu += drift_shift
-            mu += coeffs.drift_const
-            mu *= dt
-            factors = x @ weights_t
-            factors += factor_shift
-            factors += coeffs.offsets
-            factors *= db
-            mu += x
-            mu += factors @ coeffs.directions
-            return mu
-    else:
-
-        def advance(x, db):
-            diffusion = np.einsum("...ij,...j->...i", eval_sigma(coeffs, xi, x), db)
-            return x + eval_mu(coeffs, xi, x) * dt + diffusion
+    def advance(x, db):
+        # eval_mu and eval_sigma term for term, in place in fresh buffers
+        mu = x @ drift_t
+        mu += drift_shift
+        mu += coeffs.drift_const
+        mu *= dt
+        factors = x @ weights_t
+        factors += factor_shift
+        factors += coeffs.offsets
+        factors *= db
+        mu += x
+        mu += factors @ coeffs.directions
+        return mu
 
     if project_onto is None:
         return advance
@@ -94,7 +90,7 @@ def check_finite(x: np.ndarray, step: int) -> None:
 
 
 def euler_paths(
-    coeffs: Coefficients,
+    coeffs: ModelCoefficients,
     xi,
     db: np.ndarray,
     initial: np.ndarray,
@@ -125,7 +121,7 @@ def euler_paths(
 
 
 def euler_solve(
-    coeffs: Coefficients,
+    coeffs: ModelCoefficients,
     xi: float,
     driver: SamplePath,
     cfg: SolveConfig,
@@ -147,7 +143,7 @@ def euler_solve(
 
 
 def convergence_probe(
-    coeffs: Coefficients,
+    coeffs: ModelCoefficients,
     xi: float,
     cfg: SolveConfig,
     seed: int,

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import (
-    CallableCoefficients,
-    Coefficients,
     ConstantXi,
     ModelCoefficients,
     SingularXi,
@@ -38,7 +36,7 @@ class Scenario:
     """
 
     market: MarketParams
-    coefficients: Coefficients
+    coefficients: ModelCoefficients
     xi: XiLaw
     hurst: float
     grid: TimeGrid
@@ -56,11 +54,15 @@ class Scenario:
             raise ScenarioError(
                 f"initial_state must have {d} entries to match the market, got {initial.shape}"
             )
-        if isinstance(self.coefficients, (ModelCoefficients, CallableCoefficients)):
-            if self.coefficients.dims != d:
-                raise ScenarioError(
-                    f"coefficients are {self.coefficients.dims}-dimensional, market is {d}"
-                )
+        if not isinstance(self.coefficients, ModelCoefficients):
+            raise ScenarioError(
+                "coefficients must be ModelCoefficients, got "
+                f"{type(self.coefficients).__name__}"
+            )
+        if self.coefficients.dims != d:
+            raise ScenarioError(
+                f"coefficients are {self.coefficients.dims}-dimensional, market is {d}"
+            )
 
     @property
     def dims(self) -> int:
@@ -182,9 +184,7 @@ def load_scenario(path) -> Scenario:
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    """Inverse of parse_scenario for the built-in coefficient family."""
-    if not isinstance(s.coefficients, ModelCoefficients):
-        raise ScenarioError("only the affine coefficient family is serializable")
+    """Inverse of parse_scenario."""
     if isinstance(s.xi, ConstantXi):
         xi_doc = {"kind": "constant", "value": s.xi.value}
     else:

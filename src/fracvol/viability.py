@@ -18,10 +18,10 @@ component on a face lets symmetric noise push the state across it.  Cone mode,
 which pricing requires before it runs, certifies only the inward inequalities
 and relies on the per-step projection onto the set to keep paths inside.
 
-For the affine coefficient family the conditions are affine in the state, so a
-face passes everywhere on its box-clipped polytope iff it passes at the
-polytope's vertices; the checker enumerates those vertices exactly and adds
-uniform boundary samples (the only evidence available for callable fields).
+The coefficient family is affine in the state, so the conditions are too,
+and a face passes everywhere on its box-clipped polytope iff it passes at the
+polytope's vertices.  The checker enumerates those vertices and scores them
+and nothing else: the verdict is exact, and no sampling is involved.
 
 `project_into` is the exact Euclidean projection onto such a set, which pricing
 applies after every Euler step: a closed-form step for points outside one
@@ -38,11 +38,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from .coefficients import Coefficients, ModelCoefficients, eval_mu, eval_sigma
+from .coefficients import ModelCoefficients, eval_mu, eval_sigma
 from .grids import SamplePath
-from .rng import stream_key
 
-_CHECKER_SEED = 0x5EED
 _GEOM_TOL = 1e-9
 
 
@@ -372,40 +370,6 @@ def _polytope_vertices(
     return found
 
 
-def _face_samples(
-    poly: Polyhedron,
-    face_index: int,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    count: int,
-    tol: float,
-    restrict_to_set: bool,
-) -> np.ndarray:
-    """Uniform box samples projected onto the face hyperplane, filtered to the
-    box and (in cone mode) to the other half-spaces."""
-    normal = poly.normals[face_index]
-    offset = poly.offsets[face_index]
-    rng = np.random.default_rng(stream_key(_CHECKER_SEED, face_index, int(restrict_to_set)))
-    scale = float(np.max(hi - lo))
-    geom = _GEOM_TOL * max(scale, 1.0)
-    kept = []
-    total = 0
-    while total < count and len(kept) < 20:
-        u = rng.uniform(lo, hi, size=(4 * count, lo.size))
-        x = u + np.outer((offset - u @ normal) / (normal @ normal), normal)
-        ok = np.all(x >= lo - geom, axis=1) & np.all(x <= hi + geom, axis=1)
-        if restrict_to_set:
-            others = [k for k in range(len(poly.faces)) if k != face_index]
-            if others:
-                residuals = x @ poly.normals[others].T - poly.offsets[others]
-                ok &= np.all(residuals <= tol + geom, axis=1)
-        kept.append(x[ok])
-        total += kept[-1].shape[0]
-    if not kept:
-        return np.empty((0, lo.size))
-    return np.concatenate(kept, axis=0)[:count]
-
-
 def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """u . v over the last axis, broadcast over the others.
 
@@ -417,19 +381,22 @@ def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def check_viability_conditions(
-    coeffs: Coefficients,
+    coeffs: ModelCoefficients,
     poly: Polyhedron,
     xi: float,
     mode: str = "cone",
-    samples_per_face: int = 256,
+    samples_per_face: int | None = None,
     box=None,
     tol: float = 1e-10,
 ) -> ConditionReport:
-    """Check the boundary drift/diffusion conditions face by face.
+    """Check the boundary drift/diffusion conditions face by face, at the
+    vertices of each face's box-clipped polytope.
 
-    Returns a per-face pass/fail/unsampled report carrying the worst violating
-    sample.  A face whose intersection with the box yields no evaluation point
-    is reported as "unsampled", never as a silent pass.
+    Returns a per-face pass/fail/unsampled report carrying the worst vertex.
+    A face whose intersection with the box has no vertex is reported as
+    "unsampled", never as a silent pass, and a score that evaluates to NaN
+    counts as an infinite violation.  `samples_per_face` is ignored and kept
+    only for callers that still pass it.
     """
     if mode not in ("cone", "hyperplane"):
         raise ValueError(f"mode must be 'cone' or 'hyperplane', got {mode!r}")
@@ -441,11 +408,10 @@ def check_viability_conditions(
         raise ValueError(
             "polyhedron has no interior point inside the box; widen the box"
         )
-    affine = isinstance(coeffs, ModelCoefficients)
     box_normals, box_offsets = _box_inequalities(lo, hi)
     scale = float(np.max(np.abs(np.concatenate([lo, hi]))) + 1.0)
     report = ConditionReport(
-        mode=mode, xi=float(xi), tol=float(tol), exact_for_affine=affine
+        mode=mode, xi=float(xi), tol=float(tol), exact_for_affine=True
     )
 
     for k in range(len(poly.faces)):
@@ -460,21 +426,18 @@ def check_viability_conditions(
         else:
             ineq_normals, ineq_offsets = box_normals, box_offsets
         vertices = _polytope_vertices(normal, offset, ineq_normals, ineq_offsets, scale)
-        samples = _face_samples(
-            poly, k, lo, hi, samples_per_face, tol, restrict_to_set=(mode == "cone")
-        )
-        points = list(vertices) + list(samples)
         face_report = FaceReport(face=k, status="unsampled", vertices=len(vertices))
-        if not points:
+        if not vertices:
             report.faces.append(face_report)
             continue
-        pts = np.vstack(points)
+        pts = np.vstack(vertices)
         face_report.points = pts.shape[0]
         mu = eval_mu(coeffs, xi, pts)
         sigma = eval_sigma(coeffs, xi, pts)
         # scores laid out (point, face, drift then diffusion column j); the
-        # first maximum is the one a strict `>` scan in that order would keep,
-        # and faces inactive at a point or NaN scores can never be the worst
+        # first maximum is the one a strict `>` scan in that order would keep.
+        # Faces inactive at a point can never be the worst, and a NaN score,
+        # one that could not be computed, always is, so that its face fails
         faces = poly.normals if mode == "cone" else -normal[None, :]
         drift = _dots(faces, mu[:, None])
         columns = np.swapaxes(sigma, -1, -2)[:, None]
@@ -485,7 +448,7 @@ def check_viability_conditions(
         else:
             np.negative(scores[..., 0], out=scores[..., 0])
             np.abs(scores[..., 1:], out=scores[..., 1:])
-        scores[np.isnan(scores)] = -np.inf
+        scores[np.isnan(scores)] = np.inf
         where = np.unravel_index(np.argmax(scores), scores.shape)
         worst = float(scores[where])
         worst_kind = "drift" if where[-1] == 0 else f"diffusion column {where[-1] - 1}"

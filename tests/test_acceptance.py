@@ -147,7 +147,7 @@ def _certified_faces(sc):
     certified = None
     for xi in (law.cutoff, 0.5 * law.cutoff):
         checked = check_viability_conditions(
-            sc.coefficients, sc.polyhedron(xi), xi, mode="hyperplane", samples_per_face=64
+            sc.coefficients, sc.polyhedron(xi), xi, mode="hyperplane"
         )
         passed = {f.face for f in checked.faces if f.status == "pass"}
         certified = passed if certified is None else certified & passed

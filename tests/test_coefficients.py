@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import quad
 
 from fracvol import (
-    CallableCoefficients,
     ConstantXi,
     ModelCoefficients,
     RandomSource,
@@ -181,16 +180,6 @@ class TestFieldEvaluation:
         batch = eval_mu(coeffs, 0.5, xs)
         for i in range(6):
             assert np.allclose(batch[i], eval_mu(coeffs, 0.5, xs[i]))
-
-    def test_callable_escape_hatch(self):
-        custom = CallableCoefficients(
-            dims=2,
-            mu=lambda xi, x: np.sin(x) + xi,
-            sigma=lambda xi, x: np.eye(2) * xi,
-        )
-        x = np.array([0.1, 0.2])
-        assert np.allclose(eval_mu(custom, 0.5, x), np.sin(x) + 0.5)
-        assert np.allclose(eval_sigma(custom, 0.5, x), 0.5 * np.eye(2))
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="shape"):

@@ -23,8 +23,7 @@ anywhere upstream fails it:
   streams of 16 (a `c09` batch), 256 of 1 (a `c10` mixing draw), 512 of 256
   (a `c10` batch) and 3 of 5;
 * the JSON of `check_viability_conditions` reports in cone and hyperplane
-  mode with 64 and 256 samples per face, on both presets at each ξ probe of
-  pricing's scenario check;
+  mode, on both presets at each ξ probe of pricing's scenario check;
 * the file names and bytes of a `reproduce-section4` bundle and of a
   `simulate --project` bundle.
 
@@ -77,7 +76,6 @@ SIMULATE_KEYS = ("xi", "w", "b", "state", "vol", "prices", "margin")
 # law at its value.
 CHECKER_PROBES = {"worked": ("1", "0.5"), "constant": ("0.1",)}
 CHECKER_MODES = ("cone", "hyperplane")
-CHECKER_SAMPLES = ("64", "256")
 # (streams, draws per stream) of the pinned `batch_uniforms` calls.
 RNG_SHAPES = ("2048x16", "256x1", "512x256", "3x5")
 RNG_SEED = 2024
@@ -144,11 +142,10 @@ def _digest(case: str, tmp_path) -> str:
         streams, n = map(int, rest[0].split("x"))
         return _array_digest(batch_uniforms(stream_keys(RNG_SEED, range(streams), [0]), n))
     if kind == "checker":
-        scenario, mode, samples, xi = rest
+        scenario, mode, xi = rest
         scenario, xi = SCENARIOS[scenario](), float(xi)
         report = check_viability_conditions(
-            scenario.coefficients, scenario.polyhedron(xi), xi,
-            mode=mode, samples_per_face=int(samples),
+            scenario.coefficients, scenario.polyhedron(xi), xi, mode=mode
         )
         return _text_digest(report.to_json())
     if case == "bundle/reproduce-section4":
@@ -180,10 +177,9 @@ CASES = (
     + ["fbm/wood-chan", "fbm/cholesky"]
     + [f"rng/{shape}" for shape in RNG_SHAPES]
     + [
-        f"checker/{s}/{m}/{n}/{xi}"
+        f"checker/{s}/{m}/{xi}"
         for s in SCENARIOS
         for m in CHECKER_MODES
-        for n in CHECKER_SAMPLES
         for xi in CHECKER_PROBES[s]
     ]
     + ["bundle/reproduce-section4", "bundle/simulate-project"]
@@ -233,19 +229,13 @@ GOLDEN = {
     "rng/256x1": "4e8830fe4ea63eea255c49d0623e5cdbae9e7e943c3973064172272df259ece1",
     "rng/512x256": "ac530f25783ae99debc7a1913fc5dcce8f2888ae5e9d37a09f1f119d682979b2",
     "rng/3x5": "686ead96bfb57dd4f0c20223a793833c4e71bd932f4c6d8e97613e215c1a44d8",
-    "checker/worked/cone/64/1": "2e10b47b0088735d0e1a9df215e70e6a3581f8a606ff57580314196702b3b279",
-    "checker/worked/cone/64/0.5": "2618627412c6f3a8f43728a357d0b66fadf008ee2750071351cd1e1ee91a0947",
-    "checker/worked/cone/256/1": "4e528cef0f46396adbacc737ab8043af8fecedce902b6a09c3a997b9734fbb54",
-    "checker/worked/cone/256/0.5": "d66cefc35781a6936e47328e32b380dc95ffa3450c32d26dd5f6a3a044dfceb0",
-    "checker/worked/hyperplane/64/1": "5020de03867715cced257b28090450500b5b250acc90f9368c113d660737baa3",
-    "checker/worked/hyperplane/64/0.5": "dd5d60d067a0d353d27616bb982f28e19a812df0120f202da792ccca76eb0378",
-    "checker/worked/hyperplane/256/1": "99d063131c063c983b7c128ed582ac784f851bf80bae51e7a948cc9a2176bf52",
-    "checker/worked/hyperplane/256/0.5": "3324b636d176d2c64ba02befeae33ae2366cfe0120c336775f5f971c3b48c560",
-    "checker/constant/cone/64/0.1": "710e9532809a017dec876268a9cbb6c798bff1ac33f6947aa7880818528ce5f9",
-    "checker/constant/cone/256/0.1": "d3af0e7aff75910f289dd1400bc1df88b0112026876eae3ed960d7718e41ec0f",
-    "checker/constant/hyperplane/64/0.1": "a3407bfe673bc49c4169c63e5715cb5d65194ca5914504fd9099c9c96f06603e",
-    "checker/constant/hyperplane/256/0.1": "37a0983204e2c356793dc573e202c963b1c5f1c325743a58dad93b683c4b0397",
-    "bundle/reproduce-section4": "32a98a632e520be726d0740440989453fe812bbd724fab6b1041b40658810f20",
+    "checker/worked/cone/1": "3c3097c6ddd584de04af11541dabd14656d14c4573c490e577d8979bae253472",
+    "checker/worked/cone/0.5": "c132cdfdc2c8a8631cb956c40379fd4791354af6e345cefac3a559fc12cfd55c",
+    "checker/worked/hyperplane/1": "15eb337ee0cab35b609cb8befd00496d8a73d4ee201eba164807013047dbb6d5",
+    "checker/worked/hyperplane/0.5": "1741715500124e74f83e9a1aba192f6196c6a27632407fc0f3b0edf822199bb5",
+    "checker/constant/cone/0.1": "c4250b29a116aecdd9d841ecc5b715789f3c833d3f37ba07782c99ea2d66f987",
+    "checker/constant/hyperplane/0.1": "0ef1d0b4f4c968346f088a3cd2c3676b89f24d8973fa2646f94463067f4726b4",
+    "bundle/reproduce-section4": "a5ea33c449a4217d32c45cd6b7baed75241e0ffacd1eefc22cce58b592968f23",
     "bundle/simulate-project": "5ae1db61df7a5ae114b55b2df8f7b04f29b350c61410141cdd87eebd26a938a4",
 }
 

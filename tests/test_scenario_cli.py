@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -74,6 +76,14 @@ class TestScenarioFormat:
         doc["initial_state"] = [1.0, 0.0, 0.0]
         with pytest.raises(ScenarioError, match="initial_state"):
             parse_scenario(doc)
+
+    def test_foreign_coefficients_rejected(self):
+        # a field object of another type, even one with the wrong `dims`, is
+        # rejected by type rather than let through unchecked
+        sc = section4_scenario(steps=8)
+        foreign = SimpleNamespace(dims=3, mu=None, sigma=None)
+        with pytest.raises(ScenarioError, match="ModelCoefficients, got SimpleNamespace"):
+            dataclasses.replace(sc, coefficients=foreign)
 
 
 class TestFbmCommand:
@@ -163,6 +173,14 @@ class TestCheckViabilityCommand:
 
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["check-viability", "no-such-file.json"]) == 2
+
+    def test_samples_option_is_gone(self, tmp_path, capsys):
+        # the checker scores polytope vertices only, so there is nothing to sample
+        path = write_scenario(tmp_path, section4_scenario(steps=16))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check-viability", path, "--samples", "64"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --samples 64" in capsys.readouterr().err
 
 
 class TestSimulateCommand:
@@ -290,6 +308,7 @@ class TestReproduceCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["normalizer"] == pytest.approx(15.7604, abs=1e-3)
         assert report["viability_passed"] is True
+        assert report["projected"] is False
         assert report["assumptions"]["rate"] == 0.05
         scenario = json.loads((out / "scenario.json").read_text())
         assert scenario["market"]["projections"] == [[1.0, 1.0], [1.0, 0.0]]

@@ -19,8 +19,7 @@ from fracvol import (
     slack,
 )
 from fracvol import viability
-from fracvol.coefficients import CallableCoefficients, ModelCoefficients
-from fracvol.rng import stream_key
+from fracvol.coefficients import ModelCoefficients, eval_mu, eval_sigma
 from fracvol.scenario import constant_vol_scenario, section4_scenario
 from fracvol.viability import project_into
 
@@ -212,75 +211,6 @@ class TestProjection:
             assert np.allclose(project_into(x, normals, row_offsets), p, rtol=0.0, atol=tol)
 
 
-def _twenty_round_samples(poly, face, lo, hi, count, tol, restrict):
-    """The face sampler's draws over all 20 rounds it may take, filtered alike."""
-    normal, offset = poly.normals[face], poly.offsets[face]
-    rng = np.random.default_rng(stream_key(viability._CHECKER_SEED, face, int(restrict)))
-    geom = viability._GEOM_TOL * max(float(np.max(hi - lo)), 1.0)
-    others = [k for k in range(len(poly.faces)) if k != face]
-    kept = []
-    for _ in range(20):
-        u = rng.uniform(lo, hi, size=(4 * count, lo.size))
-        x = u + np.outer((offset - u @ normal) / (normal @ normal), normal)
-        ok = np.all(x >= lo - geom, axis=1) & np.all(x <= hi + geom, axis=1)
-        if restrict and others:
-            ok &= np.all(x @ poly.normals[others].T - poly.offsets[others] <= tol + geom, axis=1)
-        kept.append(x[ok])
-    return np.concatenate(kept)
-
-
-class TestFaceSamples:
-    @staticmethod
-    def _slab(width):
-        """x <= 0 cut to |y| <= width: few samples of face 0 survive in cone mode."""
-        return Polyhedron(
-            [
-                HalfSpace(np.zeros(2), np.array([1.0, 0.0])),
-                HalfSpace(np.array([0.0, width]), np.array([0.0, 1.0])),
-                HalfSpace(np.array([0.0, -width]), np.array([0.0, -1.0])),
-            ]
-        )
-
-    @pytest.mark.parametrize("width", [0.1, 0.01])
-    @pytest.mark.parametrize("count", [64, 256])
-    def test_first_rows_of_all_rounds(self, width, count):
-        # width 0.1 keeps about 6 points a round, so the sampler stops part of
-        # the way; width 0.01 keeps fewer than `count` in all 20 rounds
-        poly = self._slab(width)
-        lo, hi = np.full(2, -4.0), np.full(2, 4.0)
-        got = viability._face_samples(poly, 0, lo, hi, count, 1e-10, True)
-        reference = _twenty_round_samples(poly, 0, lo, hi, count, 1e-10, True)
-        assert got.tobytes() == reference[:count].tobytes()
-
-    @pytest.mark.parametrize("make", [section4_scenario, constant_vol_scenario])
-    def test_one_round_on_the_presets(self, make, monkeypatch):
-        # every preset face keeps at least 128 of the first 256 draws
-        sc = make()
-        rounds = []
-        default_rng = np.random.default_rng
-
-        class CountingRng:
-            def __init__(self, seed):
-                self.rng = default_rng(seed)
-
-            def uniform(self, *args, **kwargs):
-                rounds.append(1)
-                return self.rng.uniform(*args, **kwargs)
-
-        xi = sc.xi.upper
-        poly = sc.polyhedron(xi)
-        lo, hi = viability.default_box(poly, xi)
-        for face in range(len(poly.faces)):
-            for restrict in (True, False):
-                reference = _twenty_round_samples(poly, face, lo, hi, 64, 1e-10, restrict)
-                rounds.clear()
-                with monkeypatch.context() as patch:
-                    patch.setattr(np.random, "default_rng", CountingRng)
-                    got = viability._face_samples(poly, face, lo, hi, 64, 1e-10, restrict)
-                assert rounds == [1]
-                assert got.tobytes() == reference[:64].tobytes()
-
-
 class TestChebyshevCenter:
     def test_interior_margin_positive(self):
         poly = reference_set(0.5)
@@ -377,14 +307,14 @@ class TestConditionChecker:
 
 
 # `check_viability_conditions` before its scores became arrays, kept verbatim
-# but for its docstring, annotations and `viability.` prefixes: the array
-# scoring must report the same worst value, point and kind, bit for bit.
+# but for its docstring, annotations, `viability.` prefixes and the face
+# samples it scored beside the vertices: the array scoring must report the
+# same worst value, point and kind, bit for bit.
 def _loop_checker(
     coeffs,
     poly,
     xi: float,
     mode: str = "cone",
-    samples_per_face: int = 256,
     box=None,
     tol: float = 1e-10,
 ):
@@ -418,10 +348,7 @@ def _loop_checker(
         else:
             ineq_normals, ineq_offsets = box_normals, box_offsets
         vertices = viability._polytope_vertices(normal, offset, ineq_normals, ineq_offsets, scale)
-        samples = viability._face_samples(
-            poly, k, lo, hi, samples_per_face, tol, restrict_to_set=(mode == "cone")
-        )
-        points = list(vertices) + list(samples)
+        points = list(vertices)
         face_report = viability.FaceReport(face=k, status="unsampled", vertices=len(vertices))
         if not points:
             report.faces.append(face_report)
@@ -472,9 +399,8 @@ def _loop_checker(
 @st.composite
 def checker_cases(draw):
     """(coefficients, polyhedron, mode): 2-4 faces in 2-D or 3-D around an
-    interior point, and an affine or callable field, all with entries that are
-    small integers, so that scores tie exactly, or floats, so that sums round.  The callable fields score NaN on part of the state space,
-    which may be all of it."""
+    interior point, and an affine field, all with entries that are small
+    integers, so that scores tie exactly, or floats, so that sums round."""
     d = draw(st.sampled_from([2, 3]))
     m = draw(st.integers(2, 4))
     floats = st.floats(-2.0, 2.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-3)
@@ -492,20 +418,8 @@ def checker_cases(draw):
     mode = draw(st.sampled_from(["cone", "hyperplane"]))
     drift, xi_drift, const = ints(d, d), ints(d), ints(d)
     weights, xi_weights, offsets, directions = ints(d, d), ints(d), ints(d), ints(d, d)
-    if draw(st.booleans()):
-        coeffs = ModelCoefficients(drift, xi_drift, const, weights, xi_weights, offsets, directions)
-        return coeffs, poly, mode
-    cut = draw(st.integers(-6, 6))
-
-    def mu(xi, x):
-        value = x @ drift.T + xi * xi_drift + const
-        return np.where(x[..., :1] > cut, np.nan, value)
-
-    def sigma(xi, x):
-        factors = np.floor(x) @ weights.T + xi * xi_weights + offsets
-        return np.where(x[..., :1, None] < -cut, np.nan, factors[..., None, :] * directions.T)
-
-    return CallableCoefficients(dims=d, mu=mu, sigma=sigma), poly, mode
+    coeffs = ModelCoefficients(drift, xi_drift, const, weights, xi_weights, offsets, directions)
+    return coeffs, poly, mode
 
 
 class TestArrayScoring:
@@ -513,22 +427,55 @@ class TestArrayScoring:
     @settings(max_examples=60, deadline=None)
     def test_matches_the_per_point_loop_bit_for_bit(self, case, xi):
         coeffs, poly, mode = case
-        got = check_viability_conditions(coeffs, poly, xi, mode=mode, samples_per_face=16)
-        expected = _loop_checker(coeffs, poly, xi, mode=mode, samples_per_face=16)
+        got = check_viability_conditions(coeffs, poly, xi, mode=mode)
+        expected = _loop_checker(coeffs, poly, xi, mode=mode)
         assert got.to_json() == expected.to_json()
 
-    def test_all_nan_scores_keep_the_first_point(self):
-        nan_field = CallableCoefficients(
-            dims=2,
-            mu=lambda xi, x: np.full(x.shape, np.nan),
-            sigma=lambda xi, x: np.full(x.shape + (2,), np.nan),
+    @given(case=checker_cases(), xi=st.sampled_from([0.0, 0.5, 1.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_vertices_bound_every_face_point(self, case, xi):
+        # each face's own score is affine (drift, cone-mode columns) or the
+        # absolute value of an affine function (hyperplane-mode columns) on the
+        # face, so no point of its box-clipped polytope scores above the worst
+        # vertex: uniform box points moved onto the face show it
+        coeffs, poly, mode = case
+        report = check_viability_conditions(coeffs, poly, xi, mode=mode)
+        lo, hi = viability._box_arrays(viability.default_box(poly, xi), poly.dims)
+        rng = np.random.default_rng(len(poly.faces))
+        for face in report.faces:
+            if face.status == "unsampled":
+                continue
+            normal, offset = poly.normals[face.face], poly.offsets[face.face]
+            u = rng.uniform(lo, hi, size=(512, lo.size))
+            x = u + np.outer((offset - u @ normal) / (normal @ normal), normal)
+            keep = np.all((x >= lo) & (x <= hi), axis=1)
+            if mode == "cone":
+                keep &= np.all(x @ poly.normals.T <= poly.offsets + 1e-9, axis=1)
+            x = x[keep]
+            h = normal if mode == "cone" else -normal
+            drift = eval_mu(coeffs, xi, x) @ h
+            columns = np.einsum("d,pdj->pj", h, eval_sigma(coeffs, xi, x))
+            if mode == "hyperplane":
+                drift, columns = -drift, np.abs(columns)
+            worst = np.max(np.column_stack([drift, columns]), initial=-np.inf)
+            scale = 1.0 + np.max(np.abs(np.column_stack([drift, columns])), initial=0.0)
+            assert worst <= face.worst_violation + 1e-9 * scale
+
+    @pytest.mark.parametrize("mode", ["cone", "hyperplane"])
+    def test_nan_scores_fail(self, mode):
+        # at the vertex (1, 12) of face 1 the drift overflows to (1e308, -inf),
+        # and its score against the face's normal is 1e308 + 0 * inf = NaN: a
+        # face whose score cannot be computed fails instead of passing
+        huge = ModelCoefficients(
+            np.diag([1e308, -1e308]), np.zeros(2), np.zeros(2),
+            np.zeros((2, 2)), np.zeros(2), np.zeros(2), np.eye(2),
         )
-        for mode in ("cone", "hyperplane"):
-            report = check_viability_conditions(
-                nan_field, reference_set(0.5), 0.5, mode=mode, box=BOX, samples_per_face=8
-            )
-            expected = _loop_checker(
-                nan_field, reference_set(0.5), 0.5, mode=mode, box=BOX, samples_per_face=8
-            )
-            assert report.to_json() == expected.to_json()
-            assert all(f.worst_kind == "" and f.status == "pass" for f in report.faces)
+        sc = section4_scenario(steps=8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = check_viability_conditions(huge, sc.polyhedron(1.0), 1.0, mode=mode)
+        face = report.faces[1]
+        assert not report.passed
+        assert face.status == "fail"
+        assert face.worst_violation == np.inf
+        assert face.worst_kind.startswith("drift")
+        assert face.worst_point.tolist() == [1.0, 12.0]
