@@ -23,7 +23,9 @@ anywhere upstream fails it:
   streams of 16 (a `c09` batch), 256 of 1 (a `c10` mixing draw), 512 of 256
   (a `c10` batch) and 3 of 5;
 * the JSON of `check_viability_conditions` reports in cone and hyperplane
-  mode, on both presets at each ξ probe of pricing's scenario check;
+  mode with 64 and 256 samples per face, on both presets at each ξ probe of
+  pricing's scenario check (the checker scores vertices only and ignores
+  `samples_per_face`, so both sample counts pin one digest);
 * the file names and bytes of a `reproduce-section4` bundle and of a
   `simulate --project` bundle.
 
@@ -76,6 +78,7 @@ SIMULATE_KEYS = ("xi", "w", "b", "state", "vol", "prices", "margin")
 # law at its value.
 CHECKER_PROBES = {"worked": ("1", "0.5"), "constant": ("0.1",)}
 CHECKER_MODES = ("cone", "hyperplane")
+CHECKER_SAMPLES = ("64", "256")
 # (streams, draws per stream) of the pinned `batch_uniforms` calls.
 RNG_SHAPES = ("2048x16", "256x1", "512x256", "3x5")
 RNG_SEED = 2024
@@ -142,10 +145,11 @@ def _digest(case: str, tmp_path) -> str:
         streams, n = map(int, rest[0].split("x"))
         return _array_digest(batch_uniforms(stream_keys(RNG_SEED, range(streams), [0]), n))
     if kind == "checker":
-        scenario, mode, xi = rest
+        scenario, mode, samples, xi = rest
         scenario, xi = SCENARIOS[scenario](), float(xi)
         report = check_viability_conditions(
-            scenario.coefficients, scenario.polyhedron(xi), xi, mode=mode
+            scenario.coefficients, scenario.polyhedron(xi), xi,
+            mode=mode, samples_per_face=int(samples),
         )
         return _text_digest(report.to_json())
     if case == "bundle/reproduce-section4":
@@ -177,9 +181,10 @@ CASES = (
     + ["fbm/wood-chan", "fbm/cholesky"]
     + [f"rng/{shape}" for shape in RNG_SHAPES]
     + [
-        f"checker/{s}/{m}/{xi}"
+        f"checker/{s}/{m}/{n}/{xi}"
         for s in SCENARIOS
         for m in CHECKER_MODES
+        for n in CHECKER_SAMPLES
         for xi in CHECKER_PROBES[s]
     ]
     + ["bundle/reproduce-section4", "bundle/simulate-project"]
@@ -229,12 +234,18 @@ GOLDEN = {
     "rng/256x1": "4e8830fe4ea63eea255c49d0623e5cdbae9e7e943c3973064172272df259ece1",
     "rng/512x256": "ac530f25783ae99debc7a1913fc5dcce8f2888ae5e9d37a09f1f119d682979b2",
     "rng/3x5": "686ead96bfb57dd4f0c20223a793833c4e71bd932f4c6d8e97613e215c1a44d8",
-    "checker/worked/cone/1": "3c3097c6ddd584de04af11541dabd14656d14c4573c490e577d8979bae253472",
-    "checker/worked/cone/0.5": "c132cdfdc2c8a8631cb956c40379fd4791354af6e345cefac3a559fc12cfd55c",
-    "checker/worked/hyperplane/1": "15eb337ee0cab35b609cb8befd00496d8a73d4ee201eba164807013047dbb6d5",
-    "checker/worked/hyperplane/0.5": "1741715500124e74f83e9a1aba192f6196c6a27632407fc0f3b0edf822199bb5",
-    "checker/constant/cone/0.1": "c4250b29a116aecdd9d841ecc5b715789f3c833d3f37ba07782c99ea2d66f987",
-    "checker/constant/hyperplane/0.1": "0ef1d0b4f4c968346f088a3cd2c3676b89f24d8973fa2646f94463067f4726b4",
+    "checker/worked/cone/64/1": "3c3097c6ddd584de04af11541dabd14656d14c4573c490e577d8979bae253472",
+    "checker/worked/cone/256/1": "3c3097c6ddd584de04af11541dabd14656d14c4573c490e577d8979bae253472",
+    "checker/worked/cone/64/0.5": "c132cdfdc2c8a8631cb956c40379fd4791354af6e345cefac3a559fc12cfd55c",
+    "checker/worked/cone/256/0.5": "c132cdfdc2c8a8631cb956c40379fd4791354af6e345cefac3a559fc12cfd55c",
+    "checker/worked/hyperplane/64/1": "15eb337ee0cab35b609cb8befd00496d8a73d4ee201eba164807013047dbb6d5",
+    "checker/worked/hyperplane/256/1": "15eb337ee0cab35b609cb8befd00496d8a73d4ee201eba164807013047dbb6d5",
+    "checker/worked/hyperplane/64/0.5": "1741715500124e74f83e9a1aba192f6196c6a27632407fc0f3b0edf822199bb5",
+    "checker/worked/hyperplane/256/0.5": "1741715500124e74f83e9a1aba192f6196c6a27632407fc0f3b0edf822199bb5",
+    "checker/constant/cone/64/0.1": "c4250b29a116aecdd9d841ecc5b715789f3c833d3f37ba07782c99ea2d66f987",
+    "checker/constant/cone/256/0.1": "c4250b29a116aecdd9d841ecc5b715789f3c833d3f37ba07782c99ea2d66f987",
+    "checker/constant/hyperplane/64/0.1": "0ef1d0b4f4c968346f088a3cd2c3676b89f24d8973fa2646f94463067f4726b4",
+    "checker/constant/hyperplane/256/0.1": "0ef1d0b4f4c968346f088a3cd2c3676b89f24d8973fa2646f94463067f4726b4",
     "bundle/reproduce-section4": "a5ea33c449a4217d32c45cd6b7baed75241e0ffacd1eefc22cce58b592968f23",
     "bundle/simulate-project": "5ae1db61df7a5ae114b55b2df8f7b04f29b350c61410141cdd87eebd26a938a4",
 }
