@@ -19,6 +19,10 @@ anywhere upstream fails it:
   H = 0.85;
 * `sample_paths` of both fBm samplers (Wood–Chan and Cholesky), which draw
   through `RandomSource` streams rather than pricing's batched draws;
+* the entry points of the single-path API: an Euler solve of the worked
+  example on one Wood–Chan driver, with and without projection onto K(ξ);
+  the kernel transform of an H = 1/2 path through the H = 0.7 kernel; the
+  `convergence_probe(levels=4)` list; and singular-law mixing draws;
 * `batch_uniforms` of keyed streams at the shapes the workloads draw: 2048
   streams of 16 (a `c09` batch), 256 of 1 (a `c10` mixing draw), 512 of 256
   (a `c10` batch) and 3 of 5;
@@ -49,14 +53,21 @@ from fracvol import (
     FbmConfig,
     MCConfig,
     Put,
+    RandomSource,
+    SolveConfig,
     TimeGrid,
     build_kernel_matrix,
     check_viability_conditions,
+    convergence_probe,
+    du_transform,
+    euler_solve,
     physical_terminal_sample,
     price_physical_weighted,
     price_riskneutral,
     sample_paths,
     simulate_scenario_paths,
+    wood_chan_sample,
+    xi_sample,
 )
 from fracvol.cli import main
 from fracvol.rng import batch_uniforms, stream_keys
@@ -82,6 +93,9 @@ CHECKER_SAMPLES = ("64", "256")
 # (streams, draws per stream) of the pinned `batch_uniforms` calls.
 RNG_SHAPES = ("2048x16", "256x1", "512x256", "3x5")
 RNG_SEED = 2024
+# Seed of the single-path cases' drivers; at ξ = 0.8 its unprojected solve
+# leaves K(ξ), so projection moves it.
+PATH_SEED = 9
 
 
 def _config(project: bool) -> MCConfig:
@@ -141,6 +155,27 @@ def _digest(case: str, tmp_path) -> str:
     if kind == "fbm":
         cfg = FbmConfig(0.7, dims=2, seed=13)
         return _array_digest(sample_paths(TimeGrid(1.0, 64), cfg, 4, method=rest[0]))
+    if kind == "euler":
+        sc = SCENARIOS["worked"]()
+        cfg = FbmConfig(0.7, 2, PATH_SEED)
+        driver = wood_chan_sample(sc.grid, cfg, RandomSource(PATH_SEED))
+        poly = sc.polyhedron(0.8) if PROJECTIONS[rest[0]] else None
+        solve = SolveConfig(sc.initial_state, sc.hurst, sc.grid)
+        return _array_digest(euler_solve(sc.coefficients, 0.8, driver, solve, poly).values)
+    if kind == "transform":
+        grid = TimeGrid(1.0, 64)
+        w = wood_chan_sample(grid, FbmConfig(0.5, 2, PATH_SEED), RandomSource(PATH_SEED))
+        km = build_kernel_matrix(grid, float(rest[0]))
+        return _array_digest(du_transform(w, km).values)
+    if kind == "probe":
+        sc = SCENARIOS["worked"]()
+        cfg = SolveConfig(sc.initial_state, sc.hurst, TimeGrid(1.0, 64))
+        probe = convergence_probe(sc.coefficients, 0.8, cfg, PATH_SEED, int(rest[0]))
+        return _array_digest(np.array(probe))
+    if kind == "xi":
+        law = SCENARIOS["worked"]().xi
+        draws = [xi_sample(law, RandomSource(PATH_SEED, i)) for i in range(16)]
+        return _array_digest(np.array(draws))
     if kind == "rng":
         streams, n = map(int, rest[0].split("x"))
         return _array_digest(batch_uniforms(stream_keys(RNG_SEED, range(streams), [0]), n))
@@ -179,6 +214,7 @@ CASES = (
     + [f"simulate/{s}/{p}" for s in SCENARIOS for p in PROJECTIONS]
     + ["kernel/0.3", "kernel/0.7", "kernel/1024/0.7", "kernel/256/0.55", "kernel/256/0.85"]
     + ["fbm/wood-chan", "fbm/cholesky"]
+    + ["euler/free", "euler/projected", "transform/0.7", "probe/4", "xi/singular"]
     + [f"rng/{shape}" for shape in RNG_SHAPES]
     + [
         f"checker/{s}/{m}/{n}/{xi}"
@@ -230,6 +266,11 @@ GOLDEN = {
     "kernel/256/0.85": "77f62f11f4b281bd7a0cbcdd12fe482d0c02d0c10610f623827c450e0d6ae635",
     "fbm/wood-chan": "d78f82c87c810d5f63ab402d0cd163cb4aae9b403fd1b51cd3e4096226579a4d",
     "fbm/cholesky": "14acf0add04197694fe9a8051b076b31d9df3f2f7d46edb43b774942f7bafe02",
+    "euler/free": "204bd6df383286863e78a901d5849b709033936b01bc0845da794be5a9aa4000",
+    "euler/projected": "7766163e41faecb95eab5c5595b0938e5cbec9ea8247b63b9c15a997b2354adb",
+    "transform/0.7": "f26367721bc16b5e6fbe55d402a7da5901df0ac5ef988775e50dcae1006a17c3",
+    "probe/4": "0d76ced5486cb97ad26bc1aab7989b440ae7c49340bb1cd5e667d3d0ab2fa39d",
+    "xi/singular": "4e8231b9dafc4934a7d93f3a16ae7ac0a971abbac725f624b7d5439577978e14",
     "rng/2048x16": "eebda2aa9b538c9d3c4826a349a77addf3c73a9e53b511e0947af5cdc93e1aea",
     "rng/256x1": "4e8830fe4ea63eea255c49d0623e5cdbae9e7e943c3973064172272df259ece1",
     "rng/512x256": "ac530f25783ae99debc7a1913fc5dcce8f2888ae5e9d37a09f1f119d682979b2",
