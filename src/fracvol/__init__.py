@@ -8,19 +8,16 @@ from .coefficients import (
     eval_sigma,
     xi_inverse_cdf,
     xi_normalizer,
-    xi_sample,
 )
 from .fbm import (
     CirculantEmbeddingError,
     FbmConfig,
-    cholesky_sample,
     fbm_cov,
     fgn_autocov,
     p_variation,
     sample_paths,
-    wood_chan_sample,
 )
-from .grids import SamplePath, TimeGrid
+from .grids import TimeGrid
 from .market import MarketParams
 from .pricing import (
     Basket,
@@ -37,8 +34,8 @@ from .pricing import (
     price_riskneutral,
     simulate_scenario_paths,
 )
-from .rde import SolveConfig, convergence_probe, euler_solve
-from .rng import NormalStream, RandomSource, stream_key
+from .rde import convergence_probe
+from .rng import NormalStream, stream_key
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -65,7 +62,6 @@ from .volterra import (
     HypergeometricError,
     KernelMatrix,
     build_kernel_matrix,
-    du_transform,
     hyp2f1,
     kernel_K,
     transform_increments,

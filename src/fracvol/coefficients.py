@@ -21,8 +21,6 @@ from functools import cached_property
 import numpy as np
 from scipy.integrate import quad
 
-from .rng import RandomSource
-
 # Reserved stream tag for the mixing-variable draw; driver components use 0..d-1.
 XI_STREAM = 0x5A1
 
@@ -123,14 +121,6 @@ def xi_inverse_cdf(law: XiLaw, u) -> np.ndarray:
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
-
-
-def xi_sample(law: XiLaw, rng: RandomSource) -> float:
-    """Single draw of the mixing variable from the path's reserved substream."""
-    if isinstance(law, ConstantXi):
-        return law.value
-    u = rng.stream(XI_STREAM).uniforms(1)
-    return float(xi_inverse_cdf(law, u)[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,10 +1,12 @@
 """Fractional Brownian motion sampling and path-roughness diagnostics.
 
-Two exact samplers are provided: a Cholesky factorization of the grid
+`sample_paths` offers two exact methods: a Cholesky factorization of the grid
 covariance (O(n^3) setup, any Hurst index, the reference method) and circulant
 embedding of the stationary increment sequence (FFT-based, the fast method).
-Both draw their Gaussians from splittable :class:`~fracvol.rng.RandomSource`
-streams, so (seed, grid, hurst) fully determines the output bits.
+Either way, the normals of path i, component k come from the keyed stream
+(cfg.seed, i, k) of :mod:`fracvol.rng`, so (seed, grid, hurst) fully determines
+the output bits and a path does not depend on how many are drawn beside it.
+A path is an array of shape (steps + 1, dims) whose first row is zero.
 """
 
 from __future__ import annotations
@@ -15,15 +17,20 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
+from scipy.special import ndtri
 
-from .grids import SamplePath, TimeGrid
-from .rng import RandomSource
+from .grids import TimeGrid
+from .rng import batch_uniforms, stream_keys
 
 logger = logging.getLogger(__name__)
 
 # Circulant eigenvalues more negative than this fraction of the largest one
 # indicate a genuine embedding failure rather than rounding noise.
 EMBEDDING_CLIP_RATIO = 1e-12
+# `sample_paths` draws and transforms about this many normals at a time, which
+# bounds its transient memory beside the result (a whole stack at once took
+# 14 times the result's size under circulant embedding).
+_DRAW_CHUNK = 1 << 16
 
 
 class CirculantEmbeddingError(ArithmeticError):
@@ -81,15 +88,6 @@ def _cholesky_factor(horizon: float, steps: int, hurst: float) -> np.ndarray:
     return factor
 
 
-def cholesky_sample(grid: TimeGrid, cfg: FbmConfig, rng: RandomSource) -> SamplePath:
-    """Exact path by factoring the grid covariance; components are independent."""
-    factor = _cholesky_factor(grid.horizon, grid.steps, cfg.hurst)
-    out = np.zeros((grid.steps + 1, cfg.dims))
-    for k in range(cfg.dims):
-        out[1:, k] = factor @ rng.stream(k).normals(grid.steps)
-    return SamplePath(grid, out)
-
-
 def _clip_eigenvalues(eigs: np.ndarray) -> np.ndarray:
     """Zero out rounding-level negative eigenvalues; reject genuine ones."""
     min_eig = float(eigs.min())
@@ -118,30 +116,34 @@ def _circulant_sqrt_eigs(steps: int, hurst: float) -> np.ndarray:
     return root
 
 
-def wood_chan_sample(grid: TimeGrid, cfg: FbmConfig, rng: RandomSource) -> SamplePath:
-    """Exact path by circulant embedding of the increment covariance.
+def _wood_chan(z: np.ndarray, grid: TimeGrid, hurst: float) -> np.ndarray:
+    """Paths (..., n) from 2n normals (..., 2n) by circulant embedding.
 
-    Per component, a Hermitian complex Gaussian vector shaped by the circulant
-    eigenvalues is pushed through one FFT of length 2n; the first n outputs are
-    the unit-step increments, scaled by dt^H and cumulatively summed.
+    Along the last axis, a Hermitian complex Gaussian vector shaped by the
+    circulant eigenvalues is pushed through one FFT of length 2n; the first n
+    outputs are the unit-step increments, scaled by dt^H and cumulatively summed.
     """
     n = grid.steps
     m = 2 * n
-    root = _circulant_sqrt_eigs(n, cfg.hurst)
-    scale = grid.dt**cfg.hurst
-    out = np.zeros((n + 1, cfg.dims))
-    for k in range(cfg.dims):
-        z = rng.stream(k).normals(m)
-        coeff = np.zeros(m, dtype=complex)
-        coeff[0] = root[0] * z[0]
-        coeff[n] = root[n] * z[1]
-        if n > 1:
-            pair = (z[2::2] + 1j * z[3::2]) * (root[1:n] / np.sqrt(2.0))
-            coeff[1:n] = pair
-            coeff[n + 1 :] = np.conj(pair[::-1])
-        fgn = np.fft.fft(coeff).real[:n] / np.sqrt(m)
-        out[1:, k] = np.cumsum(fgn) * scale
-    return SamplePath(grid, out)
+    root = _circulant_sqrt_eigs(n, hurst)
+    coeff = np.zeros(z.shape, dtype=complex)
+    coeff[..., 0] = root[0] * z[..., 0]
+    coeff[..., n] = root[n] * z[..., 1]
+    pair = (z[..., 2::2] + 1j * z[..., 3::2]) * (root[1:n] / np.sqrt(2.0))
+    coeff[..., 1:n] = pair
+    coeff[..., n + 1 :] = np.conj(pair[..., ::-1])
+    fgn = np.fft.fft(coeff, axis=-1).real[..., :n] / np.sqrt(m)
+    return np.cumsum(fgn, axis=-1) * grid.dt**hurst
+
+
+def _cholesky(z: np.ndarray, grid: TimeGrid, hurst: float) -> np.ndarray:
+    """Paths (..., n) from n normals (..., n) through the covariance factor."""
+    factor = _cholesky_factor(grid.horizon, grid.steps, hurst)
+    return np.matmul(factor, z[..., None])[..., 0]
+
+
+# method: (paths from normals, normals per path component and grid step)
+_METHODS = {"wood-chan": (_wood_chan, 2), "cholesky": (_cholesky, 1)}
 
 
 def sample_paths(
@@ -152,19 +154,23 @@ def sample_paths(
 ) -> np.ndarray:
     """Stack of independent paths, shape (n_paths, steps + 1, dims).
 
-    Path i draws from the substreams of ``RandomSource(cfg.seed, i)``, so the
-    stack is reproducible regardless of how work is split across calls.
+    Component k of path i draws its normals from the keyed stream
+    (cfg.seed, i, k), so the first m paths of any stack are the stack of m.
+    The normals of a block of paths are drawn in one keyed batch and the
+    method runs on the whole block.
     """
-    samplers = {"wood-chan": wood_chan_sample, "cholesky": cholesky_sample}
-    if method not in samplers:
-        raise ValueError(f"method must be one of {sorted(samplers)}, got {method!r}")
+    if method not in _METHODS:
+        raise ValueError(f"method must be one of {sorted(_METHODS)}, got {method!r}")
     if n_paths < 1:
         raise ValueError(f"need at least 1 path, got {n_paths}")
-    sampler = samplers[method]
-    base = RandomSource(cfg.seed)
-    out = np.empty((n_paths, grid.steps + 1, cfg.dims))
-    for i in range(n_paths):
-        out[i] = sampler(grid, cfg, base.for_path(i)).values
+    paths_from, per_step = _METHODS[method]
+    draws = per_step * grid.steps
+    out = np.zeros((n_paths, grid.steps + 1, cfg.dims))
+    chunk = max(1, _DRAW_CHUNK // (draws * cfg.dims))
+    for lo in range(0, n_paths, chunk):
+        hi = min(lo + chunk, n_paths)
+        u = batch_uniforms(stream_keys(cfg.seed, range(lo, hi), range(cfg.dims)), draws)
+        out[lo:hi, 1:] = paths_from(ndtri(u, out=u), grid, cfg.hurst).transpose(0, 2, 1)
     return out
 
 
@@ -178,12 +184,9 @@ def p_variation(path, p: float, component: int = 0) -> float:
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    if isinstance(path, SamplePath):
-        x = path.component(component)
-    else:
-        x = np.asarray(path, dtype=float)
-        if x.ndim == 2:
-            x = x[:, component]
+    x = np.asarray(path, dtype=float)
+    if x.ndim == 2:
+        x = x[:, component]
     n = x.size
     if n < 2:
         return 0.0

@@ -1,4 +1,4 @@
-"""Uniform time grids and discretized vector-valued sample paths."""
+"""Uniform time grids."""
 
 from __future__ import annotations
 
@@ -27,43 +27,3 @@ class TimeGrid:
     @property
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.steps + 1)
-
-
-@dataclass(eq=False)
-class SamplePath:
-    """Values of a d-component process at the grid times; row i is the value at t_i.
-
-    One-dimensional input is promoted to a single-column matrix, so scalar
-    processes and vector processes share the same container.
-    """
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim == 1:
-            v = v[:, None]
-        if v.ndim != 2 or v.shape[0] != self.grid.steps + 1:
-            raise ValueError(
-                f"values must have {self.grid.steps + 1} rows (one per grid time), "
-                f"got shape {np.shape(self.values)}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("sample path contains non-finite values")
-        self.values = v
-
-    @property
-    def dims(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.values[-1]
-
-    def component(self, k: int) -> np.ndarray:
-        return self.values[:, k]
-
-    def increments(self) -> np.ndarray:
-        """Stepwise differences, shape (steps, dims)."""
-        return np.diff(self.values, axis=0)

@@ -3,23 +3,22 @@
 The scheme is the plain first-order update
     U(t_{i+1}) = U(t_i) + mu(xi, U(t_i)) dt + sigma(xi, U(t_i)) (B(t_{i+1}) - B(t_i))
 and is only meaningful in the Young regime hurst > 1/2, which `require_young`
-enforces.  The coefficients are the affine family of `coefficients`, so a step
-is a few matrix products on the whole batch (`euler_stepper`).  No projection
-onto a constraint set is applied by default; callers needing hard feasibility
-can pass `project_onto`, which applies a Euclidean projection onto the
-polyhedron after every step.
+enforces.  A path is an array: `euler_paths` runs the increments (paths, n, d)
+of a batch of drivers at once, and a single path is a batch of one.  The
+coefficients are the affine family of `coefficients`, so a step is a few
+matrix products on the whole batch (`euler_stepper`).  No projection onto a
+constraint set is applied by default; callers needing hard feasibility can
+pass `project_onto`, which applies a Euclidean projection onto the polyhedron
+after every step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .coefficients import ModelCoefficients
-from .fbm import FbmConfig, wood_chan_sample
-from .grids import SamplePath, TimeGrid
-from .rng import RandomSource
+from .fbm import FbmConfig, sample_paths
+from .grids import TimeGrid
 from .viability import Polyhedron, project_into
 
 
@@ -29,22 +28,6 @@ def require_young(hurst: float) -> None:
         raise ValueError(
             f"rough regime unsupported: hurst must lie in (1/2, 1), got {hurst}"
         )
-
-
-@dataclass(frozen=True, eq=False)
-class SolveConfig:
-    """Initial state, Hurst index of the driver, and grid for one solve."""
-
-    initial: np.ndarray
-    hurst: float
-    grid: TimeGrid
-
-    def __post_init__(self):
-        initial = np.atleast_1d(np.asarray(self.initial, dtype=float))
-        if not np.all(np.isfinite(initial)):
-            raise ValueError("initial state must be finite")
-        object.__setattr__(self, "initial", initial)
-        require_young(self.hurst)
 
 
 def euler_stepper(coeffs: ModelCoefficients, xi, dt: float, project_onto=None):
@@ -99,15 +82,22 @@ def euler_paths(
 ) -> np.ndarray:
     """Batched Euler recursion: db has shape (paths, n, d), xi scalar or (paths,).
 
-    Returns states of shape (paths, n + 1, d).  `project_onto` may be a
-    polyhedron, or a (normals, offsets) pair whose offsets carry a leading
-    paths axis so each path can have its own constraint levels.  Raises as
-    soon as any state stops being finite, naming the offending step.
+    Returns states of shape (paths, n + 1, d).  `initial` must have d entries.
+    `project_onto` may be a polyhedron, or a (normals, offsets) pair whose
+    offsets carry a leading paths axis so each path can have its own
+    constraint levels.  Raises as soon as any state stops being finite, naming
+    the offending step.
     """
     db = np.asarray(db, dtype=float)
     paths, n, d = db.shape
+    initial = np.asarray(initial, dtype=float)
+    if initial.shape[-1:] != (d,):
+        raise ValueError(
+            f"the increments have {d} components but the initial state has shape "
+            f"{initial.shape}"
+        )
     out = np.empty((paths, n + 1, d))
-    x = np.broadcast_to(np.asarray(initial, dtype=float), (paths, d)).copy()
+    x = np.broadcast_to(initial, (paths, d)).copy()
     if isinstance(project_onto, Polyhedron):
         project_onto = (project_onto.normals, project_onto.offsets)
     step = euler_stepper(coeffs, xi, dt, project_onto)
@@ -120,63 +110,42 @@ def euler_paths(
     return out
 
 
-def euler_solve(
-    coeffs: ModelCoefficients,
-    xi: float,
-    driver: SamplePath,
-    cfg: SolveConfig,
-    project_onto: Polyhedron | None = None,
-) -> SamplePath:
-    """Solve one path of the state equation along the given driver."""
-    if driver.grid != cfg.grid:
-        raise ValueError(f"grid mismatch: driver on {driver.grid}, config on {cfg.grid}")
-    if np.any(driver.values[0] != 0.0):
-        raise ValueError("driver must start at 0")
-    if driver.dims != cfg.initial.size:
-        raise ValueError(
-            f"driver has {driver.dims} components but the initial state has {cfg.initial.size}"
-        )
-    states = euler_paths(
-        coeffs, xi, driver.increments()[None], cfg.initial, cfg.grid.dt, project_onto
-    )
-    return SamplePath(cfg.grid, states[0])
-
-
 def convergence_probe(
     coeffs: ModelCoefficients,
     xi: float,
-    cfg: SolveConfig,
+    initial: np.ndarray,
+    hurst: float,
+    grid: TimeGrid,
     seed: int,
     levels: int = 4,
 ) -> list[tuple[float, float]]:
     """Self-convergence of the scheme under dyadic refinement of a frozen driver.
 
-    The driver is sampled once at the finest grid (cfg.grid) and coarsened by
-    subsampling, so every level sees the same path.  Returns (dt, sup-norm
-    difference to the next finer level) per level, coarsest first; the
-    differences should decrease under refinement.
+    The driver, path 0 of `sample_paths` under FbmConfig(hurst, d, seed), is
+    sampled once at the finest grid and coarsened by subsampling, so every
+    level sees the same path.  Returns (dt, sup-norm difference to the next
+    finer level) per level, coarsest first; the differences should decrease
+    under refinement.
     """
+    require_young(hurst)
+    initial = np.atleast_1d(np.asarray(initial, dtype=float))
+    if not np.all(np.isfinite(initial)):
+        raise ValueError("initial state must be finite")
     if levels < 2:
         raise ValueError(f"levels must be >= 2, got {levels}")
-    n_fine = cfg.grid.steps
+    n_fine = grid.steps
     factor = 2 ** (levels - 1)
     if n_fine % factor != 0:
         raise ValueError(
             f"finest grid steps ({n_fine}) must be divisible by 2^(levels-1) = {factor}"
         )
-    d = cfg.initial.size
-    fine = wood_chan_sample(cfg.grid, FbmConfig(cfg.hurst, d, seed), RandomSource(seed))
-    solutions = []
+    fine = sample_paths(grid, FbmConfig(hurst, initial.size, seed), 1)
     step_counts = [n_fine // 2**e for e in reversed(range(levels))]
+    solutions = []
     for steps in step_counts:
-        stride = n_fine // steps
-        grid = TimeGrid(cfg.grid.horizon, steps)
-        driver = SamplePath(grid, fine.values[::stride])
-        level_cfg = SolveConfig(cfg.initial, cfg.hurst, grid)
-        solutions.append(euler_solve(coeffs, xi, driver, level_cfg))
-    results = []
-    for coarse, fine_sol in zip(solutions, solutions[1:]):
-        stride = fine_sol.grid.steps // coarse.grid.steps
-        diff = np.max(np.abs(coarse.values - fine_sol.values[::stride]))
-        results.append((coarse.grid.dt, float(diff)))
-    return results
+        db = np.diff(fine[:, :: n_fine // steps], axis=1)
+        solutions.append(euler_paths(coeffs, xi, db, initial, grid.horizon / steps)[0])
+    return [
+        (grid.horizon / steps, float(np.max(np.abs(coarse - finer[::2]))))
+        for steps, coarse, finer in zip(step_counts, solutions, solutions[1:])
+    ]

@@ -1,22 +1,22 @@
 """Deterministic, splittable Gaussian streams on a counter-based generator.
 
 Every stream is identified by (seed, path index, component index), hashed into
-a 64-bit Philox key, so Monte Carlo paths can be generated in any order, or in
-parallel, with bit-identical output.  A single stream is backed by its own
-Philox instance (:class:`NormalStream`).  A batch of streams
-(:func:`batch_uniforms`) yields the same bits without constructing a generator
-per stream, by one of two paths chosen at a measured crossover: many short
-streams are computed at once, Philox4x64-10 evaluated as arrays over every
-(key, block) pair, and long or few streams are drawn by one Philox whose key
-and counter are reset for each stream.
+a 64-bit Philox key by :func:`stream_keys`, so Monte Carlo paths can be
+generated in any order, or in parallel, with bit-identical output.  Every draw
+of the engine (fBm paths, Brownian increments, mixing variables) is a keyed
+batch: :func:`batch_uniforms` takes an array of keys and returns each stream's
+draws without constructing a generator per stream, by one of two paths chosen
+at a measured crossover: many short streams are computed at once,
+Philox4x64-10 evaluated as arrays over every (key, block) pair, and long or
+few streams are drawn by one Philox whose key and counter are reset for each
+stream.  :class:`NormalStream`, one Philox instance per key, is the reference
+those batches are tested against.
 Uniforms come straight from the raw 64-bit counter output and normals are
 produced by the inverse CDF, which keeps the mapping from counters to Gaussians
 explicit and platform-stable.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -180,21 +180,3 @@ class NormalStream:
     def normals(self, n: int) -> np.ndarray:
         """n standard normals via the inverse CDF of the uniform stream."""
         return ndtri(self.uniforms(n))
-
-
-@dataclass(frozen=True)
-class RandomSource:
-    """Factory of per-component streams for one simulated path.
-
-    Component indices 0..d-1 are used for driver components; larger tags are
-    reserved for auxiliary draws (e.g. the mixing variable).
-    """
-
-    seed: int
-    path_index: int = 0
-
-    def for_path(self, path_index: int) -> "RandomSource":
-        return RandomSource(self.seed, path_index)
-
-    def stream(self, component: int) -> NormalStream:
-        return NormalStream(stream_key(self.seed, self.path_index, component))

@@ -39,7 +39,6 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .coefficients import ModelCoefficients, eval_mu, eval_sigma
-from .grids import SamplePath
 
 _GEOM_TOL = 1e-9
 
@@ -143,9 +142,8 @@ def normal_cone_generators(poly: Polyhedron, x, tol: float = 1e-10) -> list[np.n
 
 
 def path_viability_margin(path, poly: Polyhedron) -> float:
-    """Smallest slack along the path; negative iff the path exits the set."""
-    values = path.values if isinstance(path, SamplePath) else np.asarray(path, float)
-    return float(np.min(slack(poly, values)))
+    """Smallest slack along the path (points, d); negative iff the path exits the set."""
+    return float(np.min(slack(poly, path)))
 
 
 def project_into(
@@ -394,7 +392,8 @@ def check_viability_conditions(
 
     Returns a per-face pass/fail/unsampled report carrying the worst vertex.
     A face whose intersection with the box has no vertex is reported as
-    "unsampled", never as a silent pass, and a score that evaluates to NaN
+    "unsampled", never as a silent pass.  A score that evaluates to NaN, and
+    every score of a drift or diffusion column that is not finite at a vertex,
     counts as an infinite violation.  `samples_per_face` is ignored and kept
     only for callers that still pass it.
     """
@@ -437,18 +436,20 @@ def check_viability_conditions(
         # scores laid out (point, face, drift then diffusion column j); the
         # first maximum is the one a strict `>` scan in that order would keep.
         # Faces inactive at a point can never be the worst, and a NaN score,
-        # one that could not be computed, always is, so that its face fails
+        # one that could not be computed, always is, so that its face fails;
+        # so is any score of a field that overflowed at the point
         faces = poly.normals if mode == "cone" else -normal[None, :]
         drift = _dots(faces, mu[:, None])
         columns = np.swapaxes(sigma, -1, -2)[:, None]
         scores = np.concatenate([drift[..., None], _dots(faces[:, None], columns)], axis=-1)
+        if mode == "hyperplane":
+            np.negative(scores[..., 0], out=scores[..., 0])
+            np.abs(scores[..., 1:], out=scores[..., 1:])
+        finite = np.isfinite(np.concatenate([mu[:, None], columns[:, 0]], axis=1)).all(-1)
+        scores[np.isnan(scores) | ~finite[:, None]] = np.inf
         if mode == "cone":
             residuals = pts @ poly.normals.T - poly.offsets
             scores[~(np.abs(residuals) <= max(tol, _GEOM_TOL * scale))] = -np.inf
-        else:
-            np.negative(scores[..., 0], out=scores[..., 0])
-            np.abs(scores[..., 1:], out=scores[..., 1:])
-        scores[np.isnan(scores)] = np.inf
         where = np.unravel_index(np.argmax(scores), scores.shape)
         worst = float(scores[where])
         worst_kind = "drift" if where[-1] == 0 else f"diffusion column {where[-1] - 1}"

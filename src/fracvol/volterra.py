@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grids import SamplePath, TimeGrid
+from .grids import TimeGrid
 
 _SERIES_RTOL = 1e-16
 _SERIES_MAX_TERMS = 100_000
@@ -319,24 +319,12 @@ def _kernel_matrix_cached(horizon: float, steps: int, hurst: float) -> KernelMat
 
 
 def transform_increments(dw: np.ndarray, kernel: KernelMatrix) -> np.ndarray:
-    """Batched transform of increments (..., n, d) into path values (..., n+1, d)."""
+    """Batched transform of increments (..., n, d) into path values (..., n+1, d).
+
+    Componentwise, B(t_i) = sum_{j<=i} kernel[i-1, j-1] dW_j, with B(0) = 0.  For
+    hurst = 1/2 every stored entry is 1 and the sum telescopes back to W.
+    """
     dw = np.asarray(dw, dtype=float)
     body = np.matmul(kernel.entries, dw)
     head = np.zeros(body.shape[:-2] + (1, body.shape[-1]))
     return np.concatenate([head, body], axis=-2)
-
-
-def du_transform(w_path: SamplePath, kernel: KernelMatrix) -> SamplePath:
-    """Map a Brownian path to its fractional transform on the same grid.
-
-    Componentwise, B(t_i) = sum_{j<=i} kernel[i-1, j-1] (W(t_j) - W(t_{j-1})),
-    with B(0) = 0.  For hurst = 1/2 every stored entry is 1 and the sum
-    telescopes back to W.
-    """
-    if w_path.grid != kernel.grid:
-        raise ValueError(
-            f"grid mismatch: path on {w_path.grid}, kernel on {kernel.grid}"
-        )
-    if np.any(w_path.values[0] != 0.0):
-        raise ValueError("driving path must start at 0")
-    return SamplePath(w_path.grid, transform_increments(w_path.increments(), kernel))

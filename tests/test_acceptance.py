@@ -38,7 +38,6 @@ from fracvol import (
     bs_reference_price,
     build_kernel_matrix,
     check_viability_conditions,
-    du_transform,
     fbm_cov,
     hyp2f1,
     p_variation,
@@ -46,13 +45,11 @@ from fracvol import (
     price_physical_weighted,
     price_riskneutral,
     sample_paths,
-    wood_chan_sample,
     xi_normalizer,
 )
 from fracvol.cli import main
 from fracvol.pricing import _constraint_data, w_increments, xi_draws
 from fracvol.rde import euler_paths
-from fracvol.rng import RandomSource
 from fracvol.scenario import constant_vol_scenario, section4_scenario
 from fracvol.volterra import transform_increments
 
@@ -97,9 +94,9 @@ def test_c02_fbm_covariance_both_samplers():
 
 def test_c03_kernel_identity_at_half():
     grid = TimeGrid(1.0, 256)
-    w = wood_chan_sample(grid, FbmConfig(0.5, 1, 77), RandomSource(77))
+    w = sample_paths(grid, FbmConfig(0.5, 1, 77), 1)
     km = build_kernel_matrix(grid, 0.5)
-    gap = float(np.max(np.abs(du_transform(w, km).values - w.values)))
+    gap = float(np.max(np.abs(transform_increments(np.diff(w, axis=1), km) - w)))
     assert gap <= 1e-12
     report(3, f"transform at hurst 1/2 is the identity to {gap:.2e}: PASS")
 

@@ -7,13 +7,11 @@ from scipy.integrate import quad
 from fracvol import (
     ConstantXi,
     ModelCoefficients,
-    RandomSource,
     SingularXi,
     eval_mu,
     eval_sigma,
     xi_inverse_cdf,
     xi_normalizer,
-    xi_sample,
 )
 from fracvol.pricing import xi_draws
 from fracvol.scenario import section4_scenario
@@ -67,7 +65,6 @@ class TestSingularLaw:
 class TestSampling:
     def test_constant_law(self):
         law = ConstantXi(0.2)
-        assert xi_sample(law, RandomSource(5)) == 0.2
         assert np.all(xi_draws(law, seed=5, start=0, count=7) == 0.2)
 
     def test_support_contract(self):

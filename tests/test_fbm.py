@@ -7,15 +7,13 @@ from hypothesis import given, settings, strategies as st
 from fracvol import (
     CirculantEmbeddingError,
     FbmConfig,
-    RandomSource,
     TimeGrid,
-    cholesky_sample,
     fbm_cov,
     fgn_autocov,
     p_variation,
     sample_paths,
-    wood_chan_sample,
 )
+from fracvol import fbm
 from fracvol.fbm import _clip_eigenvalues
 
 
@@ -77,31 +75,31 @@ class TestCholeskySample:
     def test_deterministic_given_seed(self):
         grid = TimeGrid(1.0, 16)
         cfg = FbmConfig(hurst=0.7, dims=2, seed=99)
-        a = cholesky_sample(grid, cfg, RandomSource(99))
-        b = cholesky_sample(grid, cfg, RandomSource(99))
-        assert np.array_equal(a.values, b.values)
-        c = cholesky_sample(grid, cfg, RandomSource(100))
-        assert not np.array_equal(a.values, c.values)
+        a = sample_paths(grid, cfg, 1, "cholesky")
+        b = sample_paths(grid, cfg, 1, "cholesky")
+        assert np.array_equal(a, b)
+        c = sample_paths(grid, FbmConfig(hurst=0.7, dims=2, seed=100), 1, "cholesky")
+        assert not np.array_equal(a, c)
 
     def test_components_differ(self):
         grid = TimeGrid(1.0, 8)
-        path = cholesky_sample(grid, FbmConfig(0.7, 2, 1), RandomSource(1))
-        assert not np.array_equal(path.component(0), path.component(1))
+        path = sample_paths(grid, FbmConfig(0.7, 2, 1), 1, "cholesky")[0]
+        assert not np.array_equal(path[:, 0], path[:, 1])
 
 
 class TestWoodChanSample:
     def test_deterministic_given_seed(self):
         grid = TimeGrid(1.0, 32)
         cfg = FbmConfig(hurst=0.3, dims=1, seed=7)
-        a = wood_chan_sample(grid, cfg, RandomSource(7))
-        b = wood_chan_sample(grid, cfg, RandomSource(7))
-        assert np.array_equal(a.values, b.values)
+        a = sample_paths(grid, cfg, 1)
+        b = sample_paths(grid, cfg, 1)
+        assert np.array_equal(a, b)
 
     def test_single_step_grid(self):
         grid = TimeGrid(1.0, 1)
-        path = wood_chan_sample(grid, FbmConfig(0.8, 1, 3), RandomSource(3))
-        assert path.values.shape == (2, 1)
-        assert path.values[0, 0] == 0.0
+        paths = sample_paths(grid, FbmConfig(0.8, 1, 3), 1)
+        assert paths.shape == (1, 2, 1)
+        assert paths[0, 0, 0] == 0.0
 
     @pytest.mark.parametrize("h", [0.3, 0.5, 0.7])
     def test_matches_cholesky_covariance(self, h):
@@ -151,6 +149,33 @@ class TestWoodChanSample:
             sample_paths(TimeGrid(1.0, 4), FbmConfig(0.5), 2, method="hosking")
 
 
+@pytest.mark.parametrize("method", ["wood-chan", "cholesky"])
+class TestOneSeed:
+    """FbmConfig.seed is the only seed of a draw, and a path does not depend on
+    how many are drawn beside it."""
+
+    def test_prefix_of_larger_stack(self, method):
+        grid = TimeGrid(1.0, 16)
+        cfg = FbmConfig(0.7, 2, 41)
+        three = sample_paths(grid, cfg, 3, method).tobytes()
+        assert sample_paths(grid, cfg, 5, method)[:3].tobytes() == three
+        # 200 streams of at most 64 draws take batch_uniforms' vectorised path
+        assert sample_paths(grid, cfg, 100, method)[:3].tobytes() == three
+
+    def test_blocks_move_no_bits(self, method, monkeypatch):
+        grid = TimeGrid(1.0, 16)
+        cfg = FbmConfig(0.7, 2, 41)
+        whole = sample_paths(grid, cfg, 5, method).tobytes()
+        monkeypatch.setattr(fbm, "_DRAW_CHUNK", 1)  # one path per block
+        assert sample_paths(grid, cfg, 5, method).tobytes() == whole
+
+    def test_seed_changes_paths(self, method):
+        grid = TimeGrid(1.0, 16)
+        a = sample_paths(grid, FbmConfig(0.7, 2, 41), 3, method)
+        b = sample_paths(grid, FbmConfig(0.7, 2, 42), 3, method)
+        assert not np.any(np.all(a[:, 1:] == b[:, 1:], axis=1))
+
+
 def brute_force_p_variation(x, p):
     """Exhaustive dissection maximum; endpoints always included.
 
@@ -186,9 +211,9 @@ class TestPVariation:
             assert p_variation(x, p) == brute_force_p_variation(x, p)
 
     def test_accepts_sample_path(self):
-        grid = TimeGrid(1.0, 4)
-        path = wood_chan_sample(grid, FbmConfig(0.5, 2, 17), RandomSource(17))
-        direct = p_variation(path.component(1), 2.0)
+        # a (steps + 1, dims) path is read at `component`
+        path = sample_paths(TimeGrid(1.0, 4), FbmConfig(0.5, 2, 17), 1)[0]
+        direct = p_variation(path[:, 1], 2.0)
         assert p_variation(path, 2.0, component=1) == direct
 
     @given(

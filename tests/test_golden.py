@@ -18,11 +18,12 @@ anywhere upstream fails it:
   the largest kernel any workload builds) and 256 steps at H = 0.55 and
   H = 0.85;
 * `sample_paths` of both fBm samplers (Wood–Chan and Cholesky), which draw
-  through `RandomSource` streams rather than pricing's batched draws;
-* the entry points of the single-path API: an Euler solve of the worked
+  their (path, component) streams in keyed batches;
+* a batch of one through each engine stage: the Euler states of the worked
   example on one Wood–Chan driver, with and without projection onto K(ξ);
   the kernel transform of an H = 1/2 path through the H = 0.7 kernel; the
-  `convergence_probe(levels=4)` list; and singular-law mixing draws;
+  `convergence_probe(levels=4)` list; and singular-law mixing draws.  These
+  were pinned on the single-path API that the batched calls replaced;
 * `batch_uniforms` of keyed streams at the shapes the workloads draw: 2048
   streams of 16 (a `c09` batch), 256 of 1 (a `c10` mixing draw), 512 of 256
   (a `c10` batch) and 3 of 5;
@@ -53,23 +54,20 @@ from fracvol import (
     FbmConfig,
     MCConfig,
     Put,
-    RandomSource,
-    SolveConfig,
     TimeGrid,
     build_kernel_matrix,
     check_viability_conditions,
     convergence_probe,
-    du_transform,
-    euler_solve,
     physical_terminal_sample,
     price_physical_weighted,
     price_riskneutral,
     sample_paths,
     simulate_scenario_paths,
-    wood_chan_sample,
-    xi_sample,
+    transform_increments,
 )
 from fracvol.cli import main
+from fracvol.pricing import xi_draws
+from fracvol.rde import euler_paths
 from fracvol.rng import batch_uniforms, stream_keys
 from fracvol.scenario import constant_vol_scenario, scenario_to_dict, section4_scenario
 
@@ -93,7 +91,7 @@ CHECKER_SAMPLES = ("64", "256")
 # (streams, draws per stream) of the pinned `batch_uniforms` calls.
 RNG_SHAPES = ("2048x16", "256x1", "512x256", "3x5")
 RNG_SEED = 2024
-# Seed of the single-path cases' drivers; at ξ = 0.8 its unprojected solve
+# Seed of the batch-of-one cases' drivers; at ξ = 0.8 its unprojected solve
 # leaves K(ξ), so projection moves it.
 PATH_SEED = 9
 
@@ -157,25 +155,25 @@ def _digest(case: str, tmp_path) -> str:
         return _array_digest(sample_paths(TimeGrid(1.0, 64), cfg, 4, method=rest[0]))
     if kind == "euler":
         sc = SCENARIOS["worked"]()
-        cfg = FbmConfig(0.7, 2, PATH_SEED)
-        driver = wood_chan_sample(sc.grid, cfg, RandomSource(PATH_SEED))
+        driver = sample_paths(sc.grid, FbmConfig(0.7, 2, PATH_SEED), 1)
         poly = sc.polyhedron(0.8) if PROJECTIONS[rest[0]] else None
-        solve = SolveConfig(sc.initial_state, sc.hurst, sc.grid)
-        return _array_digest(euler_solve(sc.coefficients, 0.8, driver, solve, poly).values)
+        db = np.diff(driver, axis=1)
+        states = euler_paths(sc.coefficients, 0.8, db, sc.initial_state, sc.grid.dt, poly)
+        return _array_digest(states[0])
     if kind == "transform":
         grid = TimeGrid(1.0, 64)
-        w = wood_chan_sample(grid, FbmConfig(0.5, 2, PATH_SEED), RandomSource(PATH_SEED))
+        w = sample_paths(grid, FbmConfig(0.5, 2, PATH_SEED), 1)
         km = build_kernel_matrix(grid, float(rest[0]))
-        return _array_digest(du_transform(w, km).values)
+        return _array_digest(transform_increments(np.diff(w, axis=1), km)[0])
     if kind == "probe":
         sc = SCENARIOS["worked"]()
-        cfg = SolveConfig(sc.initial_state, sc.hurst, TimeGrid(1.0, 64))
-        probe = convergence_probe(sc.coefficients, 0.8, cfg, PATH_SEED, int(rest[0]))
+        grid = TimeGrid(1.0, 64)
+        probe = convergence_probe(
+            sc.coefficients, 0.8, sc.initial_state, sc.hurst, grid, PATH_SEED, int(rest[0])
+        )
         return _array_digest(np.array(probe))
     if kind == "xi":
-        law = SCENARIOS["worked"]().xi
-        draws = [xi_sample(law, RandomSource(PATH_SEED, i)) for i in range(16)]
-        return _array_digest(np.array(draws))
+        return _array_digest(xi_draws(SCENARIOS["worked"]().xi, PATH_SEED, 0, 16))
     if kind == "rng":
         streams, n = map(int, rest[0].split("x"))
         return _array_digest(batch_uniforms(stream_keys(RNG_SEED, range(streams), [0]), n))

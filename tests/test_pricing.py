@@ -25,7 +25,7 @@ from fracvol import (
 )
 from fracvol.coefficients import XI_STREAM, xi_inverse_cdf
 from fracvol.market import floor_breach, log_price_increments, theta, volatility
-from fracvol.rng import RandomSource
+from fracvol.rng import NormalStream, stream_key
 from fracvol.scenario import constant_vol_scenario, section4_scenario
 from test_rde import reference_step
 
@@ -494,15 +494,17 @@ class TestKeyedDraws:
             monkeypatch.setattr(pricing, "_DRAW_CHUNK", chunk)
         sc = section4_scenario(steps=32, seed=5)
         seed, start, count = 29, 5, 7
-        base = RandomSource(seed)
-        paths = [base.for_path(p) for p in range(start, start + count)]
+        paths = range(start, start + count)
 
-        u = np.array([src.stream(XI_STREAM).uniforms(1)[0] for src in paths])
+        def stream(path, component):
+            return NormalStream(stream_key(seed, path, component))
+
+        u = np.array([stream(p, XI_STREAM).uniforms(1)[0] for p in paths])
         xi = pricing.xi_draws(sc.xi, seed, start, count)
         assert xi.tobytes() == xi_inverse_cdf(sc.xi, u).tobytes()
 
         n, d = sc.grid.steps, sc.dims
-        dw = np.stack([[src.stream(k).normals(n) for k in range(d)] for src in paths])
+        dw = np.stack([[stream(p, k).normals(n) for k in range(d)] for p in paths])
         dw = np.ascontiguousarray(dw.transpose(0, 2, 1)) * math.sqrt(sc.grid.dt)
         got = pricing.w_increments(sc, seed, start, count)
         assert got.shape == (count, n, d)

@@ -8,15 +8,11 @@ from fracvol import (
     HalfSpace,
     ModelCoefficients,
     Polyhedron,
-    RandomSource,
-    SamplePath,
-    SolveConfig,
     TimeGrid,
     convergence_probe,
-    euler_solve,
     path_viability_margin,
+    sample_paths,
     shifted_polyhedron,
-    wood_chan_sample,
 )
 from fracvol.coefficients import eval_mu
 from fracvol.pricing import _constraint_data, xi_draws
@@ -66,8 +62,25 @@ def constant_diffusion_coefficients(matrix):
     )
 
 
-def zero_driver(grid, d=2):
-    return SamplePath(grid, np.zeros((grid.steps + 1, d)))
+def zero_increments(grid, d=2):
+    return np.zeros((1, grid.steps, d))
+
+
+def driver_increments(grid, seed, d=2):
+    """Increments (1, steps, d) of one H = 0.7 Wood–Chan path."""
+    return np.diff(sample_paths(grid, FbmConfig(0.7, d, seed), 1), axis=1)
+
+
+def overflowing_coefficients():
+    return ModelCoefficients(
+        drift_matrix=1e160 * np.eye(1),
+        xi_drift=np.zeros(1),
+        drift_const=np.zeros(1),
+        weights=np.zeros((1, 1)),
+        xi_weights=np.zeros(1),
+        offsets=np.zeros(1),
+        directions=np.eye(1),
+    )
 
 
 def reference_step(coeffs, xi, x, db, dt, project_onto):
@@ -79,88 +92,72 @@ def reference_step(coeffs, xi, x, db, dt, project_onto):
 
 
 class TestEulerSolve:
+    """`euler_paths` on a batch of one path."""
+
     def test_exponential_oracle_first_order(self):
         coeffs = linear_drift_coefficients()
         errors = []
         for steps in (64, 128, 256):
             grid = TimeGrid(1.0, steps)
-            cfg = SolveConfig(np.array([1.0, 0.0]), 0.7, grid)
-            out = euler_solve(coeffs, 0.5, zero_driver(grid), cfg)
-            errors.append(abs(out.terminal[0] - math.e))
+            out = euler_paths(coeffs, 0.5, zero_increments(grid), [1.0, 0.0], grid.dt)
+            errors.append(abs(out[0, -1, 0] - math.e))
         assert errors[0] / errors[1] == pytest.approx(2.0, abs=0.3)
         assert errors[1] / errors[2] == pytest.approx(2.0, abs=0.3)
 
     def test_zero_fields_keep_initial_state(self):
         grid = TimeGrid(1.0, 32)
-        cfg = SolveConfig(np.array([1.5, -2.0]), 0.7, grid)
-        driver = wood_chan_sample(grid, FbmConfig(0.7, 2, 3), RandomSource(3))
-        out = euler_solve(zero_coefficients(), 0.3, driver, cfg)
-        assert np.array_equal(out.values, np.tile([1.5, -2.0], (33, 1)))
+        db = driver_increments(grid, 3)
+        out = euler_paths(zero_coefficients(), 0.3, db, [1.5, -2.0], grid.dt)
+        assert np.array_equal(out[0], np.tile([1.5, -2.0], (33, 1)))
 
     def test_constant_diffusion_telescopes(self):
         sigma0 = np.array([[0.5, -0.25], [0.1, 0.4]])
         coeffs = constant_diffusion_coefficients(sigma0)
         grid = TimeGrid(1.0, 64)
-        cfg = SolveConfig(np.array([1.0, 2.0]), 0.7, grid)
-        driver = wood_chan_sample(grid, FbmConfig(0.7, 2, 5), RandomSource(5))
-        out = euler_solve(coeffs, 0.9, driver, cfg)
-        expected = cfg.initial + driver.values @ sigma0.T
-        assert np.max(np.abs(out.values - expected)) <= 1e-12
+        initial = np.array([1.0, 2.0])
+        driver = sample_paths(grid, FbmConfig(0.7, 2, 5), 1)
+        out = euler_paths(coeffs, 0.9, np.diff(driver, axis=1), initial, grid.dt)
+        expected = initial + driver[0] @ sigma0.T
+        assert np.max(np.abs(out[0] - expected)) <= 1e-12
 
     def test_rough_regime_rejected(self):
+        # the probe draws its own fBm driver, so it checks the Young regime
         with pytest.raises(ValueError, match="rough regime unsupported"):
-            SolveConfig(np.array([1.0]), 0.5, TimeGrid(1.0, 4))
+            convergence_probe(zero_coefficients(1), 0.0, [1.0], 0.5, TimeGrid(1.0, 4), 0)
 
     def test_overflow_names_step(self):
-        coeffs = ModelCoefficients(
-            drift_matrix=1e160 * np.eye(1),
-            xi_drift=np.zeros(1),
-            drift_const=np.zeros(1),
-            weights=np.zeros((1, 1)),
-            xi_weights=np.zeros(1),
-            offsets=np.zeros(1),
-            directions=np.eye(1),
-        )
         grid = TimeGrid(1.0, 8)
-        cfg = SolveConfig(np.array([1.0]), 0.7, grid)
         with pytest.raises(FloatingPointError, match="step 2"):
-            euler_solve(coeffs, 0.0, zero_driver(grid, 1), cfg)
+            euler_paths(overflowing_coefficients(), 0.0, zero_increments(grid, 1), [1.0], grid.dt)
 
     def test_overflow_outside_two_faces_names_step(self):
         # the overflowing state lies outside both faces of x >= -1e200; the
         # projection leaves it to the solver's finiteness check
-        coeffs = ModelCoefficients(
-            drift_matrix=1e160 * np.eye(1),
-            xi_drift=np.zeros(1),
-            drift_const=np.zeros(1),
-            weights=np.zeros((1, 1)),
-            xi_weights=np.zeros(1),
-            offsets=np.zeros(1),
-            directions=np.eye(1),
-        )
         grid = TimeGrid(1.0, 8)
-        cfg = SolveConfig(np.array([-1.0]), 0.7, grid)
         faces = Polyhedron([HalfSpace([-1e200], [-1.0]), HalfSpace([-1e200], [-2.0])])
         with pytest.raises(FloatingPointError, match="step 2"):
-            euler_solve(coeffs, 0.0, zero_driver(grid, 1), cfg, project_onto=faces)
+            euler_paths(
+                overflowing_coefficients(), 0.0, zero_increments(grid, 1), [-1.0], grid.dt,
+                project_onto=faces,
+            )
 
-    def test_grid_mismatch_rejected(self):
-        cfg = SolveConfig(np.array([1.0, 0.0]), 0.7, TimeGrid(1.0, 8))
-        with pytest.raises(ValueError, match="grid mismatch"):
-            euler_solve(zero_coefficients(), 0.1, zero_driver(TimeGrid(1.0, 16)), cfg)
+    def test_dimension_mismatch_rejected(self):
+        # one initial entry is not broadcast over two driver components
+        grid = TimeGrid(1.0, 8)
+        with pytest.raises(ValueError, match="2 components"):
+            euler_paths(zero_coefficients(), 0.1, zero_increments(grid), np.array([1.0]), grid.dt)
 
     def test_driver_continuity_probe(self):
         # a uniform driver perturbation moves the solution by at most C * delta
         sc = section4_scenario(steps=256)
         grid = sc.grid
-        cfg = SolveConfig(sc.initial_state, 0.7, grid)
-        driver = wood_chan_sample(grid, FbmConfig(0.7, 2, 8), RandomSource(8))
-        base = euler_solve(sc.coefficients, 0.8, driver, cfg)
+        db = driver_increments(grid, 8)
+        base = euler_paths(sc.coefficients, 0.8, db, sc.initial_state, grid.dt)
         delta = 1e-4
-        bumped_values = driver.values.copy()
-        bumped_values[1:] += delta
-        bumped = euler_solve(sc.coefficients, 0.8, SamplePath(grid, bumped_values), cfg)
-        response = np.max(np.abs(bumped.values - base.values))
+        bumped_db = db.copy()
+        bumped_db[:, 0] += delta  # the driver's values after t_0 all move by delta
+        bumped = euler_paths(sc.coefficients, 0.8, bumped_db, sc.initial_state, grid.dt)
+        response = np.max(np.abs(bumped - base))
         assert response <= 50 * delta
 
     def test_projection_keeps_feasibility(self):
@@ -168,26 +165,24 @@ class TestEulerSolve:
         xi = float(xi_draws(sc.xi, sc.seed, 0, 1)[0])
         poly = shifted_polyhedron(sc.market.projections, sc.market.anchor_indices, xi)
         grid = sc.grid
-        cfg = SolveConfig(sc.initial_state, 0.7, grid)
-        driver = wood_chan_sample(grid, FbmConfig(0.7, 2, 2), RandomSource(2))
-        out = euler_solve(sc.coefficients, xi, driver, cfg, project_onto=poly)
-        assert path_viability_margin(out, poly) >= -1e-9
+        db = driver_increments(grid, 2)
+        out = euler_paths(sc.coefficients, xi, db, sc.initial_state, grid.dt, project_onto=poly)
+        assert path_viability_margin(out[0], poly) >= -1e-9
 
     def test_batched_matches_single(self):
         sc = section4_scenario(steps=32)
         grid = sc.grid
-        driver = wood_chan_sample(grid, FbmConfig(0.7, 2, 4), RandomSource(4))
-        cfg = SolveConfig(sc.initial_state, 0.7, grid)
-        single = euler_solve(sc.coefficients, 0.6, driver, cfg)
+        db = driver_increments(grid, 4)
+        single = euler_paths(sc.coefficients, 0.6, db, sc.initial_state, grid.dt)
         batch = euler_paths(
             sc.coefficients,
             np.array([0.6, 0.6]),
-            np.stack([driver.increments()] * 2),
+            np.concatenate([db] * 2),
             sc.initial_state,
             grid.dt,
         )
-        assert np.array_equal(batch[0], single.values)
-        assert np.array_equal(batch[1], single.values)
+        assert np.array_equal(batch[0], single[0])
+        assert np.array_equal(batch[1], single[0])
 
 
 class TestEulerStepper:
@@ -250,8 +245,8 @@ class TestProjectPolyhedron:
 class TestConvergenceProbe:
     def test_linear_problem_halves(self):
         coeffs = linear_drift_coefficients()
-        cfg = SolveConfig(np.array([1.0, 0.0]), 0.7, TimeGrid(1.0, 256))
-        results = convergence_probe(coeffs, 0.0, cfg, seed=1, levels=4)
+        grid = TimeGrid(1.0, 256)
+        results = convergence_probe(coeffs, 0.0, [1.0, 0.0], 0.7, grid, seed=1, levels=4)
         diffs = [d for _, d in results]
         assert diffs[0] / diffs[1] == pytest.approx(2.0, abs=0.4)
         assert diffs[1] / diffs[2] == pytest.approx(2.0, abs=0.4)
@@ -259,18 +254,22 @@ class TestConvergenceProbe:
     def test_constant_diffusion_exact(self):
         # telescopes exactly; only float reassociation across levels remains
         coeffs = constant_diffusion_coefficients(np.array([[0.3, 0.0], [0.0, 0.2]]))
-        cfg = SolveConfig(np.array([1.0, 1.0]), 0.7, TimeGrid(1.0, 128))
-        results = convergence_probe(coeffs, 0.0, cfg, seed=2, levels=3)
+        grid = TimeGrid(1.0, 128)
+        results = convergence_probe(coeffs, 0.0, [1.0, 1.0], 0.7, grid, seed=2, levels=3)
         assert all(d <= 1e-13 for _, d in results)
 
     def test_reference_preset_decreasing(self):
         sc = section4_scenario(steps=512)
-        cfg = SolveConfig(sc.initial_state, 0.7, sc.grid)
-        results = convergence_probe(sc.coefficients, 0.8, cfg, seed=3, levels=4)
+        results = convergence_probe(
+            sc.coefficients, 0.8, sc.initial_state, 0.7, sc.grid, seed=3, levels=4
+        )
         diffs = [d for _, d in results]
         assert all(a > b for a, b in zip(diffs, diffs[1:]))
 
     def test_divisibility_required(self):
-        cfg = SolveConfig(np.array([1.0]), 0.7, TimeGrid(1.0, 12))
         with pytest.raises(ValueError, match="divisible"):
-            convergence_probe(zero_coefficients(1), 0.0, cfg, seed=0, levels=4)
+            convergence_probe(zero_coefficients(1), 0.0, [1.0], 0.7, TimeGrid(1.0, 12), 0)
+
+    def test_nonfinite_initial_rejected(self):
+        with pytest.raises(ValueError, match="initial state must be finite"):
+            convergence_probe(zero_coefficients(), 0.0, [1.0, np.nan], 0.7, TimeGrid(1.0, 8), 0)

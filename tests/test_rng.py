@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fracvol.rng as rng
-from fracvol import NormalStream, RandomSource, stream_key
+from fracvol import NormalStream, stream_key
 from fracvol.coefficients import XI_STREAM
 from fracvol.rng import batch_uniforms, stream_keys
 
@@ -26,13 +26,14 @@ def test_normals_match_inverse_cdf_of_same_stream():
 
 
 def test_streams_reproducible_and_distinct():
-    src = RandomSource(11)
-    a = src.stream(0).normals(32)
-    b = src.stream(0).normals(32)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, src.stream(1).normals(32))
-    assert not np.array_equal(a, src.for_path(1).stream(0).normals(32))
-    assert not np.array_equal(a, RandomSource(12).stream(0).normals(32))
+    def normals(seed, path, component):
+        return NormalStream(stream_key(seed, path, component)).normals(32)
+
+    a = normals(11, 0, 0)
+    assert np.array_equal(a, normals(11, 0, 0))
+    assert not np.array_equal(a, normals(11, 0, 1))
+    assert not np.array_equal(a, normals(11, 1, 0))
+    assert not np.array_equal(a, normals(12, 0, 0))
 
 
 def test_keys_distinct_across_indices():
@@ -43,7 +44,7 @@ def test_keys_distinct_across_indices():
 
 
 def test_normal_moments_sane():
-    z = RandomSource(3).stream(0).normals(200_000)
+    z = NormalStream(stream_key(3, 0, 0)).normals(200_000)
     assert abs(z.mean()) < 0.01
     assert abs(z.std() - 1.0) < 0.01
 

@@ -8,8 +8,6 @@ from scipy.optimize import nnls
 from fracvol import (
     HalfSpace,
     Polyhedron,
-    SamplePath,
-    TimeGrid,
     chebyshev_center,
     check_viability_conditions,
     contains,
@@ -109,17 +107,14 @@ class TestSlackAndCones:
         assert slack(poly, mid) >= min(slack(poly, x), slack(poly, y)) - 1e-9
 
     def test_path_margin(self):
-        grid = TimeGrid(1.0, 3)
         poly = reference_set(0.5)
-        inside = SamplePath(grid, np.tile([2.0, 1.0], (4, 1)))
+        inside = np.tile([2.0, 1.0], (4, 1))
         assert path_viability_margin(inside, poly) == pytest.approx(
             slack(poly, [2.0, 1.0])
         )
         values = np.tile([2.0, 1.0], (4, 1))
         values[2] = [0.25, 0.0]  # one excursion
-        assert path_viability_margin(SamplePath(grid, values), poly) == pytest.approx(
-            -0.25
-        )
+        assert path_viability_margin(values, poly) == pytest.approx(-0.25)
 
 
 class TestProjection:
@@ -479,3 +474,29 @@ class TestArrayScoring:
         assert face.worst_violation == np.inf
         assert face.worst_kind.startswith("drift")
         assert face.worst_point.tolist() == [1.0, 12.0]
+
+    @pytest.mark.parametrize("mode", ["cone", "hyperplane"])
+    @pytest.mark.parametrize("field", ["drift", "diffusion column 0"])
+    def test_non_finite_fields_fail(self, field, mode):
+        # at the vertex (13, -12) of face 0 the drift, or diffusion column 0,
+        # overflows to (inf, inf), which scores -inf against the face's normal
+        # in cone mode: a field that cannot be evaluated at a vertex fails the
+        # face however its score points
+        z = np.zeros(2)
+        if field == "drift":
+            coeffs = ModelCoefficients(
+                np.diag([1e308, -1e308]), z, z, np.zeros((2, 2)), z, z, np.eye(2)
+            )
+        else:
+            weights = np.array([[1e308, -1e308], [0.0, 0.0]])
+            coeffs = ModelCoefficients(
+                np.zeros((2, 2)), z, z, weights, z, z, np.array([[1.0, 1.0], [0.0, 1.0]])
+            )
+        sc = section4_scenario(steps=8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = check_viability_conditions(coeffs, sc.polyhedron(1.0), 1.0, mode=mode)
+        face = report.faces[0]
+        assert face.status == "fail"
+        assert face.worst_violation == np.inf
+        assert face.worst_kind.startswith(field)
+        assert face.worst_point.tolist() == [13.0, -12.0]

@@ -11,15 +11,12 @@ from scipy.integrate import quad
 
 from fracvol import (
     FbmConfig,
-    RandomSource,
-    SamplePath,
     TimeGrid,
     build_kernel_matrix,
-    du_transform,
     fbm_cov,
     hyp2f1,
     kernel_K,
-    wood_chan_sample,
+    sample_paths,
 )
 from fracvol import volterra
 from fracvol.pricing import w_increments
@@ -333,53 +330,46 @@ def _one_pass_kernel(horizon: float, steps: int, hurst: float) -> np.ndarray:
 
 
 class TestDuTransform:
+    """`transform_increments` on the increments of one path (steps + 1, d)."""
+
     def test_identity_at_half(self):
         grid = TimeGrid(1.0, 64)
-        w = cholesky_like_brownian(grid, seed=4)
+        w = brownian_path(grid, seed=4)
         km = build_kernel_matrix(grid, 0.5)
-        b = du_transform(w, km)
-        assert np.max(np.abs(b.values - w.values)) <= 1e-12
+        b = transform_path(w, km)
+        assert np.max(np.abs(b - w)) <= 1e-12
 
     def test_zero_in_zero_out(self):
         grid = TimeGrid(1.0, 16)
         km = build_kernel_matrix(grid, 0.7)
-        w = SamplePath(grid, np.zeros((17, 2)))
-        assert np.array_equal(du_transform(w, km).values, np.zeros((17, 2)))
+        assert np.array_equal(transform_increments(np.zeros((16, 2)), km), np.zeros((17, 2)))
 
     def test_linearity(self):
         grid = TimeGrid(1.0, 32)
         km = build_kernel_matrix(grid, 0.7)
-        w1 = cholesky_like_brownian(grid, seed=41)
-        w2 = cholesky_like_brownian(grid, seed=42)
-        combo = SamplePath(grid, 2.5 * w1.values + w2.values)
-        lhs = du_transform(combo, km).values
-        rhs = 2.5 * du_transform(w1, km).values + du_transform(w2, km).values
+        w1 = brownian_path(grid, seed=41)
+        w2 = brownian_path(grid, seed=42)
+        lhs = transform_path(2.5 * w1 + w2, km)
+        rhs = 2.5 * transform_path(w1, km) + transform_path(w2, km)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_causality(self):
         grid = TimeGrid(1.0, 16)
         km = build_kernel_matrix(grid, 0.7)
-        w = cholesky_like_brownian(grid, seed=43)
+        w = brownian_path(grid, seed=43)
         cut = 9
-        bumped = w.values.copy()
+        bumped = w.copy()
         bumped[cut + 1 :] += 3.0
-        b0 = du_transform(w, km).values
-        b1 = du_transform(SamplePath(grid, bumped), km).values
+        b0 = transform_path(w, km)
+        b1 = transform_path(bumped, km)
         assert np.array_equal(b0[: cut + 1], b1[: cut + 1])
         assert not np.array_equal(b0[cut + 1 :], b1[cut + 1 :])
 
     def test_grid_mismatch_rejected(self):
         km = build_kernel_matrix(TimeGrid(1.0, 8), 0.7)
-        w = cholesky_like_brownian(TimeGrid(1.0, 16), seed=1)
-        with pytest.raises(ValueError, match="grid mismatch"):
-            du_transform(w, km)
-
-    def test_nonzero_start_rejected(self):
-        grid = TimeGrid(1.0, 8)
-        km = build_kernel_matrix(grid, 0.7)
-        values = np.ones((9, 1))
-        with pytest.raises(ValueError, match="start at 0"):
-            du_transform(SamplePath(grid, values), km)
+        w = brownian_path(TimeGrid(1.0, 16), seed=1)
+        with pytest.raises(ValueError):
+            transform_path(w, km)
 
     def test_covariance_fidelity(self):
         h, steps, n_paths = 0.7, 16, 20_000
@@ -411,8 +401,14 @@ class _FakeScenario:
         self.dims = dims
 
 
-def cholesky_like_brownian(grid: TimeGrid, seed: int) -> SamplePath:
-    return wood_chan_sample(grid, FbmConfig(0.5, 1, seed), RandomSource(seed))
+def brownian_path(grid: TimeGrid, seed: int) -> np.ndarray:
+    """One H = 1/2 Wood–Chan path, shape (steps + 1, 1)."""
+    return sample_paths(grid, FbmConfig(0.5, 1, seed), 1)[0]
+
+
+def transform_path(w: np.ndarray, km) -> np.ndarray:
+    """The transform (steps + 1, d) of one path (steps + 1, d) that starts at 0."""
+    return transform_increments(np.diff(w, axis=0), km)
 
 
 def _assert_covariance_close(b, grid, h):
