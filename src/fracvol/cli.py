@@ -1,7 +1,8 @@
 """Batch command-line front end: scenario files in, CSV/JSON results out.
 
-Exit codes: 0 success, 1 check failure, 2 usage or domain error, 3 runtime
-breach.  Every command is deterministic given its full argument vector
+Exit codes: 0 success, 1 check failure, 2 usage or domain error (including a
+state that became non-finite and a kernel series that did not converge), 3
+runtime breach.  Every command is deterministic given its full argument vector
 (including seeds); CSV and JSON outputs are byte-stable across runs.
 """
 
@@ -37,6 +38,7 @@ from .scenario import (
     section4_scenario,
 )
 from .viability import check_viability_conditions
+from .volterra import HypergeometricError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -328,7 +330,8 @@ def main(argv=None) -> int:
     except BreachRateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BREACH
-    except (ScenarioError, ValueError, FileNotFoundError) as exc:
+    except (ScenarioError, ValueError, FileNotFoundError, FloatingPointError,
+            HypergeometricError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -17,6 +17,15 @@ off the volatility, and evolve prices by their exact exponential solution.
 Path draws are keyed by (seed, path index, component), so the two estimators
 consume identical uniforms for the same seed: with equal drifts and rate they
 coincide path for path, and in general they are common-random-number coupled.
+
+A batch is drawn once and kept, with each estimator's outputs, in a one-batch
+slot (`_batch_slot`).  When the batch the slot held last was priced under both
+measures with one projection setting, the next batch's first estimator call
+with that setting steps both measures through one time loop: the physical rows
+over the risk-neutral rows, one Euler update, projection and finiteness check
+per step for both.  Each row's bits are those of its measure's own loop, and a
+paired loop that fails stores nothing and reruns the requested measure alone,
+so what a call returns or raises does not depend on the pairing.
 """
 
 from __future__ import annotations
@@ -173,9 +182,11 @@ def w_increments(scenario: Scenario, seed: int, start: int, count: int) -> np.nd
     return out
 
 
-# (scenario, seed, start, count, xi, dW, outputs) of the last batch drawn, or
-# None.  `outputs` maps (batch function, project) to that function's read-only
-# (terminal, weight, breached) of the batch; it goes with the draws it used.
+# (scenario, seed, start, count, xi, dW, outputs, asked, pair) of the last
+# batch drawn, or None.  `outputs` maps (batch function, project) to that
+# function's read-only (terminal, weight, breached) of the batch; it goes with
+# the draws it used.  `asked` holds the keys priced on the batch so far, and
+# `pair` the `project` settings under which it is yet to be paired.
 _last_draws = None
 
 
@@ -188,16 +199,30 @@ def _batch_slot(scenario: Scenario, seed: int, start: int, count: int):
     It is keyed on the scenario instance, whose arrays are read-only.  The slot
     is read once and replaced whole, so concurrent callers at worst draw or
     compute a batch twice.
+
+    A new batch is paired under a `project` setting when the batch it replaces
+    was priced under both measures with that setting: its first estimator call
+    with that setting then steps both measures' paths through one loop
+    (`_paired_batch`) and stores both outputs, so the other estimator's call
+    finds its outputs here.  Traffic that prices one measure per batch (one
+    estimator, `physical_terminal_sample`, or both estimators over more than
+    one batch, which see the slot hold one measure at a time) never pairs and
+    does the same work as before.
     """
     global _last_draws
     last = _last_draws
     if last is not None and last[0] is scenario and last[1:4] == (seed, start, count):
         return last
     _last_draws = None
+    pair = set() if last is None else {
+        project
+        for batch_fn, project in last[7]
+        if batch_fn is _physical_batch and (_riskneutral_batch, project) in last[7]
+    }
     xi = xi_draws(scenario.xi, seed, start, count)
     dw = w_increments(scenario, seed, start, count)
     xi.flags.writeable = dw.flags.writeable = False
-    last = _last_draws = (scenario, seed, start, count, xi, dw, {})
+    last = _last_draws = (scenario, seed, start, count, xi, dw, {}, set(), pair)
     return last
 
 
@@ -206,18 +231,34 @@ def _batch_draws(scenario: Scenario, seed: int, start: int, count: int):
     return _batch_slot(scenario, seed, start, count)[4:6]
 
 
+def _read_only(result):
+    for array in result:
+        array.flags.writeable = False
+    return result
+
+
 def _batch_outputs(batch_fn, scenario, km, seed: int, start: int, count: int, project: bool):
     """Read-only `batch_fn` outputs of paths [start, start + count), computed
     once per batch: another payoff priced by the same estimator on the same
     (scenario, seed, batch) reuses them from the draw slot.  A batch that
-    raises stores nothing."""
-    outputs = _batch_slot(scenario, seed, start, count)[6]
+    raises stores nothing.  On a paired batch the first call stores both
+    estimators' outputs; if the paired loop raises, whichever measure's paths
+    failed first, the requested measure reruns alone and raises as a lone call.
+    """
+    _, _, _, _, _, _, outputs, asked, pair = _batch_slot(scenario, seed, start, count)
     key = (batch_fn, project)
+    asked.add(key)
+    if key not in outputs and project in pair:
+        pair.discard(project)
+        try:
+            physical, riskneutral = _paired_batch(scenario, km, seed, start, count, project)
+        except (FloatingPointError, ValueError):
+            pass
+        else:
+            outputs[_physical_batch, project] = _read_only(physical)
+            outputs[_riskneutral_batch, project] = _read_only(riskneutral)
     if key not in outputs:
-        result = batch_fn(scenario, km, seed, start, count, project)
-        for array in result:
-            array.flags.writeable = False
-        outputs[key] = result
+        outputs[key] = _read_only(batch_fn(scenario, km, seed, start, count, project))
     return outputs[key]
 
 
@@ -258,9 +299,14 @@ def _physical_batch(
     scenario: Scenario, km: KernelMatrix, seed: int, start: int, count: int, project: bool
 ):
     """Terminal prices, terminal martingale weights, and breach mask for a batch."""
+    xi, dw, _, states = _physical_paths(scenario, km, seed, start, count, project)
+    return _weighted_terminal(scenario, xi, dw, states)
+
+
+def _weighted_terminal(scenario: Scenario, xi, dw, states):
+    """`_physical_batch` outputs of physical-measure states (count, n + 1, d)."""
     dt = scenario.grid.dt
     params = scenario.market
-    xi, dw, _, states = _physical_paths(scenario, km, seed, start, count, project)
     v_left = volatility(states, params)[:, :-1, :]
     breached, v_safe = floor_breach(v_left, xi)
     log_incr = log_price_increments(v_left, dw, params.drifts, dt)
@@ -279,22 +325,48 @@ def _riskneutral_batch(
     recovered causally (left-point market price of risk) and feed the kernel
     reconstruction of the driver one row at a time.
     """
+    return _feedback_loop(scenario, km, seed, start, count, project, paired=False)[1]
+
+
+def _paired_batch(
+    scenario: Scenario, km: KernelMatrix, seed: int, start: int, count: int, project: bool
+):
+    """(`_physical_batch`, `_riskneutral_batch`) outputs of a batch, bit for bit,
+    from one time loop over both measures' paths."""
+    return _feedback_loop(scenario, km, seed, start, count, project, paired=True)
+
+
+def _feedback_loop(scenario, km, seed, start, count, project, paired):
+    """(physical outputs or None, risk-neutral outputs) of a batch.
+
+    When `paired`, the state stacks the physical rows, driven by the kernel
+    transform as in `_physical_paths`, over the risk-neutral rows, driven by
+    the feedback; every operation acts row by row, so each row keeps the bits
+    of its measure's lone loop.
+    """
     grid = scenario.grid
     n, d = grid.steps, scenario.dims
     dt = grid.dt
     params = scenario.market
     xi, dw_star = _batch_draws(scenario, seed, start, count)
+    xi_rows = np.concatenate([xi, xi]) if paired else xi
+    rows = xi_rows.size
+    rn = slice(rows - count, rows)  # the risk-neutral rows
+    if paired:
+        db_physical = np.diff(transform_increments(dw_star, km), axis=1)
+        states = np.empty((count, n + 1, d))
     dw = np.empty((n, count * d))  # row i: physical increments of step i, all paths
-    constraint = _constraint_data(scenario, xi) if project else None
+    constraint = _constraint_data(scenario, xi_rows) if project else None
 
-    step = euler_stepper(scenario.coefficients, xi, dt, constraint)
-    x = np.broadcast_to(scenario.initial_state, (count, d)).copy()
+    step = euler_stepper(scenario.coefficients, xi_rows, dt, constraint)
+    x = np.broadcast_to(scenario.initial_state, (rows, d)).copy()
+    db = np.empty((rows, d))  # one step's driver increments, all rows
     b_prev = np.zeros((count, d))
     s_log = np.zeros((count, d))
     breached = np.zeros(count, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n):
-            low, v_safe = floor_breach(volatility(x, params), xi)
+            low, v_safe = floor_breach(volatility(x[rn], params), xi)
             breached |= low
             frozen = breached.any()  # breached paths are frozen, and discarded later
             th_i = theta(v_safe, params)
@@ -303,16 +375,24 @@ def _riskneutral_batch(
             dw_i = np.multiply(th_i, dt, out=dw[i].reshape(count, d))
             dw_i += dw_star[:, i]
             b_next = np.dot(km.entries[i, None, : i + 1], dw[: i + 1]).reshape(count, d)
-            db_step = b_next - b_prev
+            db_step = np.subtract(b_next, b_prev, out=db[rn])
             if frozen:
                 db_step[breached] = 0.0
-            x = step(x, db_step)
+            if paired:
+                states[:, i] = x[:count]
+                db[:count] = db_physical[:, i]
+            x = step(x, db)
             check_finite(x, i + 1)
             b_prev = b_next
             s_log += log_price_increments(v_safe, dw_star[:, i], params.rate, dt)
     with np.errstate(over="ignore"):  # breached paths may overflow; discarded later
         terminal = asset_prices(s_log, params)
-    return terminal, np.ones(count), breached
+    riskneutral = terminal, np.ones(count), breached
+    if not paired:
+        return None, riskneutral
+    del dw, db_physical  # before the weight computation's temporaries
+    states[:, n] = x[:count]
+    return _weighted_terminal(scenario, xi, dw_star, states), riskneutral
 
 
 def _run_batches(scenario, mc, batch_fn):
@@ -385,8 +465,15 @@ def price_riskneutral(payoff, scenario: Scenario, mc: MCConfig) -> MCResult:
 
 
 def agreement_zscore(a: MCResult, b: MCResult) -> float:
-    """z-score of the difference of two estimates with independent-error bars."""
-    return (a.estimate - b.estimate) / math.hypot(a.stderr, b.stderr)
+    """z-score of the difference of two estimates with independent-error bars.
+
+    With both error bars 0 it is 0.0 for equal estimates and +-inf otherwise.
+    """
+    diff = a.estimate - b.estimate
+    scale = math.hypot(a.stderr, b.stderr)
+    if scale == 0.0:
+        return 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
+    return diff / scale
 
 
 def physical_terminal_sample(scenario: Scenario, mc: MCConfig):

@@ -19,7 +19,7 @@ import numpy as np
 from .coefficients import ModelCoefficients
 from .fbm import FbmConfig, sample_paths
 from .grids import TimeGrid
-from .viability import Polyhedron, project_into
+from .viability import Polyhedron, face_terms, project_into
 
 
 def require_young(hurst: float) -> None:
@@ -34,8 +34,11 @@ def euler_stepper(coeffs: ModelCoefficients, xi, dt: float, project_onto=None):
     """The Euler update `step(x, db)` of states x (paths, d) by driver increments
     db (paths, d), then the projection onto `project_onto`, a (normals, offsets)
     pair, if given.  What does not change between steps is computed here, once
-    per batch; a step returns a fresh array and leaves its arguments unchanged."""
-    drift_t, weights_t = coeffs.drift_matrix.T, coeffs.weights.T
+    per batch, the matrix products' right operands as contiguous copies (see
+    `face_terms`); a step returns a fresh array and leaves its arguments
+    unchanged."""
+    drift_t = np.ascontiguousarray(coeffs.drift_matrix.T)
+    weights_t = np.ascontiguousarray(coeffs.weights.T)
     drift_shift = np.multiply.outer(xi, coeffs.xi_drift)
     factor_shift = np.multiply.outer(xi, coeffs.xi_weights)
 
@@ -56,8 +59,8 @@ def euler_stepper(coeffs: ModelCoefficients, xi, dt: float, project_onto=None):
     if project_onto is None:
         return advance
     normals, offsets = project_onto
-    sq_norms = np.einsum("kd,kd->k", normals, normals)
-    return lambda x, db: project_into(advance(x, db), normals, offsets, sq_norms)
+    faces = face_terms(normals)
+    return lambda x, db: project_into(advance(x, db), normals, offsets, faces)
 
 
 def check_finite(x: np.ndarray, step: int) -> None:

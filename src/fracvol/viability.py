@@ -146,8 +146,15 @@ def path_viability_margin(path, poly: Polyhedron) -> float:
     return float(np.min(slack(poly, path)))
 
 
+def face_terms(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(normals.T as a contiguous copy, squared norms) of the faces, the terms
+    `project_into` reuses on every call; numpy multiplies by the transposed
+    view itself 1.5-3x slower, with the same bits."""
+    return np.ascontiguousarray(normals.T), np.einsum("kd,kd->k", normals, normals)
+
+
 def project_into(
-    x: np.ndarray, normals: np.ndarray, offsets: np.ndarray, sq_norms: np.ndarray | None = None
+    x: np.ndarray, normals: np.ndarray, offsets: np.ndarray, faces: tuple | None = None
 ) -> np.ndarray:
     """Euclidean projection of points onto {y : normals @ y <= offsets}, exactly.
 
@@ -159,18 +166,19 @@ def project_into(
     returned unchanged; a point keeps the rounding excess (about one ulp) of
     the face it was moved onto.  Raises ValueError when no active set satisfies
     the KKT conditions, which means the set is empty.  A caller that projects
-    onto the same faces many times may pass their squared norms `sq_norms`.
+    onto the same faces many times may pass their `face_terms` once computed.
     """
     x = np.asarray(x, dtype=float)
-    excess = x @ normals.T
+    normals_t, sq_norms = face_terms(normals) if faces is None else faces
+    excess = x @ normals_t
     excess -= offsets
     np.maximum(excess, 0.0, out=excess)
     if not excess.any():
         return x
     touched = excess > 0.0
-    excess /= np.einsum("kd,kd->k", normals, normals) if sq_norms is None else sq_norms
+    excess /= sq_norms
     y = x - excess @ normals
-    touched |= y @ normals.T > offsets
+    touched |= y @ normals_t > offsets
     # Count touched faces by a uint8 matmul, about half the time of a bool sum
     # over the short face axis; the count cannot wrap with under 256 faces.
     m = normals.shape[0]

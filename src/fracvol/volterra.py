@@ -323,8 +323,15 @@ def transform_increments(dw: np.ndarray, kernel: KernelMatrix) -> np.ndarray:
 
     Componentwise, B(t_i) = sum_{j<=i} kernel[i-1, j-1] dW_j, with B(0) = 0.  For
     hurst = 1/2 every stored entry is 1 and the sum telescopes back to W.
+    Raises ValueError unless the increments have the kernel's steps.
     """
     dw = np.asarray(dw, dtype=float)
+    steps = dw.shape[-2] if dw.ndim >= 2 else None
+    if steps != kernel.grid.steps:
+        raise ValueError(
+            f"grid mismatch: increments on {steps} steps (shape {dw.shape}), "
+            f"kernel on {kernel.grid.steps} steps"
+        )
     body = np.matmul(kernel.entries, dw)
     head = np.zeros(body.shape[:-2] + (1, body.shape[-1]))
     return np.concatenate([head, body], axis=-2)

@@ -5,6 +5,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fracvol.pricing as pricing
 import fracvol.rde as rde
@@ -13,6 +14,7 @@ from fracvol import (
     BreachRateError,
     Call,
     MCConfig,
+    MCResult,
     ModelCoefficients,
     Put,
     agreement_zscore,
@@ -116,6 +118,15 @@ class TestEstimatorCoupling:
         a = price_physical_weighted(Call(0, 1.0), sc, mc)
         b = price_riskneutral(Call(0, 1.0), sc, mc)
         assert abs(agreement_zscore(a, b)) <= 3
+
+    @pytest.mark.parametrize(
+        "a, b, z",
+        [(0.25, 0.25, 0.0), (0.0, 0.0, 0.0), (0.5, 0.25, math.inf), (0.25, 0.5, -math.inf)],
+    )
+    def test_zscore_without_error_bars(self, a, b, z):
+        first = MCResult(a, 0.0, 64, 1)
+        second = MCResult(b, 0.0, 64, 1)
+        assert agreement_zscore(first, second) == z
 
     def test_strike_ladder_monotone_with_common_draws(self):
         sc = constant_vol_scenario(vol=(0.5, 0.2), drifts=(0.1, 0.02))
@@ -483,6 +494,142 @@ class TestBatchOutputMemo:
         assert price_riskneutral(Call(0, 1.0), sc, mc) == a
         assert price_riskneutral(Put(1, 1.1), sc, mc) == b
         assert runs.count("euler_stepper") == 3
+
+
+class TestPairedBatch:
+    """A batch priced under both measures steps the next batch's two measures
+    through one loop; what each estimator returns or raises is unchanged."""
+
+    PRESETS = {
+        "worked": section4_scenario(steps=32, seed=5),
+        "constant": constant_vol_scenario(),
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        preset=st.sampled_from(sorted(PRESETS)),
+        project=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        start=st.integers(0, 10**6),
+        count=st.integers(1, 700),
+    )
+    def test_paired_equals_lone(self, preset, project, seed, start, count):
+        # the unprojected worked example breaches the floor, so frozen paths
+        # are covered too
+        sc = self.PRESETS[preset]
+        km = pricing._kernel_matrix(sc)
+        args = (sc, km, seed, start, count, project)
+        lone = (pricing._physical_batch(*args), pricing._riskneutral_batch(*args))
+        paired = pricing._paired_batch(*args)
+        for lone_out, paired_out in zip(lone, paired):
+            for a, b in zip(lone_out, paired_out):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """Names of the per-batch loops run so far, starting from an empty slot."""
+        monkeypatch.setattr(pricing, "_last_draws", None)
+        calls = []
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                try:
+                    return real(*args, **kwargs)
+                except Exception:
+                    calls.append(f"{name} raised")
+                    raise
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in [
+            (pricing, "euler_stepper"),
+            (rde, "euler_stepper"),
+            (pricing, "_paired_batch"),
+        ]:
+            counting(module, name)
+        return calls
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_next_batch_pairs(self, runs, order):
+        sc = section4_scenario(steps=16, seed=5)
+        pricers = (price_physical_weighted, price_riskneutral)[::order]
+        for pricer in pricers:
+            pricer(Call(0, 1.0), sc, MCConfig(paths=64, seed=3))
+        assert runs == ["euler_stepper"] * 2
+        del runs[:]
+        mc = MCConfig(paths=64, seed=4)
+        paired = [pricer(Put(1, 1.1), sc, mc) for pricer in pricers]
+        assert runs == ["_paired_batch", "euler_stepper"]  # the second call hits
+        assert pricing._last_draws[6].keys() == {
+            (pricing._physical_batch, True), (pricing._riskneutral_batch, True)
+        }
+        pricing._last_draws = None
+        assert [pricer(Put(1, 1.1), sc, mc) for pricer in pricers] == paired
+        assert "_paired_batch" not in runs[2:]
+
+    def test_lone_patterns_never_pair(self, runs):
+        sc = constant_vol_scenario()
+        mc = MCConfig(paths=64, seed=3)
+        for seed in (3, 4, 5):  # one estimator
+            price_physical_weighted(Call(0, 1.0), sc, dataclasses.replace(mc, seed=seed))
+        for seed in (6, 7):
+            physical_terminal_sample(sc, dataclasses.replace(mc, seed=seed))
+        for seed in (8, 9, 10):  # both estimators over two batches each
+            config = dataclasses.replace(mc, seed=seed, batch_size=32)
+            price_physical_weighted(Call(0, 1.0), sc, config)
+            price_riskneutral(Call(0, 1.0), sc, config)
+        assert "_paired_batch" not in runs
+        assert runs.count("euler_stepper") == 3 + 2 + 3 * 4
+        # both estimators under one projection setting pair no batch under the other
+        price_physical_weighted(Call(0, 1.0), sc, dataclasses.replace(mc, seed=11))
+        price_riskneutral(Call(0, 1.0), sc, dataclasses.replace(mc, seed=11))
+        price_riskneutral(
+            Call(0, 1.0), sc, dataclasses.replace(mc, seed=12, project=False)
+        )
+        assert "_paired_batch" not in runs
+
+    @staticmethod
+    def _riskneutral_overflow():
+        # a drift of -1e200 makes the market price of risk about 1e200, so the
+        # risk-neutral states overflow at step 2 while the physical ones stay finite
+        base = section4_scenario(steps=16, seed=5)
+        market = dataclasses.replace(base.market, drifts=np.array([-1e200, 0.05]))
+        return base, dataclasses.replace(base, market=market)
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_failed_paired_batch_stores_nothing(self, runs, order):
+        good, bad = self._riskneutral_overflow()
+        mc = MCConfig(paths=64, seed=3, check_conditions=False)
+        pricers = (price_physical_weighted, price_riskneutral)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            pricing._last_draws = None
+            lone = price_physical_weighted(Call(0, 1.0), bad, mc)
+            pricing._last_draws = None
+            with pytest.raises(FloatingPointError) as lone_error:
+                price_riskneutral(Call(0, 1.0), bad, mc)
+            assert str(lone_error.value) == (
+                "state became non-finite at step 2 (path 0 of the batch)"
+            )
+            for pricer in pricers:
+                pricer(Call(0, 1.0), good, mc)
+            del runs[:]
+            for pricer in pricers[::order]:
+                if pricer is price_riskneutral:
+                    with pytest.raises(FloatingPointError) as error:
+                        pricer(Call(0, 1.0), bad, mc)
+                    assert str(error.value) == str(lone_error.value)
+                else:
+                    assert pricer(Call(0, 1.0), bad, mc) == lone
+        # the paired loop raised once, and each measure then ran alone
+        assert runs[:3] == ["_paired_batch", "euler_stepper", "_paired_batch raised"]
+        assert runs.count("_paired_batch") == 1
+        assert runs.count("euler_stepper") == 1 + 2
+        assert pricing._last_draws[6].keys() == {(pricing._physical_batch, True)}
 
 
 class TestKeyedDraws:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fracvol import ConstantXi, SingularXi
+from fracvol import cli
 from fracvol.cli import _write_csv, main
 from fracvol.scenario import (
     ScenarioError,
@@ -16,6 +17,7 @@ from fracvol.scenario import (
     scenario_to_dict,
     section4_scenario,
 )
+from fracvol.volterra import HypergeometricError
 
 
 def write_scenario(tmp_path, scenario, name="scenario.json"):
@@ -227,6 +229,13 @@ class TestSimulateCommand:
         assert report["projected"] is True
         assert all(m >= -1e-9 for m in report["worst_margin"])
 
+    def test_non_finite_state_is_domain_error(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, overflowing_scenario())
+        assert main(["simulate", path, "--out", str(tmp_path / "sim")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: state became non-finite at step 6")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_nonpositive_path_count_rejected(self, tmp_path, capsys, count):
         path = write_scenario(tmp_path, constant_vol_scenario(steps=8))
@@ -234,6 +243,13 @@ class TestSimulateCommand:
         assert main(["simulate", path, "--paths", count, "--out", str(out)]) == 2
         assert f"need at least 1 path, got {count}" in capsys.readouterr().err
         assert not out.exists()
+
+
+def overflowing_scenario():
+    """A scenario whose states overflow to inf at step 6 of 8 on every path."""
+    base = constant_vol_scenario(steps=8)
+    coeffs = dataclasses.replace(base.coefficients, drift_matrix=np.diag([1e60, 1e60]))
+    return dataclasses.replace(base, coefficients=coeffs)
 
 
 class TestPriceCommand:
@@ -273,6 +289,28 @@ class TestPriceCommand:
         assert abs(doc["agreement_z"]) <= 3
         assert doc["physical"]["estimator"] == "physical"
         assert doc["riskneutral"]["paths"] == 4000
+
+    def test_both_with_zero_error_bars(self, tmp_path, capsys):
+        # every payoff is 0 under both measures, so both standard errors are 0
+        path = write_scenario(tmp_path, constant_vol_scenario())
+        assert main(["price", path, "--strike", "1e6", "--paths", "64", "--both"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["physical"]["stderr"] == doc["riskneutral"]["stderr"] == 0.0
+        assert doc["agreement_z"] == 0.0
+
+    @pytest.mark.parametrize("estimator", ["--both", "--estimator=riskneutral"])
+    def test_non_finite_state_is_domain_error(self, tmp_path, capsys, estimator):
+        path = write_scenario(tmp_path, overflowing_scenario())
+        assert main(["price", path, "--paths", "16", estimator]) == 2
+        assert capsys.readouterr().err.startswith("error: state became non-finite at step 6")
+
+    def test_series_failure_is_domain_error(self, tmp_path, capsys, monkeypatch):
+        def diverging(*args):
+            raise HypergeometricError("series did not converge")
+
+        monkeypatch.setattr(cli, "load_scenario", diverging)
+        assert main(["price", "unused.json"]) == 2
+        assert capsys.readouterr().err == "error: series did not converge\n"
 
     def test_basket_requires_weights(self, tmp_path, capsys):
         path = write_scenario(tmp_path, constant_vol_scenario())

@@ -368,7 +368,7 @@ class TestDuTransform:
     def test_grid_mismatch_rejected(self):
         km = build_kernel_matrix(TimeGrid(1.0, 8), 0.7)
         w = brownian_path(TimeGrid(1.0, 16), seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="increments on 16 steps .* kernel on 8 steps"):
             transform_path(w, km)
 
     def test_covariance_fidelity(self):
@@ -379,6 +379,26 @@ class TestDuTransform:
         km = build_kernel_matrix(grid, h)
         b = transform_increments(dw, km)[:, 1:, 0]
         _assert_covariance_close(b, grid, h)
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            pytest.param(0.55, marks=pytest.mark.xfail(
+                strict=True, reason="the kernel omits c_H: rows give 0.9675 = 1/c_H^2"
+            )),
+            0.7,
+            pytest.param(0.85, marks=pytest.mark.xfail(
+                strict=True, reason="the kernel omits c_H: rows give 1.4225-1.4244"
+            )),
+        ],
+    )
+    def test_row_variance_is_fbm_variance(self, h):
+        # Var B(t_i) = sum_j K[i, j]^2 dt for unit Brownian increments, and a
+        # standard fBm has t_i^(2H); rows >= 16 are clear of the coarse start
+        grid = TimeGrid(1.0, 256)
+        entries = build_kernel_matrix(grid, h).entries
+        ratio = np.sum(entries**2, axis=1) * grid.dt / grid.times[1:] ** (2 * h)
+        assert np.all(np.abs(ratio[16:] - 1.0) <= 0.01)
 
     @pytest.mark.xfail(
         strict=True,
