@@ -245,7 +245,7 @@ def _batch_outputs(batch_fn, scenario, km, seed: int, start: int, count: int, pr
     estimators' outputs; if the paired loop raises, whichever measure's paths
     failed first, the requested measure reruns alone and raises as a lone call.
     """
-    _, _, _, _, _, _, outputs, asked, pair = _batch_slot(scenario, seed, start, count)
+    outputs, asked, pair = _batch_slot(scenario, seed, start, count)[6:]
     key = (batch_fn, project)
     asked.add(key)
     if key not in outputs and project in pair:

@@ -406,29 +406,36 @@ class TestBatchDrawMemo:
         assert pricing._last_draws[:4] == (sc, 3, 200, 100)
 
 
+@pytest.fixture
+def runs(monkeypatch):
+    """Calls of the per-batch path work so far, starting from an empty slot; a
+    call that raises is followed by "<name> raised"."""
+    monkeypatch.setattr(pricing, "_last_draws", None)
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            try:
+                return real(*args, **kwargs)
+            except Exception:
+                calls.append(f"{name} raised")
+                raise
+
+        return wrapper
+
+    for module, name in [
+        (pricing, "euler_stepper"),
+        (rde, "euler_stepper"),
+        (pricing, "transform_increments"),
+        (pricing, "_paired_batch"),
+    ]:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
+
+
 class TestBatchOutputMemo:
     """Each estimator computes a batch's outputs once per (scenario, seed, batch)."""
-
-    @pytest.fixture
-    def runs(self, monkeypatch):
-        """Calls of the per-batch path work so far, starting from an empty slot."""
-        monkeypatch.setattr(pricing, "_last_draws", None)
-        calls = []
-
-        def counting(name, real):
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return real(*args, **kwargs)
-
-            return wrapper
-
-        for module, name in [
-            (pricing, "euler_stepper"),
-            (rde, "euler_stepper"),
-            (pricing, "transform_increments"),
-        ]:
-            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        return calls
 
     @pytest.mark.parametrize("pricer", [price_physical_weighted, price_riskneutral])
     def test_second_payoff_reuses_outputs(self, runs, pricer):
@@ -526,50 +533,24 @@ class TestPairedBatch:
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
 
-    @pytest.fixture
-    def runs(self, monkeypatch):
-        """Names of the per-batch loops run so far, starting from an empty slot."""
-        monkeypatch.setattr(pricing, "_last_draws", None)
-        calls = []
-
-        def counting(module, name):
-            real = getattr(module, name)
-
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                try:
-                    return real(*args, **kwargs)
-                except Exception:
-                    calls.append(f"{name} raised")
-                    raise
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        for module, name in [
-            (pricing, "euler_stepper"),
-            (rde, "euler_stepper"),
-            (pricing, "_paired_batch"),
-        ]:
-            counting(module, name)
-        return calls
-
     @pytest.mark.parametrize("order", [1, -1])
     def test_next_batch_pairs(self, runs, order):
         sc = section4_scenario(steps=16, seed=5)
         pricers = (price_physical_weighted, price_riskneutral)[::order]
         for pricer in pricers:
             pricer(Call(0, 1.0), sc, MCConfig(paths=64, seed=3))
-        assert runs == ["euler_stepper"] * 2
+        assert runs.count("euler_stepper") == 2
         del runs[:]
         mc = MCConfig(paths=64, seed=4)
         paired = [pricer(Put(1, 1.1), sc, mc) for pricer in pricers]
-        assert runs == ["_paired_batch", "euler_stepper"]  # the second call hits
+        # one loop for both measures, and the second call hits
+        assert runs == ["_paired_batch", "transform_increments", "euler_stepper"]
         assert pricing._last_draws[6].keys() == {
             (pricing._physical_batch, True), (pricing._riskneutral_batch, True)
         }
         pricing._last_draws = None
         assert [pricer(Put(1, 1.1), sc, mc) for pricer in pricers] == paired
-        assert "_paired_batch" not in runs[2:]
+        assert "_paired_batch" not in runs[3:]
 
     def test_lone_patterns_never_pair(self, runs):
         sc = constant_vol_scenario()
@@ -626,7 +607,9 @@ class TestPairedBatch:
                 else:
                     assert pricer(Call(0, 1.0), bad, mc) == lone
         # the paired loop raised once, and each measure then ran alone
-        assert runs[:3] == ["_paired_batch", "euler_stepper", "_paired_batch raised"]
+        assert runs[:4] == [
+            "_paired_batch", "transform_increments", "euler_stepper", "_paired_batch raised"
+        ]
         assert runs.count("_paired_batch") == 1
         assert runs.count("euler_stepper") == 1 + 2
         assert pricing._last_draws[6].keys() == {(pricing._physical_batch, True)}
