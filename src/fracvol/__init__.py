@@ -30,6 +30,7 @@ from .pricing import (
     bs_reference_price,
     payoff_values,
     physical_terminal_sample,
+    price_both,
     price_physical_weighted,
     price_riskneutral,
     simulate_scenario_paths,

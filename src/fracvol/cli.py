@@ -23,9 +23,9 @@ from .pricing import (
     BreachRateError,
     Call,
     MCConfig,
-    MCResult,
     Put,
     agreement_zscore,
+    price_both,
     price_physical_weighted,
     price_riskneutral,
     simulate_scenario_paths,
@@ -187,24 +187,19 @@ def cmd_price(args) -> int:
     scenario = load_scenario(args.scenario)
     payoff = _build_payoff(args, scenario)
     mc = MCConfig(paths=args.paths, seed=args.seed, project=not args.no_project)
-    estimators = {
-        "physical": price_physical_weighted,
-        "riskneutral": price_riskneutral,
-    }
-
-    def run(name: str) -> MCResult:
-        return estimators[name](payoff, scenario, mc)
-
     if args.both:
-        first = run("physical")
-        second = run("riskneutral")
+        first, second = price_both(payoff, scenario, mc)
         doc = {
             "physical": {**first.to_dict(), "estimator": "physical"},
             "riskneutral": {**second.to_dict(), "estimator": "riskneutral"},
             "agreement_z": agreement_zscore(first, second),
         }
     else:
-        result = run(args.estimator)
+        estimators = {
+            "physical": price_physical_weighted,
+            "riskneutral": price_riskneutral,
+        }
+        result = estimators[args.estimator](payoff, scenario, mc)
         doc = {**result.to_dict(), "estimator": args.estimator}
     print(json.dumps(doc, indent=2, sort_keys=True))
     return EXIT_OK

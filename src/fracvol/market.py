@@ -22,8 +22,7 @@ class MarketParams:
     Row k of `projections` is the vector h_k defining volatility component k as
     <h_k, U(t)>; `anchor_indices` locate the coordinate used to anchor the
     shifted constraint set, and each h_k must be nonzero there.  The arrays are
-    read-only copies of the inputs; `volatility` multiplies by a contiguous
-    copy of `projections.T` made here, faster than the transposed view.
+    read-only copies of the inputs.
     """
 
     rate: float
@@ -44,9 +43,6 @@ class MarketParams:
         object.__setattr__(self, "initial_prices", prices)
         object.__setattr__(self, "projections", proj)
         object.__setattr__(self, "anchor_indices", indices)
-        proj_t = np.ascontiguousarray(proj.T)
-        proj_t.setflags(write=False)
-        object.__setattr__(self, "_projections_t", proj_t)
         d = proj.shape[0]
         if proj.shape != (d, d):
             raise ValueError(f"projections must be square, got shape {proj.shape}")
@@ -73,7 +69,7 @@ class MarketParams:
 
 def volatility(states: np.ndarray, params: MarketParams) -> np.ndarray:
     """Volatility <h_k, U> of states (..., d) over any leading path and time axes."""
-    return states @ params._projections_t
+    return states @ params.projections.T
 
 
 def floor_breach(v: np.ndarray, xi) -> tuple[np.ndarray, np.ndarray]:

@@ -19,13 +19,18 @@ consume identical uniforms for the same seed: with equal drifts and rate they
 coincide path for path, and in general they are common-random-number coupled.
 
 A batch is drawn once and kept, with each estimator's outputs, in a one-batch
-slot (`_batch_slot`).  When the batch the slot held last was priced under both
-measures with one projection setting, the next batch's first estimator call
-with that setting steps both measures through one time loop: the physical rows
-over the risk-neutral rows, one Euler update, projection and finiteness check
-per step for both.  Each row's bits are those of its measure's own loop, and a
-paired loop that fails stores nothing and reruns the requested measure alone,
-so what a call returns or raises does not depend on the pairing.
+slot (`_batch_slot`).  A batch priced under both measures steps them through
+one time loop (`_paired_batch`): the physical rows over the risk-neutral rows,
+one Euler update, projection and finiteness check per step for both.
+`price_both` pairs every batch of its run.  The two estimators, called one
+after the other, pair a run of one batch when the one-batch run before it in
+the slot was priced under both measures with the same projection setting; the
+first call then stores both outputs and the second finds its own.  A one-batch
+call of a single measure right after such a run pairs too and discards the
+other measure's half, once; runs of several batches pair only through
+`price_both`.  Each row's bits are those of its measure's own loop, and a
+paired loop that fails stores nothing and the measures rerun alone, so what a
+call returns or raises does not depend on the pairing.
 """
 
 from __future__ import annotations
@@ -185,8 +190,9 @@ def w_increments(scenario: Scenario, seed: int, start: int, count: int) -> np.nd
 # (scenario, seed, start, count, xi, dW, outputs, asked, pair) of the last
 # batch drawn, or None.  `outputs` maps (batch function, project) to that
 # function's read-only (terminal, weight, breached) of the batch; it goes with
-# the draws it used.  `asked` holds the keys priced on the batch so far, and
-# `pair` the `project` settings under which it is yet to be paired.
+# the draws it used.  `asked` holds the keys priced on the batch so far by
+# runs of this one batch, and `pair` the `project` settings under which such a
+# run is yet to be paired.
 _last_draws = None
 
 
@@ -200,14 +206,15 @@ def _batch_slot(scenario: Scenario, seed: int, start: int, count: int):
     is read once and replaced whole, so concurrent callers at worst draw or
     compute a batch twice.
 
-    A new batch is paired under a `project` setting when the batch it replaces
-    was priced under both measures with that setting: its first estimator call
-    with that setting then steps both measures' paths through one loop
-    (`_paired_batch`) and stores both outputs, so the other estimator's call
-    finds its outputs here.  Traffic that prices one measure per batch (one
-    estimator, `physical_terminal_sample`, or both estimators over more than
-    one batch, which see the slot hold one measure at a time) never pairs and
-    does the same work as before.
+    A one-batch run is paired under a `project` setting when one-batch runs
+    priced the batch it replaces under both measures with that setting: its
+    first estimator call with that setting then steps both measures' paths
+    through one loop (`_paired_batch`) and stores both outputs, so the other
+    estimator's call finds its outputs here.  The rule predicts from the batch
+    before, so the first one-batch call of a single measure after such a batch
+    runs the paired loop and leaves the other half unused; the calls after it
+    run alone.  Runs of several batches never pair here, nor make the next
+    batch pair; `price_both` pairs them.
     """
     global _last_draws
     last = _last_draws
@@ -237,29 +244,38 @@ def _read_only(result):
     return result
 
 
-def _batch_outputs(batch_fn, scenario, km, seed: int, start: int, count: int, project: bool):
-    """Read-only `batch_fn` outputs of paths [start, start + count), computed
-    once per batch: another payoff priced by the same estimator on the same
-    (scenario, seed, batch) reuses them from the draw slot.  A batch that
-    raises stores nothing.  On a paired batch the first call stores both
-    estimators' outputs; if the paired loop raises, whichever measure's paths
-    failed first, the requested measure reruns alone and raises as a lone call.
+def _batch_outputs(batch_fns, scenario, km, seed, start, count, project, whole):
+    """Read-only outputs of each of `batch_fns` on paths [start, start + count),
+    computed once per batch: another payoff priced by the same estimator on the
+    same (scenario, seed, batch) reuses them from the draw slot.  A batch that
+    raises stores nothing.  `whole` says the batch is the whole run.
+
+    Asked for both estimators, (`_physical_batch`, `_riskneutral_batch`) in
+    that order, on a batch that holds neither's outputs, it steps them through
+    one loop and raises what that loop raises.  Asked for one on a batch the slot marked for pairing, the first
+    call stores both estimators' outputs; if the paired loop raises, whichever
+    measure's paths failed first, the requested measure reruns alone and raises
+    as a lone call.
     """
     outputs, asked, pair = _batch_slot(scenario, seed, start, count)[6:]
-    key = (batch_fn, project)
-    asked.add(key)
-    if key not in outputs and project in pair:
+    keys = [(batch_fn, project) for batch_fn in batch_fns]
+    if whole:
+        asked.update(keys)
+    paired = len(keys) == 2 or (whole and project in pair)
+    if paired and not any(key in outputs for key in keys):
         pair.discard(project)
         try:
-            physical, riskneutral = _paired_batch(scenario, km, seed, start, count, project)
+            both = _paired_batch(scenario, km, seed, start, count, project)
         except (FloatingPointError, ValueError):
-            pass
+            if len(keys) == 2:
+                raise
         else:
-            outputs[_physical_batch, project] = _read_only(physical)
-            outputs[_riskneutral_batch, project] = _read_only(riskneutral)
-    if key not in outputs:
-        outputs[key] = _read_only(batch_fn(scenario, km, seed, start, count, project))
-    return outputs[key]
+            for batch_fn, result in zip((_physical_batch, _riskneutral_batch), both):
+                outputs[batch_fn, project] = _read_only(result)
+    for key in keys:
+        if key not in outputs:
+            outputs[key] = _read_only(key[0](scenario, km, seed, start, count, project))
+    return [outputs[key] for key in keys]
 
 
 def _constraint_data(scenario: Scenario, xi: np.ndarray):
@@ -395,17 +411,20 @@ def _feedback_loop(scenario, km, seed, start, count, project, paired):
     return _weighted_terminal(scenario, xi, dw_star, states), riskneutral
 
 
-def _run_batches(scenario, mc, batch_fn):
+def _run_batches(scenario, mc, batch_fns):
+    """Per batch function, its (terminal, weight, breached) over the run; and the seed."""
     seed = scenario.seed if mc.seed is None else mc.seed
     km = _kernel_matrix(scenario)
+    whole = mc.paths <= mc.batch_size
     parts = [
         _batch_outputs(
-            batch_fn, scenario, km, seed, start, min(mc.batch_size, mc.paths - start), mc.project
+            batch_fns, scenario, km, seed, start, min(mc.batch_size, mc.paths - start),
+            mc.project, whole,
         )
         for start in range(0, mc.paths, mc.batch_size)
     ]
-    terminal, weight, breached = (np.concatenate(column) for column in zip(*parts))
-    return terminal, weight, breached, seed
+    columns = [[np.concatenate(column) for column in zip(*fn_parts)] for fn_parts in zip(*parts)]
+    return columns, seed
 
 
 @lru_cache(maxsize=8)
@@ -452,16 +471,31 @@ def price_physical_weighted(payoff, scenario: Scenario, mc: MCConfig) -> MCResul
     """Average of martingale-weighted discounted payoffs under the physical draws."""
     if mc.check_conditions:
         _check_scenario(scenario)
-    terminal, weight, breached, seed = _run_batches(scenario, mc, _physical_batch)
-    return _assemble(payoff, scenario, terminal, weight, breached, seed)
+    [outputs], seed = _run_batches(scenario, mc, [_physical_batch])
+    return _assemble(payoff, scenario, *outputs, seed)
 
 
 def price_riskneutral(payoff, scenario: Scenario, mc: MCConfig) -> MCResult:
     """Average of discounted payoffs under the directly simulated driftless measure."""
     if mc.check_conditions:
         _check_scenario(scenario)
-    terminal, weight, breached, seed = _run_batches(scenario, mc, _riskneutral_batch)
-    return _assemble(payoff, scenario, terminal, weight, breached, seed)
+    [outputs], seed = _run_batches(scenario, mc, [_riskneutral_batch])
+    return _assemble(payoff, scenario, *outputs, seed)
+
+
+def price_both(payoff, scenario: Scenario, mc: MCConfig) -> tuple[MCResult, MCResult]:
+    """(`price_physical_weighted`, `price_riskneutral`) of one claim, bit for
+    bit, with every batch's two measures stepped through one loop.  If a paired
+    loop fails, the two estimators run one after the other, so what this
+    raises is what they raise."""
+    if mc.check_conditions:
+        _check_scenario(scenario)
+    try:
+        columns, seed = _run_batches(scenario, mc, [_physical_batch, _riskneutral_batch])
+    except (FloatingPointError, ValueError):
+        return price_physical_weighted(payoff, scenario, mc), price_riskneutral(payoff, scenario, mc)
+    physical, riskneutral = (_assemble(payoff, scenario, *outputs, seed) for outputs in columns)
+    return physical, riskneutral
 
 
 def agreement_zscore(a: MCResult, b: MCResult) -> float:
@@ -487,8 +521,8 @@ def physical_terminal_sample(scenario: Scenario, mc: MCConfig):
     """
     if mc.check_conditions:
         _check_scenario(scenario)
-    terminal, weight, breached, _ = _run_batches(scenario, mc, _physical_batch)
-    return terminal, weight, breached
+    [outputs], _ = _run_batches(scenario, mc, [_physical_batch])
+    return tuple(outputs)
 
 
 def bs_reference_price(

@@ -21,6 +21,7 @@ from fracvol import (
     bs_reference_price,
     payoff_values,
     physical_terminal_sample,
+    price_both,
     price_physical_weighted,
     price_riskneutral,
     simulate_scenario_paths,
@@ -523,7 +524,20 @@ class TestPairedBatch:
     def test_paired_equals_lone(self, preset, project, seed, start, count):
         # the unprojected worked example breaches the floor, so frozen paths
         # are covered too
-        sc = self.PRESETS[preset]
+        self._check_paired_equals_lone(self.PRESETS[preset], project, seed, start, count)
+
+    @pytest.mark.parametrize("project", [True, False])
+    @pytest.mark.parametrize("preset", ["worked", "constant"])
+    def test_paired_equals_lone_at_batch_size(self, preset, project):
+        # a full default batch stacks 8192 rows, where BLAS may pick other kernels
+        sc = {
+            "worked": section4_scenario(steps=8, seed=5),
+            "constant": constant_vol_scenario(steps=8),
+        }[preset]
+        self._check_paired_equals_lone(sc, project, 11, 300, pricing.DEFAULT_BATCH_SIZE)
+
+    @staticmethod
+    def _check_paired_equals_lone(sc, project, seed, start, count):
         km = pricing._kernel_matrix(sc)
         args = (sc, km, seed, start, count, project)
         lone = (pricing._physical_batch(*args), pricing._riskneutral_batch(*args))
@@ -573,6 +587,59 @@ class TestPairedBatch:
         )
         assert "_paired_batch" not in runs
 
+    def test_transitions_after_a_paired_batch(self, runs):
+        sc = constant_vol_scenario()
+        mc = MCConfig(paths=64, seed=3)
+
+        def both_then(*calls):
+            for pricer in (price_physical_weighted, price_riskneutral):
+                pricer(Call(0, 1.0), sc, mc)
+            del runs[:]
+            for call in calls:
+                call()
+            return runs.count("_paired_batch"), runs.count("euler_stepper")
+
+        def lone(seed, **changes):
+            config = dataclasses.replace(mc, seed=seed, **changes)
+            return lambda: price_physical_weighted(Call(0, 1.0), sc, config)
+
+        # the first one-batch call of one measure pairs and wastes a half, once
+        assert both_then(lone(4), lone(5), lone(6)) == (1, 3)
+        # runs of several batches neither pair nor let the next batch pair
+        assert both_then(lone(4, batch_size=32), lone(5)) == (0, 3)
+        assert both_then(
+            lambda: physical_terminal_sample(sc, dataclasses.replace(mc, seed=4, batch_size=32))
+        ) == (0, 2)
+        several = dataclasses.replace(mc, seed=4, batch_size=32)
+        assert both_then(
+            lambda: price_physical_weighted(Call(0, 1.0), sc, several),
+            lambda: price_riskneutral(Call(0, 1.0), sc, several),
+        ) == (0, 4)
+        price_both(Call(0, 1.0), sc, several)
+        del runs[:]
+        lone(5)()
+        assert runs.count("_paired_batch") == 0
+
+    def test_price_both_pairs_every_batch(self, runs):
+        sc = section4_scenario(steps=16, seed=5)
+        mc = MCConfig(paths=80, seed=3, batch_size=32)
+        paired = price_both(Put(1, 1.1), sc, mc)
+        assert runs.count("_paired_batch") == runs.count("euler_stepper") == 3
+        pricing._last_draws = None
+        assert paired == (
+            price_physical_weighted(Put(1, 1.1), sc, mc),
+            price_riskneutral(Put(1, 1.1), sc, mc),
+        )
+        # a batch that holds one measure's outputs runs the other's loop alone
+        one_batch = dataclasses.replace(mc, paths=32)
+        for index, pricer in enumerate((price_physical_weighted, price_riskneutral)):
+            del runs[:]
+            pricing._last_draws = None
+            alone = pricer(Put(1, 1.1), sc, one_batch)
+            assert price_both(Put(1, 1.1), sc, one_batch)[index] == alone
+            assert runs.count("_paired_batch") == 0
+            assert runs.count("euler_stepper") == 2
+
     @staticmethod
     def _riskneutral_overflow():
         # a drift of -1e200 makes the market price of risk about 1e200, so the
@@ -613,6 +680,26 @@ class TestPairedBatch:
         assert runs.count("_paired_batch") == 1
         assert runs.count("euler_stepper") == 1 + 2
         assert pricing._last_draws[6].keys() == {(pricing._physical_batch, True)}
+
+    @pytest.mark.parametrize("batch_size", [64, 32])
+    def test_failed_price_both_raises_as_the_estimators(self, runs, batch_size):
+        _, bad = self._riskneutral_overflow()
+        mc = MCConfig(paths=64, seed=3, check_conditions=False, batch_size=batch_size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(FloatingPointError) as lone_error:
+                price_riskneutral(Call(0, 1.0), bad, mc)
+            pricing._last_draws = None
+            del runs[:]
+            with pytest.raises(FloatingPointError) as error:
+                price_both(Call(0, 1.0), bad, mc)
+        assert str(error.value) == str(lone_error.value)
+        # the paired loop of the first batch raised; then each measure ran alone
+        assert runs.count("_paired_batch") == 1
+        assert runs[:4] == [
+            "_paired_batch", "transform_increments", "euler_stepper", "_paired_batch raised"
+        ]
+        assert runs.count("euler_stepper") == 1 + 64 // batch_size + 1
 
 
 class TestKeyedDraws:

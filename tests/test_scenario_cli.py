@@ -290,6 +290,16 @@ class TestPriceCommand:
         assert doc["physical"]["estimator"] == "physical"
         assert doc["riskneutral"]["paths"] == 4000
 
+    def test_both_equals_each_estimator(self, tmp_path, capsys):
+        # 5000 paths make two batches, each stepped through one paired loop
+        path = write_scenario(tmp_path, section4_scenario(steps=16, seed=5))
+        argv = ["price", path, "--payoff", "put", "--strike", "1.1", "--paths", "5000"]
+        assert main(argv + ["--both"]) == 0
+        both = json.loads(capsys.readouterr().out)
+        for estimator in ("physical", "riskneutral"):
+            assert main(argv + ["--estimator", estimator]) == 0
+            assert json.loads(capsys.readouterr().out) == both[estimator]
+
     def test_both_with_zero_error_bars(self, tmp_path, capsys):
         # every payoff is 0 under both measures, so both standard errors are 0
         path = write_scenario(tmp_path, constant_vol_scenario())
