@@ -252,10 +252,10 @@ def _batch_outputs(batch_fns, scenario, km, seed, start, count, project, whole):
 
     Asked for both estimators, (`_physical_batch`, `_riskneutral_batch`) in
     that order, on a batch that holds neither's outputs, it steps them through
-    one loop and raises what that loop raises.  Asked for one on a batch the slot marked for pairing, the first
-    call stores both estimators' outputs; if the paired loop raises, whichever
-    measure's paths failed first, the requested measure reruns alone and raises
-    as a lone call.
+    one loop and raises what that loop raises.  Asked for one on a batch the
+    slot marked for pairing, the first call stores both estimators' outputs;
+    if the paired loop raises, whichever measure's paths failed first, the
+    requested measure reruns alone and raises as a lone call.
     """
     outputs, asked, pair = _batch_slot(scenario, seed, start, count)[6:]
     keys = [(batch_fn, project) for batch_fn in batch_fns]
@@ -493,9 +493,9 @@ def price_both(payoff, scenario: Scenario, mc: MCConfig) -> tuple[MCResult, MCRe
     try:
         columns, seed = _run_batches(scenario, mc, [_physical_batch, _riskneutral_batch])
     except (FloatingPointError, ValueError):
-        return price_physical_weighted(payoff, scenario, mc), price_riskneutral(payoff, scenario, mc)
-    physical, riskneutral = (_assemble(payoff, scenario, *outputs, seed) for outputs in columns)
-    return physical, riskneutral
+        physical = price_physical_weighted(payoff, scenario, mc)
+        return physical, price_riskneutral(payoff, scenario, mc)
+    return tuple(_assemble(payoff, scenario, *outputs, seed) for outputs in columns)
 
 
 def agreement_zscore(a: MCResult, b: MCResult) -> float:
