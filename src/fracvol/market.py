@@ -82,7 +82,7 @@ def floor_breach(v: np.ndarray, xi) -> tuple[np.ndarray, np.ndarray]:
     """
     xi = np.asarray(xi, dtype=float)
     low = v <= 0.5 * xi.reshape(xi.shape + (1,) * (v.ndim - xi.ndim))
-    if not low.any():
+    if not np.count_nonzero(low):
         return np.zeros(low.shape[: xi.ndim], dtype=bool), v
     return np.any(low, axis=tuple(range(xi.ndim, v.ndim))), np.where(low, 1.0, v)
 

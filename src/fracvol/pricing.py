@@ -21,7 +21,10 @@ coincide path for path, and in general they are common-random-number coupled.
 A batch is drawn once and kept, with each estimator's outputs, in a one-batch
 slot (`_batch_slot`).  A batch priced under both measures steps them through
 one time loop (`_paired_batch`): the physical rows over the risk-neutral rows,
-one Euler update, projection and finiteness check per step for both.
+one Euler update, projection and finiteness check per step for both.  A step
+of that loop, or of the lone risk-neutral one, runs only what feeds the next;
+the risk-neutral log-price increments are summed after each block of steps,
+in step order.
 `price_both` pairs every batch of its run.  The two estimators, called one
 after the other, pair a run of one batch when the one-batch run before it in
 the slot was priced under both measures with the same projection setting; the
@@ -64,6 +67,9 @@ DEFAULT_BATCH_SIZE = 4096
 # Brownian increments are drawn and reordered this many at a time, which
 # bounds the transient memory of `w_increments` beside its result.
 _DRAW_CHUNK = 1 << 16
+# The feedback loop keeps this many bytes of steps of risk-neutral volatility
+# before it adds their log-price increments to the running sum.
+_HISTORY_BYTES = 1 << 16
 
 
 class BreachRateError(RuntimeError):
@@ -326,9 +332,15 @@ def _weighted_terminal(scenario: Scenario, xi, dw, states):
     v_left = volatility(states, params)[:, :-1, :]
     breached, v_safe = floor_breach(v_left, xi)
     log_incr = log_price_increments(v_left, dw, params.drifts, dt)
-    with np.errstate(over="ignore"):  # breached paths may overflow; discarded later
-        weight = np.exp(log_weight(theta(v_safe, params), dw, dt))
+    with np.errstate(over="ignore", invalid="ignore"):  # breached paths are discarded later
+        log_w = log_weight(theta(v_safe, params), dw, dt)
+        weight = np.exp(log_w)
         terminal = asset_prices(np.sum(log_incr, axis=1), params)
+    finite = np.isfinite(log_w) | breached
+    if np.count_nonzero(finite) < finite.size:
+        raise FloatingPointError(
+            f"log-weight became non-finite (path {int(np.argmin(finite))} of the batch)"
+        )
     return terminal, weight, breached
 
 
@@ -359,6 +371,13 @@ def _feedback_loop(scenario, km, seed, start, count, project, paired):
     transform as in `_physical_paths`, over the risk-neutral rows, driven by
     the feedback; every operation acts row by row, so each row keeps the bits
     of its measure's lone loop.
+
+    A step runs only the chain that feeds the next: volatility, floor test,
+    market price of risk, physical increments, kernel row, driver increments,
+    Euler step and projection, finiteness check.  The risk-neutral log-price
+    increments feed no step; the floored volatility is kept for a block of
+    steps (`_HISTORY_BYTES`), whose increments are then added to the running
+    sum one step after another, the order of a per-step `s_log += ...`.
     """
     grid = scenario.grid
     n, d = grid.steps, scenario.dims
@@ -378,35 +397,49 @@ def _feedback_loop(scenario, km, seed, start, count, project, paired):
     x = np.broadcast_to(scenario.initial_state, (rows, d)).copy()
     db = np.empty((rows, d))  # one step's driver increments, all rows
     b_prev = np.zeros((count, d))
+    span = min(n, max(1, _HISTORY_BYTES // (8 * count * d)))
+    v_history = np.empty((span, count, d))  # floored volatility of a block of steps
     s_log = np.zeros((count, d))
     breached = np.zeros(count, dtype=bool)
+    frozen = False  # breached paths are frozen, and discarded later
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n):
-            low, v_safe = floor_breach(volatility(x[rn], params), xi)
-            breached |= low
-            frozen = breached.any()  # breached paths are frozen, and discarded later
-            th_i = theta(v_safe, params)
-            if frozen:
-                th_i[breached] = 0.0
-            dw_i = np.multiply(th_i, dt, out=dw[i].reshape(count, d))
-            dw_i += dw_star[:, i]
-            b_next = np.dot(km.entries[i, None, : i + 1], dw[: i + 1]).reshape(count, d)
-            db_step = np.subtract(b_next, b_prev, out=db[rn])
-            if frozen:
-                db_step[breached] = 0.0
-            if paired:
-                states[:, i] = x[:count]
-                db[:count] = db_physical[:, i]
-            x = step(x, db)
-            check_finite(x, i + 1)
-            b_prev = b_next
-            s_log += log_price_increments(v_safe, dw_star[:, i], params.rate, dt)
+        for lo in range(0, n, span):
+            hi = min(lo + span, n)
+            for i in range(lo, hi):
+                # volatility(x[rn], params), into the history
+                v = np.matmul(x[rn], params.projections.T, out=v_history[i - lo])
+                low, v_safe = floor_breach(v, xi)
+                if v_safe is not v:  # some path is at the floor
+                    breached |= low
+                    frozen = True
+                    v[...] = v_safe
+                th_i = theta(v, params)
+                dw_i = np.multiply(th_i, dt, out=dw[i].reshape(count, d))
+                dw_i += dw_star[:, i]
+                b_next = np.dot(km.entries[i, None, : i + 1], dw[: i + 1]).reshape(count, d)
+                db_step = np.subtract(b_next, b_prev, out=db[rn])
+                if frozen:  # a breached path's dW reaches only its own dB, zeroed here
+                    db_step[breached] = 0.0
+                if paired:
+                    states[:, i] = x[:count]
+                    db[:count] = db_physical[:, i]
+                x = step(x, db)
+                check_finite(x, i + 1)
+                b_prev = b_next
+            # (steps, paths, d), so the sum over steps adds them one by one
+            block = log_price_increments(
+                v_history[: hi - lo], dw_star[:, lo:hi].transpose(1, 0, 2), params.rate, dt
+            )
+            block[0] += s_log
+            np.add.reduce(block, axis=0, out=s_log)
+            del block
     with np.errstate(over="ignore"):  # breached paths may overflow; discarded later
         terminal = asset_prices(s_log, params)
     riskneutral = terminal, np.ones(count), breached
     if not paired:
         return None, riskneutral
-    del dw, db_physical  # before the weight computation's temporaries
+    # before the weight computation's temporaries; dw_i and db_step are views
+    del dw, dw_i, db, db_step, db_physical
     states[:, n] = x[:count]
     return _weighted_terminal(scenario, xi, dw_star, states), riskneutral
 
@@ -460,8 +493,11 @@ def _assemble(payoff, scenario, terminal, weight, breached, seed) -> MCResult:
             f"(limit {MAX_BREACH_FRACTION:.1%}); the estimate is not trustworthy"
         )
     keep = ~breached
+    weight = weight[keep]
+    if not np.count_nonzero(weight):
+        raise FloatingPointError("every kept path's measure-change weight underflowed to 0")
     discount = discount_factor(scenario.grid.horizon, scenario.market)
-    values = discount * weight[keep] * payoff_values(payoff, terminal[keep])
+    values = discount * weight * payoff_values(payoff, terminal[keep])
     estimate = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(values.size))
     return MCResult(estimate, stderr, int(values.size), int(seed), n_breached)

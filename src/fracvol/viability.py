@@ -146,11 +146,14 @@ def path_viability_margin(path, poly: Polyhedron) -> float:
     return float(np.min(slack(poly, path)))
 
 
-def face_terms(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(normals.T as a contiguous copy, squared norms) of the faces, the terms
-    `project_into` reuses on every call; numpy multiplies by the transposed
-    view itself 1.5-3x slower, with the same bits."""
-    return np.ascontiguousarray(normals.T), np.einsum("kd,kd->k", normals, normals)
+def face_terms(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(normals.T as a contiguous copy, squared norms, ones to count touched
+    faces by) of the faces, the terms `project_into` reuses on every call;
+    numpy multiplies by the transposed view itself 1.5-3x slower, with the same
+    bits.  The count is a uint8 matmul, about half the time of a bool sum over
+    the short face axis; it cannot wrap with under 256 faces."""
+    ones = np.ones(normals.shape[0], np.uint8 if normals.shape[0] < 256 else np.intp)
+    return np.ascontiguousarray(normals.T), np.einsum("kd,kd->k", normals, normals), ones
 
 
 def project_into(
@@ -169,21 +172,18 @@ def project_into(
     onto the same faces many times may pass their `face_terms` once computed.
     """
     x = np.asarray(x, dtype=float)
-    normals_t, sq_norms = face_terms(normals) if faces is None else faces
+    normals_t, sq_norms, face_ones = face_terms(normals) if faces is None else faces
     excess = x @ normals_t
     excess -= offsets
     np.maximum(excess, 0.0, out=excess)
-    if not excess.any():
+    if not np.count_nonzero(excess):  # counts NaN, as .any() would
         return x
     touched = excess > 0.0
     excess /= sq_norms
     y = x - excess @ normals
     touched |= y @ normals_t > offsets
-    # Count touched faces by a uint8 matmul, about half the time of a bool sum
-    # over the short face axis; the count cannot wrap with under 256 faces.
-    m = normals.shape[0]
-    corner = touched.view(np.uint8) @ np.ones(m, np.uint8 if m < 256 else np.intp) > 1
-    if corner.any():
+    corner = touched.view(np.uint8) @ face_ones > 1
+    if np.count_nonzero(corner):
         offsets = np.broadcast_to(offsets, excess.shape)
         y[corner] = _project_by_active_sets(x[corner], normals, offsets[corner])
     return y

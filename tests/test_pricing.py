@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -27,9 +28,12 @@ from fracvol import (
     simulate_scenario_paths,
 )
 from fracvol.coefficients import XI_STREAM, xi_inverse_cdf
-from fracvol.market import floor_breach, log_price_increments, theta, volatility
+from fracvol.market import asset_prices, floor_breach, log_price_increments, theta, volatility
+from fracvol.pricing import _batch_draws, _constraint_data, _weighted_terminal
+from fracvol.rde import check_finite, euler_stepper
 from fracvol.rng import NormalStream, stream_key
 from fracvol.scenario import constant_vol_scenario, section4_scenario
+from fracvol.volterra import transform_increments
 from test_rde import reference_step
 
 
@@ -642,11 +646,15 @@ class TestPairedBatch:
 
     @staticmethod
     def _riskneutral_overflow():
-        # a drift of -1e200 makes the market price of risk about 1e200, so the
-        # risk-neutral states overflow at step 2 while the physical ones stay finite
-        base = section4_scenario(steps=16, seed=5)
-        market = dataclasses.replace(base.market, drifts=np.array([-1e200, 0.05]))
-        return base, dataclasses.replace(base, market=market)
+        # one step of length 1, state noise 1e307 * dB on U0, and a market price
+        # of risk of 30 on V0 = 0.5: the risk-neutral driver increment, about
+        # 30, takes U0 past the largest float, while the physical one, about
+        # N(0, 1), keeps it finite and the weights (about e^-450) positive
+        base = constant_vol_scenario(steps=1)
+        coeffs = dataclasses.replace(base.coefficients, offsets=np.array([1e307, 0.0]))
+        good = dataclasses.replace(base, coefficients=coeffs)
+        market = dataclasses.replace(base.market, drifts=np.array([0.05 - 30 * 0.5, 0.02]))
+        return good, dataclasses.replace(good, market=market)
 
     @pytest.mark.parametrize("order", [1, -1])
     def test_failed_paired_batch_stores_nothing(self, runs, order):
@@ -656,23 +664,23 @@ class TestPairedBatch:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             pricing._last_draws = None
-            lone = price_physical_weighted(Call(0, 1.0), bad, mc)
+            lone = price_physical_weighted(Call(1, 1.0), bad, mc)
             pricing._last_draws = None
             with pytest.raises(FloatingPointError) as lone_error:
-                price_riskneutral(Call(0, 1.0), bad, mc)
+                price_riskneutral(Call(1, 1.0), bad, mc)
             assert str(lone_error.value) == (
-                "state became non-finite at step 2 (path 0 of the batch)"
+                "state became non-finite at step 1 (path 0 of the batch)"
             )
             for pricer in pricers:
-                pricer(Call(0, 1.0), good, mc)
+                pricer(Call(1, 1.0), good, mc)
             del runs[:]
             for pricer in pricers[::order]:
                 if pricer is price_riskneutral:
                     with pytest.raises(FloatingPointError) as error:
-                        pricer(Call(0, 1.0), bad, mc)
+                        pricer(Call(1, 1.0), bad, mc)
                     assert str(error.value) == str(lone_error.value)
                 else:
-                    assert pricer(Call(0, 1.0), bad, mc) == lone
+                    assert pricer(Call(1, 1.0), bad, mc) == lone
         # the paired loop raised once, and each measure then ran alone
         assert runs[:4] == [
             "_paired_batch", "transform_increments", "euler_stepper", "_paired_batch raised"
@@ -688,11 +696,11 @@ class TestPairedBatch:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(FloatingPointError) as lone_error:
-                price_riskneutral(Call(0, 1.0), bad, mc)
+                price_riskneutral(Call(1, 1.0), bad, mc)
             pricing._last_draws = None
             del runs[:]
             with pytest.raises(FloatingPointError) as error:
-                price_both(Call(0, 1.0), bad, mc)
+                price_both(Call(1, 1.0), bad, mc)
         assert str(error.value) == str(lone_error.value)
         # the paired loop of the first batch raised; then each measure ran alone
         assert runs.count("_paired_batch") == 1
@@ -811,3 +819,172 @@ class TestRiskNeutralLoop:
             warnings.simplefilter("error")  # raises before any overflow warning
             with pytest.raises(FloatingPointError, match=rf"step 1 \(path {bad} of the batch\)"):
                 pricing._riskneutral_batch(sc, km, seed, 0, count, False)
+
+
+def _parent_feedback_loop(scenario, km, seed, start, count, project, paired):
+    """`pricing._feedback_loop` as it was before the log-price sum left the
+    loop, verbatim: (physical outputs or None, risk-neutral outputs) of a batch.
+
+    When `paired`, the state stacks the physical rows, driven by the kernel
+    transform as in `_physical_paths`, over the risk-neutral rows, driven by
+    the feedback; every operation acts row by row, so each row keeps the bits
+    of its measure's lone loop.
+    """
+    grid = scenario.grid
+    n, d = grid.steps, scenario.dims
+    dt = grid.dt
+    params = scenario.market
+    xi, dw_star = _batch_draws(scenario, seed, start, count)
+    xi_rows = np.concatenate([xi, xi]) if paired else xi
+    rows = xi_rows.size
+    rn = slice(rows - count, rows)  # the risk-neutral rows
+    if paired:
+        db_physical = np.diff(transform_increments(dw_star, km), axis=1)
+        states = np.empty((count, n + 1, d))
+    dw = np.empty((n, count * d))  # row i: physical increments of step i, all paths
+    constraint = _constraint_data(scenario, xi_rows) if project else None
+
+    step = euler_stepper(scenario.coefficients, xi_rows, dt, constraint)
+    x = np.broadcast_to(scenario.initial_state, (rows, d)).copy()
+    db = np.empty((rows, d))  # one step's driver increments, all rows
+    b_prev = np.zeros((count, d))
+    s_log = np.zeros((count, d))
+    breached = np.zeros(count, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            low, v_safe = floor_breach(volatility(x[rn], params), xi)
+            breached |= low
+            frozen = breached.any()  # breached paths are frozen, and discarded later
+            th_i = theta(v_safe, params)
+            if frozen:
+                th_i[breached] = 0.0
+            dw_i = np.multiply(th_i, dt, out=dw[i].reshape(count, d))
+            dw_i += dw_star[:, i]
+            b_next = np.dot(km.entries[i, None, : i + 1], dw[: i + 1]).reshape(count, d)
+            db_step = np.subtract(b_next, b_prev, out=db[rn])
+            if frozen:
+                db_step[breached] = 0.0
+            if paired:
+                states[:, i] = x[:count]
+                db[:count] = db_physical[:, i]
+            x = step(x, db)
+            check_finite(x, i + 1)
+            b_prev = b_next
+            s_log += log_price_increments(v_safe, dw_star[:, i], params.rate, dt)
+    with np.errstate(over="ignore"):  # breached paths may overflow; discarded later
+        terminal = asset_prices(s_log, params)
+    riskneutral = terminal, np.ones(count), breached
+    if not paired:
+        return None, riskneutral
+    del dw, db_physical  # before the weight computation's temporaries
+    states[:, n] = x[:count]
+    return _weighted_terminal(scenario, xi, dw_star, states), riskneutral
+
+
+class TestFeedbackLoop:
+    """`_feedback_loop` equals the per-step loop it replaced byte for byte,
+    frozen paths, blocks of steps and a full default batch included."""
+
+    PRESETS = {
+        "worked": section4_scenario(steps=32, seed=5),
+        "constant": constant_vol_scenario(),
+        "breach": TestRiskNeutralLoop._breaching_scenario(),
+    }
+
+    @staticmethod
+    def _check_equals_parent(sc, seed, start, count, project, paired):
+        km = pricing._kernel_matrix(sc)
+        args = (sc, km, seed, start, count, project, paired)
+        got, want = pricing._feedback_loop(*args), _parent_feedback_loop(*args)
+        assert (got[0] is None) == (want[0] is None) == (not paired)
+        for got_out, want_out in zip(got, want):
+            for a, b in zip(got_out or (), want_out or ()):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+        return got[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        preset=st.sampled_from(sorted(PRESETS)),
+        project=st.booleans(),
+        paired=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        start=st.integers(0, 10**6),
+        count=st.integers(1, 700),
+    )
+    def test_equals_parent_loop(self, preset, project, paired, seed, start, count):
+        self._check_equals_parent(self.PRESETS[preset], seed, start, count, project, paired)
+
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_frozen_paths_over_several_blocks(self, paired):
+        # 300 paths keep 13 steps a block, so 64 steps make five blocks, the
+        # last one short; paths breach at different steps and some never do
+        count = 300
+        assert pricing._HISTORY_BYTES // (8 * count * 2) == 13
+        sc = self.PRESETS["breach"]
+        _, _, breached = self._check_equals_parent(sc, 3, 10, count, False, paired)
+        assert 0 < np.count_nonzero(breached) < count
+
+    @pytest.mark.parametrize("paired", [False, True])
+    @pytest.mark.parametrize("project", [False, True])
+    def test_equals_parent_loop_at_batch_size(self, project, paired):
+        # a full default batch keeps one step a block
+        sc = section4_scenario(steps=8, seed=5)
+        self._check_equals_parent(sc, 11, 300, pricing.DEFAULT_BATCH_SIZE, project, paired)
+
+    def test_peaks_of_a_full_batch(self, monkeypatch):
+        # a batch of 4096 paths x 256 steps; its increments take 16 MiB
+        monkeypatch.setattr(pricing, "_last_draws", None)
+        sc = section4_scenario(steps=256)
+        count, n, d = pricing.DEFAULT_BATCH_SIZE, sc.grid.steps, sc.dims
+        km = pricing._kernel_matrix(sc)
+        _batch_draws(sc, 7, 0, count)  # drawn before tracing
+        peaks = {}
+        for batch_fn in (pricing._paired_batch, pricing._riskneutral_batch):
+            tracemalloc.start()
+            try:
+                batch_fn(sc, km, 7, 0, count, True)
+                _, peaks[batch_fn] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        size = count * n * d * 8
+        # the lone loop holds its physical increments and a few rows beside
+        # them (a history of the whole batch traced 32.8 MiB)
+        assert peaks[pricing._riskneutral_batch] < size + 16 * count * d * 8
+        # the paired loop's peak is the weight computation, once its own
+        # increments are freed (97.2 MiB while a view kept them alive)
+        assert peaks[pricing._paired_batch] < 5.25 * size
+
+
+class TestWeightChecks:
+    """The physical estimator raises where its weights say nothing."""
+
+    @staticmethod
+    def _theta_overflow():
+        # a drift of -1e200 makes the market price of risk about 1e200, whose
+        # square overflows, so every log-weight is -inf
+        base = section4_scenario(steps=16, seed=5)
+        market = dataclasses.replace(base.market, drifts=np.array([-1e200, 0.05]))
+        return dataclasses.replace(base, market=market)
+
+    def test_non_finite_log_weight_raises(self):
+        sc = self._theta_overflow()
+        mc = MCConfig(paths=64, seed=3, check_conditions=False)
+        message = r"log-weight became non-finite \(path 0 of the batch\)"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pricer in (price_physical_weighted, price_both):
+                pricing._last_draws = None
+                with pytest.raises(FloatingPointError, match=message):
+                    pricer(Call(0, 1.0), sc, mc)
+
+    def test_every_weight_zero_raises(self):
+        # a market price of risk of -60 on V0 = 0.5 over a unit horizon puts
+        # every log-weight near -1800: finite, but its exponential is 0
+        sc = constant_vol_scenario(drifts=(0.05 + 60 * 0.5, 0.02))
+        mc = MCConfig(paths=64, seed=3)
+        _, weight, breached = physical_terminal_sample(sc, mc)
+        assert not np.count_nonzero(weight) and not np.count_nonzero(breached)
+        with pytest.raises(FloatingPointError, match="every kept path's .* weight underflowed"):
+            price_physical_weighted(Call(0, 1.0), sc, mc)
+        assert price_riskneutral(Call(0, 1.0), sc, mc).estimate > 0

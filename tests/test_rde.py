@@ -16,7 +16,7 @@ from fracvol import (
 )
 from fracvol.coefficients import eval_mu
 from fracvol.pricing import _constraint_data, xi_draws
-from fracvol.rde import euler_paths, euler_stepper
+from fracvol.rde import check_finite, euler_paths, euler_stepper
 from fracvol.scenario import section4_scenario
 from fracvol.viability import project_into
 
@@ -183,6 +183,18 @@ class TestEulerSolve:
         )
         assert np.array_equal(batch[0], single[0])
         assert np.array_equal(batch[1], single[0])
+
+
+class TestCheckFinite:
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_names_step_and_first_bad_path(self, bad, column):
+        x = np.ones((6, 2))
+        check_finite(x, 7)
+        x[4, 1 - column] = np.nan
+        x[2, column] = bad
+        with pytest.raises(FloatingPointError, match=r"at step 7 \(path 2 of the batch\)"):
+            check_finite(x, 7)
 
 
 class TestEulerStepper:

@@ -308,6 +308,15 @@ class TestPriceCommand:
         assert doc["physical"]["stderr"] == doc["riskneutral"]["stderr"] == 0.0
         assert doc["agreement_z"] == 0.0
 
+    def test_non_finite_log_weight_is_domain_error(self, tmp_path, capsys):
+        # a drift of -1e200 makes theta about 1e200, whose square overflows,
+        # so every log-weight of the physical estimator is -inf
+        base = section4_scenario(steps=16, seed=5)
+        market = dataclasses.replace(base.market, drifts=np.array([-1e200, 0.05]))
+        path = write_scenario(tmp_path, dataclasses.replace(base, market=market))
+        assert main(["price", path, "--paths", "64", "--seed", "3"]) == 2
+        assert capsys.readouterr().err.startswith("error: log-weight became non-finite")
+
     @pytest.mark.parametrize("estimator", ["--both", "--estimator=riskneutral"])
     def test_non_finite_state_is_domain_error(self, tmp_path, capsys, estimator):
         path = write_scenario(tmp_path, overflowing_scenario())

@@ -162,6 +162,36 @@ class TestProjection:
         proj = project_into(np.array([[1.0]]), np.ones((256, 1)), np.zeros(256))
         assert np.array_equal(proj, [[0.0]])
 
+    @pytest.mark.parametrize("others", ["mixed", "inside"])
+    def test_nan_row_moves_no_other_row(self, others):
+        # NaN counts as an excess, so a batch with a NaN row is projected; the
+        # row stays NaN and every other row keeps its bits
+        poly = reference_set(0.6)
+        pts = np.array([[2.0, 1.0], [-1.0, 3.0], [-1.0, -1.0], [0.7, 0.2]])
+        if others == "inside":
+            pts = pts[[0, 3]]
+        with_nan = np.insert(pts, 1, np.nan, axis=0)
+        proj = project_into(with_nan, poly.normals, poly.offsets)
+        assert np.isnan(proj[1]).all()
+        want = project_into(pts, poly.normals, poly.offsets)
+        assert np.delete(proj, 1, axis=0).tobytes() == want.tobytes()
+
+    def test_point_outside_two_faces_takes_active_sets(self, monkeypatch):
+        calls = []
+        real = viability._project_by_active_sets
+
+        def counting(x, normals, offsets):
+            calls.append(x.copy())
+            return real(x, normals, offsets)
+
+        monkeypatch.setattr(viability, "_project_by_active_sets", counting)
+        poly = reference_set(0.6)
+        pts = np.array([[2.0, 1.0], [-1.0, -1.0], [-1.0, 3.0]])  # inside, two faces, one
+        assert np.all(pts[1] @ poly.normals.T > poly.offsets)
+        proj = project_into(pts, poly.normals, poly.offsets)
+        assert len(calls) == 1 and np.array_equal(calls[0], pts[[1]])
+        assert np.allclose(proj[1], [0.6, 0.0], atol=1e-10)
+
     def test_infeasible_set_raises(self):
         # x <= -1 and -x <= -1 have no common point
         normals = np.array([[1.0], [-1.0]])
