@@ -406,15 +406,13 @@ def _feedback_loop(scenario, km, seed, start, count, project, paired):
         for lo in range(0, n, span):
             hi = min(lo + span, n)
             for i in range(lo, hi):
-                # volatility(x[rn], params), into the history
-                v = np.matmul(x[rn], params.projections.T, out=v_history[i - lo])
+                v = volatility(x[rn], params)
                 low, v_safe = floor_breach(v, xi)
                 if v_safe is not v:  # some path is at the floor
                     breached |= low
                     frozen = True
-                    v[...] = v_safe
-                th_i = theta(v, params)
-                dw_i = np.multiply(th_i, dt, out=dw[i].reshape(count, d))
+                v_history[i - lo] = v_safe
+                dw_i = np.multiply(theta(v_safe, params), dt, out=dw[i].reshape(count, d))
                 dw_i += dw_star[:, i]
                 b_next = np.dot(km.entries[i, None, : i + 1], dw[: i + 1]).reshape(count, d)
                 db_step = np.subtract(b_next, b_prev, out=db[rn])
