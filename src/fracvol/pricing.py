@@ -18,22 +18,16 @@ Path draws are keyed by (seed, path index, component), so the two estimators
 consume identical uniforms for the same seed: with equal drifts and rate they
 coincide path for path, and in general they are common-random-number coupled.
 
-A batch is drawn once and kept, with each estimator's outputs, in a one-batch
-slot (`_batch_slot`).  A batch priced under both measures steps them through
-one time loop (`_paired_batch`): the physical rows over the risk-neutral rows,
-one Euler update, projection and finiteness check per step for both.  A step
-of that loop, or of the lone risk-neutral one, runs only what feeds the next;
-the risk-neutral log-price increments are summed after each block of steps,
-in step order.
-`price_both` pairs every batch of its run.  The two estimators, called one
-after the other, pair a run of one batch when the one-batch run before it in
-the slot was priced under both measures with the same projection setting; the
-first call then stores both outputs and the second finds its own.  A one-batch
-call of a single measure right after such a run pairs too and discards the
-other measure's half, once; runs of several batches pair only through
-`price_both`.  Each row's bits are those of its measure's own loop, and a
-paired loop that fails stores nothing and the measures rerun alone, so what a
-call returns or raises does not depend on the pairing.
+The last run's outputs are kept (`_last_run`), keyed on the scenario instance
+and the run's (seed, paths, batch size, projection): each estimator's
+read-only terminal prices, weights and breach mask over the whole run,
+(d + 1) * 8 + 1 bytes per path and estimator, so another payoff on the same
+run does no path work.  Draws are not kept: `simulate_scenario_paths` and two
+lone estimator calls on one seed each draw their own.  A run steps both
+measures through one loop (`_paired_batch`) when asked for both, or when it is
+one batch following a one-batch run asked for both under the same projection
+setting; each row keeps the bits of its measure's own loop, and if the paired
+loop fails the measures run alone, so the pairing never changes a result.
 """
 
 from __future__ import annotations
@@ -77,8 +71,8 @@ class BreachRateError(RuntimeError):
 
 
 def _check_strike(strike: float) -> None:
-    if strike < 0:
-        raise ValueError(f"strike must be nonnegative, got {strike}")
+    if not (math.isfinite(strike) and strike >= 0):
+        raise ValueError(f"strike must be finite and nonnegative, got {strike}")
 
 
 @dataclass(frozen=True)
@@ -193,95 +187,9 @@ def w_increments(scenario: Scenario, seed: int, start: int, count: int) -> np.nd
     return out
 
 
-# (scenario, seed, start, count, xi, dW, outputs, asked, pair) of the last
-# batch drawn, or None.  `outputs` maps (batch function, project) to that
-# function's read-only (terminal, weight, breached) of the batch; it goes with
-# the draws it used.  `asked` holds the keys priced on the batch so far by
-# runs of this one batch, and `pair` the `project` settings under which such a
-# run is yet to be paired.
-_last_draws = None
-
-
-def _batch_slot(scenario: Scenario, seed: int, start: int, count: int):
-    """The slot of paths [start, start + count), drawn anew unless it holds them.
-
-    Pricing on one (scenario, seed, batch) again, by the other estimator or for
-    another payoff, reuses the last batch's draws instead of drawing them anew.
-    The slot is emptied before another batch is drawn, so it never holds two.
-    It is keyed on the scenario instance, whose arrays are read-only.  The slot
-    is read once and replaced whole, so concurrent callers at worst draw or
-    compute a batch twice.
-
-    A one-batch run is paired under a `project` setting when one-batch runs
-    priced the batch it replaces under both measures with that setting: its
-    first estimator call with that setting then steps both measures' paths
-    through one loop (`_paired_batch`) and stores both outputs, so the other
-    estimator's call finds its outputs here.  The rule predicts from the batch
-    before, so the first one-batch call of a single measure after such a batch
-    runs the paired loop and leaves the other half unused; the calls after it
-    run alone.  Runs of several batches never pair here, nor make the next
-    batch pair; `price_both` pairs them.
-    """
-    global _last_draws
-    last = _last_draws
-    if last is not None and last[0] is scenario and last[1:4] == (seed, start, count):
-        return last
-    _last_draws = None
-    pair = set() if last is None else {
-        project
-        for batch_fn, project in last[7]
-        if batch_fn is _physical_batch and (_riskneutral_batch, project) in last[7]
-    }
-    xi = xi_draws(scenario.xi, seed, start, count)
-    dw = w_increments(scenario, seed, start, count)
-    xi.flags.writeable = dw.flags.writeable = False
-    last = _last_draws = (scenario, seed, start, count, xi, dw, {}, set(), pair)
-    return last
-
-
-def _batch_draws(scenario: Scenario, seed: int, start: int, count: int):
-    """Read-only (xi, dW) of paths [start, start + count), drawn once per batch."""
-    return _batch_slot(scenario, seed, start, count)[4:6]
-
-
-def _read_only(result):
-    for array in result:
-        array.flags.writeable = False
-    return result
-
-
-def _batch_outputs(batch_fns, scenario, km, seed, start, count, project, whole):
-    """Read-only outputs of each of `batch_fns` on paths [start, start + count),
-    computed once per batch: another payoff priced by the same estimator on the
-    same (scenario, seed, batch) reuses them from the draw slot.  A batch that
-    raises stores nothing.  `whole` says the batch is the whole run.
-
-    Asked for both estimators, (`_physical_batch`, `_riskneutral_batch`) in
-    that order, on a batch that holds neither's outputs, it steps them through
-    one loop and raises what that loop raises.  Asked for one on a batch the
-    slot marked for pairing, the first call stores both estimators' outputs;
-    if the paired loop raises, whichever measure's paths failed first, the
-    requested measure reruns alone and raises as a lone call.
-    """
-    outputs, asked, pair = _batch_slot(scenario, seed, start, count)[6:]
-    keys = [(batch_fn, project) for batch_fn in batch_fns]
-    if whole:
-        asked.update(keys)
-    paired = len(keys) == 2 or (whole and project in pair)
-    if paired and not any(key in outputs for key in keys):
-        pair.discard(project)
-        try:
-            both = _paired_batch(scenario, km, seed, start, count, project)
-        except (FloatingPointError, ValueError):
-            if len(keys) == 2:
-                raise
-        else:
-            for batch_fn, result in zip((_physical_batch, _riskneutral_batch), both):
-                outputs[batch_fn, project] = _read_only(result)
-    for key in keys:
-        if key not in outputs:
-            outputs[key] = _read_only(key[0](scenario, km, seed, start, count, project))
-    return [outputs[key] for key in keys]
+def _draws(scenario: Scenario, seed: int, start: int, count: int):
+    """(xi, dW) of paths [start, start + count)."""
+    return xi_draws(scenario.xi, seed, start, count), w_increments(scenario, seed, start, count)
 
 
 def _constraint_data(scenario: Scenario, xi: np.ndarray):
@@ -300,28 +208,23 @@ def _kernel_matrix(scenario: Scenario) -> KernelMatrix:
     return build_kernel_matrix(scenario.grid, scenario.hurst)
 
 
-def _physical_paths(
-    scenario: Scenario, km: KernelMatrix, seed: int, start: int, count: int, project: bool
-):
-    """(xi, dW, B, states) of physical-measure paths [start, start + count).
+def _physical_paths(scenario: Scenario, km: KernelMatrix, xi, dw, project: bool):
+    """(B, states) of the physical-measure paths of draws (xi, dW).
 
     With `project`, every Euler step is projected onto the path's own K(xi).
     """
-    xi, dw = _batch_draws(scenario, seed, start, count)
     b_values = transform_increments(dw, km)
     db = np.diff(b_values, axis=1)
     constraint = _constraint_data(scenario, xi) if project else None
     states = euler_paths(
         scenario.coefficients, xi, db, scenario.initial_state, scenario.grid.dt, constraint
     )
-    return xi, dw, b_values, states
+    return b_values, states
 
 
-def _physical_batch(
-    scenario: Scenario, km: KernelMatrix, seed: int, start: int, count: int, project: bool
-):
+def _physical_batch(scenario: Scenario, km: KernelMatrix, xi, dw, project: bool):
     """Terminal prices, terminal martingale weights, and breach mask for a batch."""
-    xi, dw, _, states = _physical_paths(scenario, km, seed, start, count, project)
+    _, states = _physical_paths(scenario, km, xi, dw, project)
     return _weighted_terminal(scenario, xi, dw, states)
 
 
@@ -344,27 +247,23 @@ def _weighted_terminal(scenario: Scenario, xi, dw, states):
     return terminal, weight, breached
 
 
-def _riskneutral_batch(
-    scenario: Scenario, km: KernelMatrix, seed: int, start: int, count: int, project: bool
-):
+def _riskneutral_batch(scenario: Scenario, km: KernelMatrix, xi, dw, project: bool):
     """Terminal prices under the risk-neutral coupling, plus breach mask.
 
     The shifted increments are i.i.d. Gaussian; the physical increments are
     recovered causally (left-point market price of risk) and feed the kernel
     reconstruction of the driver one row at a time.
     """
-    return _feedback_loop(scenario, km, seed, start, count, project, paired=False)[1]
+    return _feedback_loop(scenario, km, xi, dw, project, paired=False)[1]
 
 
-def _paired_batch(
-    scenario: Scenario, km: KernelMatrix, seed: int, start: int, count: int, project: bool
-):
+def _paired_batch(scenario: Scenario, km: KernelMatrix, xi, dw, project: bool):
     """(`_physical_batch`, `_riskneutral_batch`) outputs of a batch, bit for bit,
     from one time loop over both measures' paths."""
-    return _feedback_loop(scenario, km, seed, start, count, project, paired=True)
+    return _feedback_loop(scenario, km, xi, dw, project, paired=True)
 
 
-def _feedback_loop(scenario, km, seed, start, count, project, paired):
+def _feedback_loop(scenario, km, xi, dw_star, project, paired):
     """(physical outputs or None, risk-neutral outputs) of a batch.
 
     When `paired`, the state stacks the physical rows, driven by the kernel
@@ -383,7 +282,7 @@ def _feedback_loop(scenario, km, seed, start, count, project, paired):
     n, d = grid.steps, scenario.dims
     dt = grid.dt
     params = scenario.market
-    xi, dw_star = _batch_draws(scenario, seed, start, count)
+    count = xi.size
     xi_rows = np.concatenate([xi, xi]) if paired else xi
     rows = xi_rows.size
     rn = slice(rows - count, rows)  # the risk-neutral rows
@@ -442,20 +341,74 @@ def _feedback_loop(scenario, km, seed, start, count, project, paired):
     return _weighted_terminal(scenario, xi, dw_star, states), riskneutral
 
 
-def _run_batches(scenario, mc, batch_fns):
-    """Per batch function, its (terminal, weight, breached) over the run; and the seed."""
+_MEASURES = (_physical_batch, _riskneutral_batch)
+
+# (scenario, (seed, paths, batch_size, project), outputs, asked) of the last
+# run, or None.  `outputs` maps each batch function to its read-only
+# (terminal, weight, breached) over the run, and `asked` holds the batch
+# functions that calls on the run asked for.  A new run replaces it whole,
+# so concurrent callers at worst compute a measure twice.
+_last_run = None
+
+
+def _run(scenario, mc, batch_fns):
+    """Per batch function, its (terminal, weight, breached) over the run; and the seed.
+
+    Only what the last run's memo lacks is computed.  The measures run through
+    one paired loop when both are missing, or when the run is new and of one
+    batch and follows a run of one batch asked for both under the same
+    `project`.  If a paired loop fails, the missing measures run alone in the
+    order asked, so each raises as its own estimator does.
+    """
+    global _last_run
     seed = scenario.seed if mc.seed is None else mc.seed
     km = _kernel_matrix(scenario)
-    whole = mc.paths <= mc.batch_size
-    parts = [
-        _batch_outputs(
-            batch_fns, scenario, km, seed, start, min(mc.batch_size, mc.paths - start),
-            mc.project, whole,
+    key = (seed, mc.paths, mc.batch_size, mc.project)
+    last = _last_run
+    pair = False
+    if last is None or last[0] is not scenario or last[1] != key:
+        pair = (
+            last is not None
+            and len(last[3]) == 2
+            and last[1][1] <= last[1][2]  # one batch before, and one now
+            and mc.paths <= mc.batch_size
+            and last[1][3] == mc.project
+        )
+        last = _last_run = (scenario, key, {}, set())
+    outputs, asked = last[2:]
+    asked.update(batch_fns)
+    missing = [fn for fn in batch_fns if fn not in outputs]
+    if len(missing) == 2 or pair:
+        try:
+            parts = _batches(_paired_batch, scenario, km, seed, mc)
+        except (FloatingPointError, ValueError):
+            pass
+        else:
+            outputs.update(zip(_MEASURES, map(_joined, zip(*parts))))
+    for fn in missing:
+        if fn not in outputs:
+            outputs[fn] = _joined(_batches(fn, scenario, km, seed, mc))
+    return [outputs[fn] for fn in batch_fns], seed
+
+
+def _batches(batch_fn, scenario, km, seed, mc):
+    """`batch_fn`'s outputs on each batch of the run, whose draws are freed
+    before the next batch is drawn."""
+    return [
+        batch_fn(
+            scenario, km, *_draws(scenario, seed, start, min(mc.batch_size, mc.paths - start)),
+            mc.project,
         )
         for start in range(0, mc.paths, mc.batch_size)
     ]
-    columns = [[np.concatenate(column) for column in zip(*fn_parts)] for fn_parts in zip(*parts)]
-    return columns, seed
+
+
+def _joined(parts):
+    """Read-only (terminal, weight, breached) of a run from its batches' outputs."""
+    outputs = tuple(np.concatenate(column) for column in zip(*parts))
+    for array in outputs:
+        array.flags.writeable = False
+    return outputs
 
 
 @lru_cache(maxsize=8)
@@ -505,7 +458,7 @@ def price_physical_weighted(payoff, scenario: Scenario, mc: MCConfig) -> MCResul
     """Average of martingale-weighted discounted payoffs under the physical draws."""
     if mc.check_conditions:
         _check_scenario(scenario)
-    [outputs], seed = _run_batches(scenario, mc, [_physical_batch])
+    [outputs], seed = _run(scenario, mc, [_physical_batch])
     return _assemble(payoff, scenario, *outputs, seed)
 
 
@@ -513,22 +466,17 @@ def price_riskneutral(payoff, scenario: Scenario, mc: MCConfig) -> MCResult:
     """Average of discounted payoffs under the directly simulated driftless measure."""
     if mc.check_conditions:
         _check_scenario(scenario)
-    [outputs], seed = _run_batches(scenario, mc, [_riskneutral_batch])
+    [outputs], seed = _run(scenario, mc, [_riskneutral_batch])
     return _assemble(payoff, scenario, *outputs, seed)
 
 
 def price_both(payoff, scenario: Scenario, mc: MCConfig) -> tuple[MCResult, MCResult]:
     """(`price_physical_weighted`, `price_riskneutral`) of one claim, bit for
-    bit, with every batch's two measures stepped through one loop.  If a paired
-    loop fails, the two estimators run one after the other, so what this
-    raises is what they raise."""
+    bit, with every batch's two measures stepped through one loop; if the loop
+    fails, the measures run alone, physical first, and raise as they do."""
     if mc.check_conditions:
         _check_scenario(scenario)
-    try:
-        columns, seed = _run_batches(scenario, mc, [_physical_batch, _riskneutral_batch])
-    except (FloatingPointError, ValueError):
-        physical = price_physical_weighted(payoff, scenario, mc)
-        return physical, price_riskneutral(payoff, scenario, mc)
+    columns, seed = _run(scenario, mc, _MEASURES)
     return tuple(_assemble(payoff, scenario, *outputs, seed) for outputs in columns)
 
 
@@ -555,8 +503,8 @@ def physical_terminal_sample(scenario: Scenario, mc: MCConfig):
     """
     if mc.check_conditions:
         _check_scenario(scenario)
-    [outputs], _ = _run_batches(scenario, mc, [_physical_batch])
-    return tuple(outputs)
+    [outputs], _ = _run(scenario, mc, [_physical_batch])
+    return tuple(array.copy() for array in outputs)
 
 
 def bs_reference_price(
@@ -567,8 +515,7 @@ def bs_reference_price(
         raise ValueError(f"kind must be 'call' or 'put', got {kind!r}")
     if sigma <= 0 or maturity <= 0:
         raise ValueError("sigma and maturity must be positive")
-    if strike < 0:
-        raise ValueError("strike must be nonnegative")
+    _check_strike(strike)
     if strike == 0:
         return float(s0) if kind == "call" else 0.0
     sq = sigma * math.sqrt(maturity)
@@ -609,9 +556,8 @@ def simulate_scenario_paths(
 def _simulated_batch(scenario, km, start, count, project) -> list[dict]:
     """`simulate_scenario_paths` output for paths [start, start + count)."""
     params = scenario.market
-    xi, dw, b_values, states = _physical_paths(
-        scenario, km, scenario.seed, start, count, project
-    )
+    xi, dw = _draws(scenario, scenario.seed, start, count)
+    b_values, states = _physical_paths(scenario, km, xi, dw, project)
     w = np.concatenate([np.zeros((count, 1, scenario.dims)), np.cumsum(dw, axis=1)], axis=1)
     vol = volatility(states, params)
     prices = price_paths(

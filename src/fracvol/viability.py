@@ -407,6 +407,8 @@ def check_viability_conditions(
     """
     if mode not in ("cone", "hyperplane"):
         raise ValueError(f"mode must be 'cone' or 'hyperplane', got {mode!r}")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     if box is None:
         box = default_box(poly, xi)
     lo, hi = _box_arrays(box, poly.dims)

@@ -304,10 +304,10 @@ def test_golden_digest(case, tmp_path):
 @pytest.mark.parametrize("scenario", SCENARIOS)
 @pytest.mark.parametrize("estimator", ESTIMATORS)
 def test_every_payoff_on_one_instance(estimator, scenario, projection, batch_size):
-    # Every payoff priced in turn on one scenario instance, as in three batches
-    # (each batch evicts the last from pricing's one-batch slot) and in one
-    # batch of all 600 paths (later payoffs reuse the first one's batch); the
-    # batch layout moves no bits of these estimates.
+    # Every payoff priced in turn on one scenario instance, in three batches
+    # and in one batch of all 600 paths; later payoffs take the first one's
+    # outputs over the whole run from pricing's run memo, and the batch
+    # layout moves no bits of these estimates.
     instance = SCENARIOS[scenario]()
     mc = dataclasses.replace(_config(PROJECTIONS[projection]), batch_size=batch_size)
     for payoff in PAYOFFS:

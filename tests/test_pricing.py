@@ -2,6 +2,7 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import mpmath as mp
 import numpy as np
@@ -29,7 +30,7 @@ from fracvol import (
 )
 from fracvol.coefficients import XI_STREAM, xi_inverse_cdf
 from fracvol.market import asset_prices, floor_breach, log_price_increments, theta, volatility
-from fracvol.pricing import _batch_draws, _constraint_data, _weighted_terminal
+from fracvol.pricing import _constraint_data, _draws, _weighted_terminal
 from fracvol.rde import check_finite, euler_stepper
 from fracvol.rng import NormalStream, stream_key
 from fracvol.scenario import constant_vol_scenario, section4_scenario
@@ -64,6 +65,11 @@ class TestBlackScholesReference:
         with pytest.raises(ValueError, match="kind"):
             bs_reference_price(1.0, 1.0, 0.0, 0.2, 1.0, "straddle")
 
+    @pytest.mark.parametrize("strike", [math.nan, math.inf, -1.0])
+    def test_strike_validation(self, strike):
+        with pytest.raises(ValueError, match="strike must be finite and nonnegative"):
+            bs_reference_price(1.0, strike, 0.0, 0.2, 1.0)
+
 
 class TestPayoffs:
     def test_variants(self):
@@ -75,6 +81,13 @@ class TestPayoffs:
         assert np.allclose(
             payoff_values(lambda s: s[:, 0] ** 2, terminal), [2.25, 0.64]
         )
+
+    @pytest.mark.parametrize("strike", [math.nan, math.inf, -math.inf, -1.0])
+    def test_strike_validation(self, strike):
+        for make in (lambda: Call(0, strike), lambda: Put(1, strike),
+                     lambda: Basket([0.5, 0.5], strike)):
+            with pytest.raises(ValueError, match="strike must be finite and nonnegative"):
+                make()
 
     def test_unknown_payoff_rejected(self):
         with pytest.raises(TypeError):
@@ -148,7 +161,7 @@ class TestRunMechanics:
         sc = constant_vol_scenario()
         mc = MCConfig(paths=3_000, seed=47)
         a = price_physical_weighted(Call(0, 1.0), sc, mc)
-        pricing._last_draws = None  # draw the batch again rather than reuse it
+        pricing._last_run = None  # compute the run again rather than reuse it
         b = price_physical_weighted(Call(0, 1.0), sc, mc)
         assert a == b
 
@@ -331,17 +344,19 @@ class TestScenarioArrays:
 
 
 class TestBatchDrawMemo:
-    """Pricing draws each batch's xi and dW once per (scenario, seed, batch)."""
+    """Pricing draws each batch's xi and dW once per run and estimator; another
+    payoff on the same (scenario, seed, paths, batch size, projection) draws
+    nothing."""
 
     @pytest.fixture
     def draws(self, monkeypatch):
-        """Slot contents seen at each `w_increments` call, starting from an empty slot."""
-        monkeypatch.setattr(pricing, "_last_draws", None)
+        """Run memo seen at each `w_increments` call, starting from an empty memo."""
+        monkeypatch.setattr(pricing, "_last_run", None)
         seen = []
         real = pricing.w_increments
 
         def counting(*args, **kwargs):
-            seen.append(pricing._last_draws)
+            seen.append(pricing._last_run)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(pricing, "w_increments", counting)
@@ -364,22 +379,22 @@ class TestBatchDrawMemo:
     def test_one_draw_for_every_estimator_and_payoff(self, draws):
         sc = section4_scenario(steps=16)
         self._pricings(sc, MCConfig(paths=256, seed=3))
-        assert len(draws) == 1
+        assert len(draws) == 2  # one per estimator
         assert sc.seed != 3
         simulate_scenario_paths(sc, 256)  # draws the batch of the scenario's seed
-        physical_terminal_sample(sc, MCConfig(paths=256, seed=sc.seed))  # and reuses it
-        assert len(draws) == 2
+        physical_terminal_sample(sc, MCConfig(paths=256, seed=sc.seed))  # and so does this
+        assert len(draws) == 4
 
     def test_equals_fresh_draws(self, draws):
         sc = section4_scenario(steps=16)
         mc = MCConfig(paths=256, seed=3)
         shared = self._pricings(sc, mc)
 
-        def empty_slot():
-            pricing._last_draws = None
+        def empty_memo():
+            pricing._last_run = None
 
-        fresh = self._pricings(sc, mc, before=empty_slot)
-        assert len(draws) == 1 + 4
+        fresh = self._pricings(sc, mc, before=empty_memo)
+        assert len(draws) == 2 + 4
         assert shared == fresh
 
     def test_other_keys_miss(self, draws):
@@ -394,28 +409,29 @@ class TestBatchDrawMemo:
             price_physical_weighted(Call(0, 1.0), scenario, mc)
         assert len(draws) == 1 + 1 + 2 + 2
 
-    def test_memoised_arrays_are_read_only(self, draws):
-        sc = section4_scenario(steps=16)
-        price_riskneutral(Call(0, 1.0), sc, MCConfig(paths=64, seed=3))
-        xi, dw = pricing._batch_draws(sc, 3, 0, 64)
-        assert len(draws) == 1
-        with pytest.raises(ValueError, match="read-only"):
-            xi[0] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            dw[0, 0, 0] = 1.0
+    def test_one_batch_of_draws_alive(self, monkeypatch):
+        # a run frees a batch's draws before it draws the next
+        drawn = []
+        real = pricing.w_increments
 
-    def test_slot_empty_while_drawing(self, draws):
+        def tracking(*args, **kwargs):
+            assert all(ref() is None for ref in drawn)
+            dw = real(*args, **kwargs)
+            drawn.append(weakref.ref(dw))
+            return dw
+
+        monkeypatch.setattr(pricing, "w_increments", tracking)
         sc = section4_scenario(steps=16)
-        price_riskneutral(Call(0, 1.0), sc, MCConfig(paths=300, seed=3, batch_size=100))
-        assert draws == [None, None, None]
-        assert pricing._last_draws[:4] == (sc, 3, 200, 100)
+        for seed, pricer in enumerate((price_physical_weighted, price_riskneutral, price_both)):
+            pricer(Call(0, 1.0), sc, MCConfig(paths=300, seed=seed, batch_size=100))
+        assert len(drawn) == 9 and all(ref() is None for ref in drawn)
 
 
 @pytest.fixture
 def runs(monkeypatch):
-    """Calls of the per-batch path work so far, starting from an empty slot; a
+    """Calls of the per-batch path work so far, starting from an empty memo; a
     call that raises is followed by "<name> raised"."""
-    monkeypatch.setattr(pricing, "_last_draws", None)
+    monkeypatch.setattr(pricing, "_last_run", None)
     calls = []
 
     def counting(name, real):
@@ -440,7 +456,8 @@ def runs(monkeypatch):
 
 
 class TestBatchOutputMemo:
-    """Each estimator computes a batch's outputs once per (scenario, seed, batch)."""
+    """Each estimator computes a run's outputs once per (scenario, seed, paths,
+    batch size, projection)."""
 
     @pytest.mark.parametrize("pricer", [price_physical_weighted, price_riskneutral])
     def test_second_payoff_reuses_outputs(self, runs, pricer):
@@ -451,6 +468,16 @@ class TestBatchOutputMemo:
         pricer(Put(1, 1.1), sc, mc)
         pricer(Basket([0.5, 0.5], 1.0), sc, mc)
         assert runs == first
+
+    @pytest.mark.parametrize("pricer", [price_physical_weighted, price_riskneutral])
+    def test_several_batches_computed_once(self, runs, pricer):
+        # three payoffs on three batches: one path build per batch, not per payoff
+        sc, mc = section4_scenario(steps=16), MCConfig(paths=600, seed=3, batch_size=256)
+        for payoff in (Call(0, 1.0), Put(1, 1.1), Basket([0.5, 0.5], 1.0)):
+            pricer(payoff, sc, mc)
+        assert runs.count("euler_stepper") == 3
+        physical = pricer is price_physical_weighted
+        assert runs.count("transform_increments") == (3 if physical else 0)
 
     def test_other_keys_miss(self, runs):
         sc = constant_vol_scenario()
@@ -479,30 +506,30 @@ class TestBatchOutputMemo:
         for pricer in (price_physical_weighted, price_riskneutral) * 2:
             with pytest.raises(FloatingPointError, match="step 1"):
                 pricer(Call(0, 1.0), sc, mc)
-        assert pricing._last_draws[:4] == (sc, 3, 0, 16)
-        assert pricing._last_draws[6] == {}
+        assert pricing._last_run[:2] == (sc, (3, 16, pricing.DEFAULT_BATCH_SIZE, False))
+        assert pricing._last_run[2] == {}
         assert runs.count("euler_stepper") == 4
 
     def test_outputs_read_only(self, runs):
         sc, mc = section4_scenario(steps=16), MCConfig(paths=64, seed=3)
         terminal, weight, breached = physical_terminal_sample(sc, mc)
         terminal[0, 0] = weight[0] = 0.0  # the caller's copies
-        outputs = pricing._last_draws[6][(pricing._physical_batch, True)]
+        outputs = pricing._last_run[2][pricing._physical_batch]
         assert outputs[0][0, 0] != 0.0 and outputs[1][0] != 0.0
         for array in outputs:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
         price_riskneutral(Call(0, 1.0), sc, mc)
-        for array in pricing._last_draws[6][(pricing._riskneutral_batch, True)]:
+        for array in pricing._last_run[2][pricing._riskneutral_batch]:
             assert not array.flags.writeable
 
     def test_emptying_the_slot_recomputes(self, runs):
         sc, mc = section4_scenario(steps=16), MCConfig(paths=64, seed=3)
         a = price_riskneutral(Call(0, 1.0), sc, mc)
-        pricing._last_draws = None
+        pricing._last_run = None
         b = price_riskneutral(Put(1, 1.1), sc, mc)
         assert runs.count("euler_stepper") == 2
-        pricing._last_draws = None
+        pricing._last_run = None
         assert price_riskneutral(Call(0, 1.0), sc, mc) == a
         assert price_riskneutral(Put(1, 1.1), sc, mc) == b
         assert runs.count("euler_stepper") == 3
@@ -543,7 +570,7 @@ class TestPairedBatch:
     @staticmethod
     def _check_paired_equals_lone(sc, project, seed, start, count):
         km = pricing._kernel_matrix(sc)
-        args = (sc, km, seed, start, count, project)
+        args = (sc, km, *_draws(sc, seed, start, count), project)
         lone = (pricing._physical_batch(*args), pricing._riskneutral_batch(*args))
         paired = pricing._paired_batch(*args)
         for lone_out, paired_out in zip(lone, paired):
@@ -551,8 +578,11 @@ class TestPairedBatch:
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("order", [1, -1])
-    def test_next_batch_pairs(self, runs, order):
+    # the c09 workload's request: both estimators on each of two assets
+    @pytest.mark.parametrize(
+        "order, assets", [(1, [1]), (-1, [1]), (1, [0, 1])], ids=["1", "-1", "c09"]
+    )
+    def test_next_batch_pairs(self, runs, order, assets):
         sc = section4_scenario(steps=16, seed=5)
         pricers = (price_physical_weighted, price_riskneutral)[::order]
         for pricer in pricers:
@@ -560,14 +590,14 @@ class TestPairedBatch:
         assert runs.count("euler_stepper") == 2
         del runs[:]
         mc = MCConfig(paths=64, seed=4)
-        paired = [pricer(Put(1, 1.1), sc, mc) for pricer in pricers]
-        # one loop for both measures, and the second call hits
+        paired = [pricer(Put(a, 1.1), sc, mc) for a in assets for pricer in pricers]
+        # one loop for both measures, and the later calls hit
         assert runs == ["_paired_batch", "transform_increments", "euler_stepper"]
-        assert pricing._last_draws[6].keys() == {
-            (pricing._physical_batch, True), (pricing._riskneutral_batch, True)
+        assert pricing._last_run[2].keys() == {
+            pricing._physical_batch, pricing._riskneutral_batch
         }
-        pricing._last_draws = None
-        assert [pricer(Put(1, 1.1), sc, mc) for pricer in pricers] == paired
+        pricing._last_run = None
+        assert [pricer(Put(a, 1.1), sc, mc) for a in assets for pricer in pricers] == paired
         assert "_paired_batch" not in runs[3:]
 
     def test_lone_patterns_never_pair(self, runs):
@@ -629,7 +659,7 @@ class TestPairedBatch:
         mc = MCConfig(paths=80, seed=3, batch_size=32)
         paired = price_both(Put(1, 1.1), sc, mc)
         assert runs.count("_paired_batch") == runs.count("euler_stepper") == 3
-        pricing._last_draws = None
+        pricing._last_run = None
         assert paired == (
             price_physical_weighted(Put(1, 1.1), sc, mc),
             price_riskneutral(Put(1, 1.1), sc, mc),
@@ -638,7 +668,7 @@ class TestPairedBatch:
         one_batch = dataclasses.replace(mc, paths=32)
         for index, pricer in enumerate((price_physical_weighted, price_riskneutral)):
             del runs[:]
-            pricing._last_draws = None
+            pricing._last_run = None
             alone = pricer(Put(1, 1.1), sc, one_batch)
             assert price_both(Put(1, 1.1), sc, one_batch)[index] == alone
             assert runs.count("_paired_batch") == 0
@@ -663,9 +693,9 @@ class TestPairedBatch:
         pricers = (price_physical_weighted, price_riskneutral)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            pricing._last_draws = None
+            pricing._last_run = None
             lone = price_physical_weighted(Call(1, 1.0), bad, mc)
-            pricing._last_draws = None
+            pricing._last_run = None
             with pytest.raises(FloatingPointError) as lone_error:
                 price_riskneutral(Call(1, 1.0), bad, mc)
             assert str(lone_error.value) == (
@@ -687,7 +717,7 @@ class TestPairedBatch:
         ]
         assert runs.count("_paired_batch") == 1
         assert runs.count("euler_stepper") == 1 + 2
-        assert pricing._last_draws[6].keys() == {(pricing._physical_batch, True)}
+        assert pricing._last_run[2].keys() == {pricing._physical_batch}
 
     @pytest.mark.parametrize("batch_size", [64, 32])
     def test_failed_price_both_raises_as_the_estimators(self, runs, batch_size):
@@ -697,7 +727,7 @@ class TestPairedBatch:
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(FloatingPointError) as lone_error:
                 price_riskneutral(Call(1, 1.0), bad, mc)
-            pricing._last_draws = None
+            pricing._last_run = None
             del runs[:]
             with pytest.raises(FloatingPointError) as error:
                 price_both(Call(1, 1.0), bad, mc)
@@ -786,7 +816,9 @@ class TestRiskNeutralLoop:
         else:
             sc, project = section4_scenario(steps=64), True
         km = pricing._kernel_matrix(sc)
-        terminal, weight, breached = pricing._riskneutral_batch(sc, km, 3, 10, 300, project)
+        terminal, weight, breached = pricing._riskneutral_batch(
+            sc, km, *_draws(sc, 3, 10, 300), project
+        )
         want_terminal, want_breached = riskneutral_reference(sc, km, 3, 10, 300, project)
         assert terminal.tobytes() == want_terminal.tobytes()
         assert np.array_equal(breached, want_breached)
@@ -818,7 +850,7 @@ class TestRiskNeutralLoop:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # raises before any overflow warning
             with pytest.raises(FloatingPointError, match=rf"step 1 \(path {bad} of the batch\)"):
-                pricing._riskneutral_batch(sc, km, seed, 0, count, False)
+                pricing._riskneutral_batch(sc, km, *_draws(sc, seed, 0, count), False)
 
 
 def _parent_feedback_loop(scenario, km, seed, start, count, project, paired):
@@ -834,7 +866,7 @@ def _parent_feedback_loop(scenario, km, seed, start, count, project, paired):
     n, d = grid.steps, scenario.dims
     dt = grid.dt
     params = scenario.market
-    xi, dw_star = _batch_draws(scenario, seed, start, count)
+    xi, dw_star = _draws(scenario, seed, start, count)
     xi_rows = np.concatenate([xi, xi]) if paired else xi
     rows = xi_rows.size
     rn = slice(rows - count, rows)  # the risk-neutral rows
@@ -894,8 +926,8 @@ class TestFeedbackLoop:
     @staticmethod
     def _check_equals_parent(sc, seed, start, count, project, paired):
         km = pricing._kernel_matrix(sc)
-        args = (sc, km, seed, start, count, project, paired)
-        got, want = pricing._feedback_loop(*args), _parent_feedback_loop(*args)
+        got = pricing._feedback_loop(sc, km, *_draws(sc, seed, start, count), project, paired)
+        want = _parent_feedback_loop(sc, km, seed, start, count, project, paired)
         assert (got[0] is None) == (want[0] is None) == (not paired)
         for got_out, want_out in zip(got, want):
             for a, b in zip(got_out or (), want_out or ()):
@@ -932,18 +964,17 @@ class TestFeedbackLoop:
         sc = section4_scenario(steps=8, seed=5)
         self._check_equals_parent(sc, 11, 300, pricing.DEFAULT_BATCH_SIZE, project, paired)
 
-    def test_peaks_of_a_full_batch(self, monkeypatch):
+    def test_peaks_of_a_full_batch(self):
         # a batch of 4096 paths x 256 steps; its increments take 16 MiB
-        monkeypatch.setattr(pricing, "_last_draws", None)
         sc = section4_scenario(steps=256)
         count, n, d = pricing.DEFAULT_BATCH_SIZE, sc.grid.steps, sc.dims
         km = pricing._kernel_matrix(sc)
-        _batch_draws(sc, 7, 0, count)  # drawn before tracing
+        draws = _draws(sc, 7, 0, count)  # drawn before tracing
         peaks = {}
         for batch_fn in (pricing._paired_batch, pricing._riskneutral_batch):
             tracemalloc.start()
             try:
-                batch_fn(sc, km, 7, 0, count, True)
+                batch_fn(sc, km, *draws, True)
                 _, peaks[batch_fn] = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -974,7 +1005,7 @@ class TestWeightChecks:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for pricer in (price_physical_weighted, price_both):
-                pricing._last_draws = None
+                pricing._last_run = None
                 with pytest.raises(FloatingPointError, match=message):
                     pricer(Call(0, 1.0), sc, mc)
 

@@ -176,6 +176,14 @@ class TestCheckViabilityCommand:
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["check-viability", "no-such-file.json"]) == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_invalid_tol_is_usage_error(self, tmp_path, capsys, tol):
+        # a NaN tolerance failed every face, and a negative one failed faces
+        # whose worst score is exactly 0
+        path = write_scenario(tmp_path, section4_scenario(steps=16))
+        assert main(["check-viability", path, "--tol", tol]) == 2
+        assert capsys.readouterr().err.startswith("error: tol must be finite and nonnegative")
+
     def test_samples_option_is_gone(self, tmp_path, capsys):
         # the checker scores polytope vertices only, so there is nothing to sample
         path = write_scenario(tmp_path, section4_scenario(steps=16))
@@ -330,6 +338,15 @@ class TestPriceCommand:
         monkeypatch.setattr(cli, "load_scenario", diverging)
         assert main(["price", "unused.json"]) == 2
         assert capsys.readouterr().err == "error: series did not converge\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["--strike", "nan"], ["--payoff", "put", "--strike", "inf", "--both"]]
+    )
+    def test_non_finite_strike_is_usage_error(self, tmp_path, capsys, argv):
+        # printed as "estimate": NaN or Infinity, which is not JSON
+        path = write_scenario(tmp_path, constant_vol_scenario())
+        assert main(["price", path, "--paths", "64", *argv]) == 2
+        assert capsys.readouterr().err.startswith("error: strike must be finite and nonnegative")
 
     def test_basket_requires_weights(self, tmp_path, capsys):
         path = write_scenario(tmp_path, constant_vol_scenario())

@@ -314,6 +314,13 @@ class TestConditionChecker:
                 mode="tangent",
             )
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_invalid_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            check_viability_conditions(
+                section4_scenario(steps=8).coefficients, reference_set(0.5), 0.5, tol=tol
+            )
+
     def test_report_serialization(self):
         sc = section4_scenario(steps=8)
         report = check_viability_conditions(
