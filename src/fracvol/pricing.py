@@ -18,16 +18,18 @@ Path draws are keyed by (seed, path index, component), so the two estimators
 consume identical uniforms for the same seed: with equal drifts and rate they
 coincide path for path, and in general they are common-random-number coupled.
 
-The last run's outputs are kept (`_last_run`), keyed on the scenario instance
-and the run's (seed, paths, batch size, projection): each estimator's
-read-only terminal prices, weights and breach mask over the whole run,
-(d + 1) * 8 + 1 bytes per path and estimator, so another payoff on the same
-run does no path work.  Draws are not kept: `simulate_scenario_paths` and two
-lone estimator calls on one seed each draw their own.  A run steps both
-measures through one loop (`_paired_batch`) when asked for both, or when it is
-one batch following a one-batch run asked for both under the same projection
-setting; each row keeps the bits of its measure's own loop, and if the paired
-loop fails the measures run alone, so the pairing never changes a result.
+Every run first rejects a scenario that fails the cone-mode boundary
+conditions (`_check_scenario`), without which the pricing formula does not
+hold.  The last run's outputs are kept (`_last_run`), keyed on the scenario
+instance and the run's (seed, paths, projection): each estimator's read-only
+terminal prices, weights and breach mask over the whole run, (d + 1) * 8 + 1
+bytes per path and estimator, so another payoff on the same run does no path
+work.  Draws are not kept: `simulate_scenario_paths` and two lone estimator
+calls on one seed each draw their own.  A run steps both measures through one
+loop (`_paired_batch`) when asked for both, or when it is one batch following
+a one-batch run asked for both under the same projection setting; each row
+keeps the bits of its measure's own loop, and if the paired loop fails the
+measures run alone, so the pairing never changes a result.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import ndtri
@@ -57,7 +60,6 @@ from .viability import check_viability_conditions
 from .volterra import KernelMatrix, build_kernel_matrix, transform_increments
 
 MAX_BREACH_FRACTION = 1e-3
-DEFAULT_BATCH_SIZE = 4096
 # Brownian increments are drawn and reordered this many at a time, which
 # bounds the transient memory of `w_increments` beside its result.
 _DRAW_CHUNK = 1 << 16
@@ -121,11 +123,12 @@ def payoff_values(payoff, terminal: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MCConfig:
-    """Monte Carlo run parameters.
+    """Monte Carlo run parameters: `paths`, `seed` and `project`.
 
-    `seed` of None means "use the scenario's seed".  The batch size only
-    controls memory and the float reduction layout; path draws themselves are
-    independent of batching.
+    `seed` of None means "use the scenario's seed".  `batch_size` is a class
+    constant, not a setting: runs build paths that many at a time, which
+    bounds their memory; path draws are keyed per path, so batching moves no
+    bits.
 
     `project` keeps the state inside its shifted constraint set by a Euclidean
     projection after every Euler step.  Pricing needs the volatility bounded
@@ -134,17 +137,15 @@ class MCConfig:
     projection itself misbehaves.
     """
 
+    batch_size: ClassVar[int] = 4096
+
     paths: int
     seed: int | None = None
-    batch_size: int = DEFAULT_BATCH_SIZE
-    check_conditions: bool = True
     project: bool = True
 
     def __post_init__(self):
         if self.paths < 2:
             raise ValueError("need at least 2 paths for a standard error")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
 
 
 @dataclass(frozen=True)
@@ -343,36 +344,37 @@ def _feedback_loop(scenario, km, xi, dw_star, project, paired):
 
 _MEASURES = (_physical_batch, _riskneutral_batch)
 
-# (scenario, (seed, paths, batch_size, project), outputs, asked) of the last
-# run, or None.  `outputs` maps each batch function to its read-only
-# (terminal, weight, breached) over the run, and `asked` holds the batch
-# functions that calls on the run asked for.  A new run replaces it whole,
-# so concurrent callers at worst compute a measure twice.
+# (scenario, (seed, paths, project), outputs, asked) of the last run, or
+# None.  `outputs` maps each batch function to its read-only (terminal,
+# weight, breached) over the run, and `asked` holds the batch functions that
+# calls on the run asked for.  A new run replaces it whole, so concurrent
+# callers at worst compute a measure twice.
 _last_run = None
 
 
 def _run(scenario, mc, batch_fns):
     """Per batch function, its (terminal, weight, breached) over the run; and the seed.
 
-    Only what the last run's memo lacks is computed.  The measures run through
-    one paired loop when both are missing, or when the run is new and of one
-    batch and follows a run of one batch asked for both under the same
-    `project`.  If a paired loop fails, the missing measures run alone in the
-    order asked, so each raises as its own estimator does.
+    The scenario is checked first (`_check_scenario`), before the kernel build
+    and any draw.  Only what the last run's memo lacks is computed.  The
+    measures run through one paired loop when both are missing, or when the
+    run is new and of one batch and follows a run of one batch asked for both
+    under the same `project`.  If a paired loop fails, the missing measures
+    run alone in the order asked, so each raises as its own estimator does.
     """
     global _last_run
+    _check_scenario(scenario)
     seed = scenario.seed if mc.seed is None else mc.seed
     km = _kernel_matrix(scenario)
-    key = (seed, mc.paths, mc.batch_size, mc.project)
+    key = (seed, mc.paths, mc.project)
     last = _last_run
     pair = False
     if last is None or last[0] is not scenario or last[1] != key:
         pair = (
             last is not None
             and len(last[3]) == 2
-            and last[1][1] <= last[1][2]  # one batch before, and one now
-            and mc.paths <= mc.batch_size
-            and last[1][3] == mc.project
+            and max(last[1][1], mc.paths) <= MCConfig.batch_size  # one batch before and now
+            and last[1][2] == mc.project
         )
         last = _last_run = (scenario, key, {}, set())
     outputs, asked = last[2:]
@@ -394,12 +396,12 @@ def _run(scenario, mc, batch_fns):
 def _batches(batch_fn, scenario, km, seed, mc):
     """`batch_fn`'s outputs on each batch of the run, whose draws are freed
     before the next batch is drawn."""
+    size = MCConfig.batch_size
     return [
         batch_fn(
-            scenario, km, *_draws(scenario, seed, start, min(mc.batch_size, mc.paths - start)),
-            mc.project,
+            scenario, km, *_draws(scenario, seed, start, min(size, mc.paths - start)), mc.project
         )
-        for start in range(0, mc.paths, mc.batch_size)
+        for start in range(0, mc.paths, size)
     ]
 
 
@@ -456,16 +458,12 @@ def _assemble(payoff, scenario, terminal, weight, breached, seed) -> MCResult:
 
 def price_physical_weighted(payoff, scenario: Scenario, mc: MCConfig) -> MCResult:
     """Average of martingale-weighted discounted payoffs under the physical draws."""
-    if mc.check_conditions:
-        _check_scenario(scenario)
     [outputs], seed = _run(scenario, mc, [_physical_batch])
     return _assemble(payoff, scenario, *outputs, seed)
 
 
 def price_riskneutral(payoff, scenario: Scenario, mc: MCConfig) -> MCResult:
     """Average of discounted payoffs under the directly simulated driftless measure."""
-    if mc.check_conditions:
-        _check_scenario(scenario)
     [outputs], seed = _run(scenario, mc, [_riskneutral_batch])
     return _assemble(payoff, scenario, *outputs, seed)
 
@@ -474,8 +472,6 @@ def price_both(payoff, scenario: Scenario, mc: MCConfig) -> tuple[MCResult, MCRe
     """(`price_physical_weighted`, `price_riskneutral`) of one claim, bit for
     bit, with every batch's two measures stepped through one loop; if the loop
     fails, the measures run alone, physical first, and raise as they do."""
-    if mc.check_conditions:
-        _check_scenario(scenario)
     columns, seed = _run(scenario, mc, _MEASURES)
     return tuple(_assemble(payoff, scenario, *outputs, seed) for outputs in columns)
 
@@ -498,11 +494,8 @@ def physical_terminal_sample(scenario: Scenario, mc: MCConfig):
     Exposes the raw physical-measure sample so that moment identities (weight
     mean one, weighted discounted prices matching spot) can be tested without
     re-simulating per payoff.  Like the estimators, it first rejects a
-    scenario that fails the cone-mode check unless `mc.check_conditions` is
-    off.
+    scenario that fails the cone-mode check.
     """
-    if mc.check_conditions:
-        _check_scenario(scenario)
     [outputs], _ = _run(scenario, mc, [_physical_batch])
     return tuple(array.copy() for array in outputs)
 
@@ -540,16 +533,16 @@ def simulate_scenario_paths(
     The paths are the physical estimator's paths for the scenario's seed.
     Returns one dict per path with keys xi, w, b, state, vol, prices, margin
     (the slack of the state inside its shifted constraint set at each grid
-    time).  Paths are built in batches of DEFAULT_BATCH_SIZE, which bounds the
+    time).  Paths are built in batches of `MCConfig.batch_size`, which bounds the
     transient memory; the draws are keyed per path, so batching moves no bits.
     """
     if n_paths < 1:
         raise ValueError(f"need at least 1 path, got {n_paths}")
     km = _kernel_matrix(scenario)
+    size = MCConfig.batch_size
     out = []
-    for start in range(0, n_paths, DEFAULT_BATCH_SIZE):
-        count = min(DEFAULT_BATCH_SIZE, n_paths - start)
-        out += _simulated_batch(scenario, km, start, count, project)
+    for start in range(0, n_paths, size):
+        out += _simulated_batch(scenario, km, start, min(size, n_paths - start), project)
     return out
 
 

@@ -285,8 +285,8 @@ def stopped_discounted_run(weighted_terminal_run):
     market, dt, n = sc.market, sc.grid.dt, sc.grid.steps
     km = build_kernel_matrix(sc.grid, sc.hurst)
     parts = []
-    for start in range(0, mc.paths, mc.batch_size):
-        count = min(mc.batch_size, mc.paths - start)
+    for start in range(0, mc.paths, MCConfig.batch_size):
+        count = min(MCConfig.batch_size, mc.paths - start)
         xi = xi_draws(sc.xi, mc.seed, start, count)
         dw = w_increments(sc, mc.seed, start, count)
         db = np.diff(transform_increments(dw, km), axis=1)

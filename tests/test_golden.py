@@ -40,7 +40,6 @@ numpy or BLAS build may change the last bits of matrix products and sums; on
 such a stack, re-pin only after checking that the program did not change.
 """
 
-import dataclasses
 import hashlib
 import json
 
@@ -97,7 +96,7 @@ PATH_SEED = 9
 
 
 def _config(project: bool) -> MCConfig:
-    return MCConfig(paths=600, batch_size=256, check_conditions=False, project=project)
+    return MCConfig(paths=600, project=project)
 
 
 def _array_digest(*arrays) -> str:
@@ -295,7 +294,8 @@ def test_every_case_is_pinned():
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_golden_digest(case, tmp_path):
+def test_golden_digest(case, tmp_path, monkeypatch):
+    monkeypatch.setattr(MCConfig, "batch_size", 256)  # 600 paths in three batches
     assert _digest(case, tmp_path) == GOLDEN[case]
 
 
@@ -303,13 +303,14 @@ def test_golden_digest(case, tmp_path):
 @pytest.mark.parametrize("projection", PROJECTIONS)
 @pytest.mark.parametrize("scenario", SCENARIOS)
 @pytest.mark.parametrize("estimator", ESTIMATORS)
-def test_every_payoff_on_one_instance(estimator, scenario, projection, batch_size):
+def test_every_payoff_on_one_instance(estimator, scenario, projection, batch_size, monkeypatch):
     # Every payoff priced in turn on one scenario instance, in three batches
     # and in one batch of all 600 paths; later payoffs take the first one's
     # outputs over the whole run from pricing's run memo, and the batch
     # layout moves no bits of these estimates.
     instance = SCENARIOS[scenario]()
-    mc = dataclasses.replace(_config(PROJECTIONS[projection]), batch_size=batch_size)
+    monkeypatch.setattr(MCConfig, "batch_size", batch_size)
+    mc = _config(PROJECTIONS[projection])
     for payoff in PAYOFFS:
         digest = _estimate_digest(estimator, payoff, instance, mc)
         assert digest == GOLDEN[f"{estimator}/{scenario}/{projection}/{payoff}"], payoff

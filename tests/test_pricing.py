@@ -186,15 +186,22 @@ class TestRunMechanics:
         )
         return dataclasses.replace(base, coefficients=drifting)
 
-    def test_breach_rate_error_without_projection(self):
+    @staticmethod
+    def _unchecked(monkeypatch):
+        # the drifting scenario fails the cone-mode check
+        monkeypatch.setattr(pricing, "_check_scenario", lambda scenario: None)
+
+    def test_breach_rate_error_without_projection(self, monkeypatch):
+        self._unchecked(monkeypatch)
         sc = self._drifting_down_scenario()
-        mc = MCConfig(paths=2_000, seed=51, project=False, check_conditions=False)
+        mc = MCConfig(paths=2_000, seed=51, project=False)
         with pytest.raises(BreachRateError, match="breached"):
             price_physical_weighted(Call(0, 1.0), sc, mc)
 
-    def test_projection_prevents_breach(self):
+    def test_projection_prevents_breach(self, monkeypatch):
+        self._unchecked(monkeypatch)
         sc = self._drifting_down_scenario()
-        mc = MCConfig(paths=2_000, seed=51, check_conditions=False)
+        mc = MCConfig(paths=2_000, seed=51)
         res = price_physical_weighted(Call(0, 1.0), sc, mc)
         assert res.breached == 0
 
@@ -221,10 +228,6 @@ class TestRunMechanics:
         broken = self._outward_drift_scenario()
         with pytest.raises(ValueError, match="cone-mode"):
             physical_terminal_sample(broken, MCConfig(paths=500, seed=1))
-        sample = physical_terminal_sample(
-            broken, MCConfig(paths=500, seed=1, check_conditions=False)
-        )
-        assert sample[0].shape == (500, 2)
 
     def test_minimum_paths(self):
         with pytest.raises(ValueError, match="paths"):
@@ -266,7 +269,7 @@ class TestRunMechanics:
     def test_simulate_batching_moves_no_bits(self, monkeypatch):
         sc = section4_scenario(steps=32, seed=5)
         whole = simulate_scenario_paths(sc, 5, project=True)
-        monkeypatch.setattr(pricing, "DEFAULT_BATCH_SIZE", 2)
+        monkeypatch.setattr(MCConfig, "batch_size", 2)
         split = simulate_scenario_paths(sc, 5, project=True)
         assert len(split) == len(whole) == 5
         for a, b in zip(whole, split):
@@ -311,14 +314,6 @@ class TestScenarioCheckMemo:
                 price_physical_weighted(Call(0, 1.0), broken, MCConfig(paths=64, seed=1))
         assert checked == [1.0, 1.0]
 
-    def test_unchecked_runs_make_no_call(self, checked):
-        sc = section4_scenario(steps=16)
-        mc = MCConfig(paths=64, seed=3, check_conditions=False)
-        price_physical_weighted(Call(0, 1.0), sc, mc)
-        price_riskneutral(Call(0, 1.0), sc, mc)
-        physical_terminal_sample(sc, mc)
-        assert checked == []
-
 
 class TestScenarioArrays:
     def test_arrays_are_read_only(self):
@@ -345,8 +340,7 @@ class TestScenarioArrays:
 
 class TestBatchDrawMemo:
     """Pricing draws each batch's xi and dW once per run and estimator; another
-    payoff on the same (scenario, seed, paths, batch size, projection) draws
-    nothing."""
+    payoff on the same (scenario, seed, paths, projection) draws nothing."""
 
     @pytest.fixture
     def draws(self, monkeypatch):
@@ -397,13 +391,14 @@ class TestBatchDrawMemo:
         assert len(draws) == 2 + 4
         assert shared == fresh
 
-    def test_other_keys_miss(self, draws):
+    def test_other_keys_miss(self, draws, monkeypatch):
+        monkeypatch.setattr(MCConfig, "batch_size", 128)
         sc = section4_scenario(steps=16)
         runs = [
-            (sc, MCConfig(paths=256, seed=3)),
-            (sc, MCConfig(paths=256, seed=4)),  # seed
-            (sc, MCConfig(paths=256, seed=4, batch_size=128)),  # two batches
-            (dataclasses.replace(sc), MCConfig(paths=256, seed=4, batch_size=128)),
+            (sc, MCConfig(paths=128, seed=3)),
+            (sc, MCConfig(paths=128, seed=4)),  # seed
+            (sc, MCConfig(paths=256, seed=4)),  # two batches
+            (dataclasses.replace(sc), MCConfig(paths=256, seed=4)),
         ]
         for scenario, mc in runs:
             price_physical_weighted(Call(0, 1.0), scenario, mc)
@@ -421,9 +416,10 @@ class TestBatchDrawMemo:
             return dw
 
         monkeypatch.setattr(pricing, "w_increments", tracking)
+        monkeypatch.setattr(MCConfig, "batch_size", 100)
         sc = section4_scenario(steps=16)
         for seed, pricer in enumerate((price_physical_weighted, price_riskneutral, price_both)):
-            pricer(Call(0, 1.0), sc, MCConfig(paths=300, seed=seed, batch_size=100))
+            pricer(Call(0, 1.0), sc, MCConfig(paths=300, seed=seed))
         assert len(drawn) == 9 and all(ref() is None for ref in drawn)
 
 
@@ -457,7 +453,7 @@ def runs(monkeypatch):
 
 class TestBatchOutputMemo:
     """Each estimator computes a run's outputs once per (scenario, seed, paths,
-    batch size, projection)."""
+    projection)."""
 
     @pytest.mark.parametrize("pricer", [price_physical_weighted, price_riskneutral])
     def test_second_payoff_reuses_outputs(self, runs, pricer):
@@ -470,24 +466,26 @@ class TestBatchOutputMemo:
         assert runs == first
 
     @pytest.mark.parametrize("pricer", [price_physical_weighted, price_riskneutral])
-    def test_several_batches_computed_once(self, runs, pricer):
+    def test_several_batches_computed_once(self, runs, pricer, monkeypatch):
         # three payoffs on three batches: one path build per batch, not per payoff
-        sc, mc = section4_scenario(steps=16), MCConfig(paths=600, seed=3, batch_size=256)
+        monkeypatch.setattr(MCConfig, "batch_size", 256)
+        sc, mc = section4_scenario(steps=16), MCConfig(paths=600, seed=3)
         for payoff in (Call(0, 1.0), Put(1, 1.1), Basket([0.5, 0.5], 1.0)):
             pricer(payoff, sc, mc)
         assert runs.count("euler_stepper") == 3
         physical = pricer is price_physical_weighted
         assert runs.count("transform_increments") == (3 if physical else 0)
 
-    def test_other_keys_miss(self, runs):
+    def test_other_keys_miss(self, runs, monkeypatch):
+        monkeypatch.setattr(MCConfig, "batch_size", 128)
         sc = constant_vol_scenario()
-        mc = MCConfig(paths=256, seed=3)
+        mc = MCConfig(paths=128, seed=3)
         cases = [
             (sc, mc),
             (sc, dataclasses.replace(mc, project=False)),  # projection
             (sc, dataclasses.replace(mc, seed=4)),  # seed
-            (sc, dataclasses.replace(mc, seed=4, batch_size=128)),  # two batches
-            (dataclasses.replace(sc), dataclasses.replace(mc, seed=4, batch_size=128)),
+            (sc, dataclasses.replace(mc, seed=4, paths=256)),  # two batches
+            (dataclasses.replace(sc), dataclasses.replace(mc, seed=4, paths=256)),
         ]
         batches = []
         for scenario, config in cases:
@@ -502,11 +500,11 @@ class TestBatchOutputMemo:
         sc = dataclasses.replace(
             base, coefficients=coeffs, initial_state=np.array([1e308, 0.2])
         )
-        mc = MCConfig(paths=16, seed=3, check_conditions=False, project=False)
+        mc = MCConfig(paths=16, seed=3, project=False)
         for pricer in (price_physical_weighted, price_riskneutral) * 2:
             with pytest.raises(FloatingPointError, match="step 1"):
                 pricer(Call(0, 1.0), sc, mc)
-        assert pricing._last_run[:2] == (sc, (3, 16, pricing.DEFAULT_BATCH_SIZE, False))
+        assert pricing._last_run[:2] == (sc, (3, 16, False))
         assert pricing._last_run[2] == {}
         assert runs.count("euler_stepper") == 4
 
@@ -565,7 +563,7 @@ class TestPairedBatch:
             "worked": section4_scenario(steps=8, seed=5),
             "constant": constant_vol_scenario(steps=8),
         }[preset]
-        self._check_paired_equals_lone(sc, project, 11, 300, pricing.DEFAULT_BATCH_SIZE)
+        self._check_paired_equals_lone(sc, project, 11, 300, MCConfig.batch_size)
 
     @staticmethod
     def _check_paired_equals_lone(sc, project, seed, start, count):
@@ -600,15 +598,16 @@ class TestPairedBatch:
         assert [pricer(Put(a, 1.1), sc, mc) for a in assets for pricer in pricers] == paired
         assert "_paired_batch" not in runs[3:]
 
-    def test_lone_patterns_never_pair(self, runs):
+    def test_lone_patterns_never_pair(self, runs, monkeypatch):
+        monkeypatch.setattr(MCConfig, "batch_size", 32)
         sc = constant_vol_scenario()
-        mc = MCConfig(paths=64, seed=3)
+        mc = MCConfig(paths=32, seed=3)
         for seed in (3, 4, 5):  # one estimator
             price_physical_weighted(Call(0, 1.0), sc, dataclasses.replace(mc, seed=seed))
         for seed in (6, 7):
             physical_terminal_sample(sc, dataclasses.replace(mc, seed=seed))
         for seed in (8, 9, 10):  # both estimators over two batches each
-            config = dataclasses.replace(mc, seed=seed, batch_size=32)
+            config = dataclasses.replace(mc, seed=seed, paths=64)
             price_physical_weighted(Call(0, 1.0), sc, config)
             price_riskneutral(Call(0, 1.0), sc, config)
         assert "_paired_batch" not in runs
@@ -621,9 +620,10 @@ class TestPairedBatch:
         )
         assert "_paired_batch" not in runs
 
-    def test_transitions_after_a_paired_batch(self, runs):
+    def test_transitions_after_a_paired_batch(self, runs, monkeypatch):
+        monkeypatch.setattr(MCConfig, "batch_size", 32)
         sc = constant_vol_scenario()
-        mc = MCConfig(paths=64, seed=3)
+        mc = MCConfig(paths=32, seed=3)
 
         def both_then(*calls):
             for pricer in (price_physical_weighted, price_riskneutral):
@@ -640,11 +640,11 @@ class TestPairedBatch:
         # the first one-batch call of one measure pairs and wastes a half, once
         assert both_then(lone(4), lone(5), lone(6)) == (1, 3)
         # runs of several batches neither pair nor let the next batch pair
-        assert both_then(lone(4, batch_size=32), lone(5)) == (0, 3)
+        assert both_then(lone(4, paths=64), lone(5)) == (0, 3)
         assert both_then(
-            lambda: physical_terminal_sample(sc, dataclasses.replace(mc, seed=4, batch_size=32))
+            lambda: physical_terminal_sample(sc, dataclasses.replace(mc, seed=4, paths=64))
         ) == (0, 2)
-        several = dataclasses.replace(mc, seed=4, batch_size=32)
+        several = dataclasses.replace(mc, seed=4, paths=64)
         assert both_then(
             lambda: price_physical_weighted(Call(0, 1.0), sc, several),
             lambda: price_riskneutral(Call(0, 1.0), sc, several),
@@ -654,9 +654,10 @@ class TestPairedBatch:
         lone(5)()
         assert runs.count("_paired_batch") == 0
 
-    def test_price_both_pairs_every_batch(self, runs):
+    def test_price_both_pairs_every_batch(self, runs, monkeypatch):
+        monkeypatch.setattr(MCConfig, "batch_size", 32)
         sc = section4_scenario(steps=16, seed=5)
-        mc = MCConfig(paths=80, seed=3, batch_size=32)
+        mc = MCConfig(paths=80, seed=3)
         paired = price_both(Put(1, 1.1), sc, mc)
         assert runs.count("_paired_batch") == runs.count("euler_stepper") == 3
         pricing._last_run = None
@@ -689,7 +690,7 @@ class TestPairedBatch:
     @pytest.mark.parametrize("order", [1, -1])
     def test_failed_paired_batch_stores_nothing(self, runs, order):
         good, bad = self._riskneutral_overflow()
-        mc = MCConfig(paths=64, seed=3, check_conditions=False)
+        mc = MCConfig(paths=64, seed=3)
         pricers = (price_physical_weighted, price_riskneutral)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -720,9 +721,10 @@ class TestPairedBatch:
         assert pricing._last_run[2].keys() == {pricing._physical_batch}
 
     @pytest.mark.parametrize("batch_size", [64, 32])
-    def test_failed_price_both_raises_as_the_estimators(self, runs, batch_size):
+    def test_failed_price_both_raises_as_the_estimators(self, runs, monkeypatch, batch_size):
+        monkeypatch.setattr(MCConfig, "batch_size", batch_size)
         _, bad = self._riskneutral_overflow()
-        mc = MCConfig(paths=64, seed=3, check_conditions=False, batch_size=batch_size)
+        mc = MCConfig(paths=64, seed=3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(FloatingPointError) as lone_error:
@@ -962,12 +964,12 @@ class TestFeedbackLoop:
     def test_equals_parent_loop_at_batch_size(self, project, paired):
         # a full default batch keeps one step a block
         sc = section4_scenario(steps=8, seed=5)
-        self._check_equals_parent(sc, 11, 300, pricing.DEFAULT_BATCH_SIZE, project, paired)
+        self._check_equals_parent(sc, 11, 300, MCConfig.batch_size, project, paired)
 
     def test_peaks_of_a_full_batch(self):
         # a batch of 4096 paths x 256 steps; its increments take 16 MiB
         sc = section4_scenario(steps=256)
-        count, n, d = pricing.DEFAULT_BATCH_SIZE, sc.grid.steps, sc.dims
+        count, n, d = MCConfig.batch_size, sc.grid.steps, sc.dims
         km = pricing._kernel_matrix(sc)
         draws = _draws(sc, 7, 0, count)  # drawn before tracing
         peaks = {}
@@ -1000,7 +1002,7 @@ class TestWeightChecks:
 
     def test_non_finite_log_weight_raises(self):
         sc = self._theta_overflow()
-        mc = MCConfig(paths=64, seed=3, check_conditions=False)
+        mc = MCConfig(paths=64, seed=3)
         message = r"log-weight became non-finite \(path 0 of the batch\)"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
