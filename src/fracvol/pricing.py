@@ -35,6 +35,7 @@ measures run alone, so the pairing never changes a result.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import ClassVar
@@ -123,7 +124,7 @@ def payoff_values(payoff, terminal: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MCConfig:
-    """Monte Carlo run parameters: `paths`, `seed` and `project`.
+    """Monte Carlo run parameters: integer `paths` and `seed`, and `project`.
 
     `seed` of None means "use the scenario's seed".  `batch_size` is a class
     constant, not a setting: runs build paths that many at a time, which
@@ -144,6 +145,10 @@ class MCConfig:
     project: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.paths, numbers.Integral):
+            raise ValueError(f"paths must be an integer, got {self.paths!r}")
+        if not (self.seed is None or isinstance(self.seed, numbers.Integral)):
+            raise ValueError(f"seed must be an integer or None, got {self.seed!r}")
         if self.paths < 2:
             raise ValueError("need at least 2 paths for a standard error")
 
@@ -506,8 +511,11 @@ def bs_reference_price(
     """Closed-form lognormal reference price for the constant-volatility case."""
     if kind not in ("call", "put"):
         raise ValueError(f"kind must be 'call' or 'put', got {kind!r}")
-    if sigma <= 0 or maturity <= 0:
-        raise ValueError("sigma and maturity must be positive")
+    if not math.isfinite(rate):
+        raise ValueError(f"rate must be finite, got {rate}")
+    for name, value in (("s0", s0), ("sigma", sigma), ("maturity", maturity)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     _check_strike(strike)
     if strike == 0:
         return float(s0) if kind == "call" else 0.0

@@ -259,6 +259,8 @@ def _box_arrays(box, dims: int) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = box
     lo = np.broadcast_to(np.asarray(lo, dtype=float), (dims,)).copy()
     hi = np.broadcast_to(np.asarray(hi, dtype=float), (dims,)).copy()
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError(f"box bounds must be finite, got {lo} and {hi}")
     if np.any(lo >= hi):
         raise ValueError("box must have positive extent in every coordinate")
     return lo, hi
@@ -409,6 +411,8 @@ def check_viability_conditions(
         raise ValueError(f"mode must be 'cone' or 'hyperplane', got {mode!r}")
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    if not np.isfinite(xi):
+        raise ValueError(f"xi must be finite, got {xi}")
     if box is None:
         box = default_box(poly, xi)
     lo, hi = _box_arrays(box, poly.dims)

@@ -70,6 +70,19 @@ class TestBlackScholesReference:
         with pytest.raises(ValueError, match="strike must be finite and nonnegative"):
             bs_reference_price(1.0, strike, 0.0, 0.2, 1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["s0", "sigma", "maturity"])
+    def test_positive_parameter_validation(self, name, value):
+        # NaN and inf returned NaN, and s0 <= 0 raised "math domain error"
+        args = {"s0": 1.0, "strike": 1.0, "rate": 0.0, "sigma": 0.2, "maturity": 1.0}
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            bs_reference_price(**{**args, name: value})
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_rate_validation(self, rate):
+        with pytest.raises(ValueError, match="rate must be finite"):
+            bs_reference_price(1.0, 1.0, rate, 0.2, 1.0)
+
 
 class TestPayoffs:
     def test_variants(self):
@@ -232,6 +245,12 @@ class TestRunMechanics:
     def test_minimum_paths(self):
         with pytest.raises(ValueError, match="paths"):
             MCConfig(paths=1)
+        # a float count failed in `range` only after the scenario check, and a
+        # float seed ran as its integer part
+        with pytest.raises(ValueError, match="paths must be an integer, got 2.5"):
+            MCConfig(paths=2.5)
+        with pytest.raises(ValueError, match="seed must be an integer or None, got 1.7"):
+            MCConfig(paths=2, seed=1.7)
 
     def test_rough_regime_rejected_before_any_draw(self, monkeypatch):
         def no_draws(*args, **kwargs):

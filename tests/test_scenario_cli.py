@@ -184,6 +184,20 @@ class TestCheckViabilityCommand:
         assert main(["check-viability", path, "--tol", tol]) == 2
         assert capsys.readouterr().err.startswith("error: tol must be finite and nonnegative")
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--xi", "nan"], "xi must be finite"),
+            (["--xi", "inf"], "xi must be finite"),
+            (["--box", "0", "nan"], "box bounds must be finite"),
+        ],
+    )
+    def test_non_finite_input_is_usage_error(self, tmp_path, capsys, option, message):
+        # these failed inside the linear program, with scipy's message on b_ub
+        path = write_scenario(tmp_path, section4_scenario(steps=16))
+        assert main(["check-viability", path, *option]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     def test_samples_option_is_gone(self, tmp_path, capsys):
         # the checker scores polytope vertices only, so there is nothing to sample
         path = write_scenario(tmp_path, section4_scenario(steps=16))

@@ -321,6 +321,20 @@ class TestConditionChecker:
                 section4_scenario(steps=8).coefficients, reference_set(0.5), 0.5, tol=tol
             )
 
+    @pytest.mark.parametrize("xi", [float("nan"), float("inf")])
+    def test_non_finite_xi_rejected(self, xi):
+        with pytest.raises(ValueError, match="xi must be finite"):
+            check_viability_conditions(
+                section4_scenario(steps=8).coefficients, reference_set(0.5), xi
+            )
+
+    @pytest.mark.parametrize("box", [(0.0, float("nan")), (-float("inf"), 5.0)])
+    def test_non_finite_box_rejected(self, box):
+        with pytest.raises(ValueError, match="box bounds must be finite"):
+            check_viability_conditions(
+                section4_scenario(steps=8).coefficients, reference_set(0.5), 0.5, box=box
+            )
+
     def test_report_serialization(self):
         sc = section4_scenario(steps=8)
         report = check_viability_conditions(
