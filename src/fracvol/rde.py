@@ -8,8 +8,8 @@ of a batch of drivers at once, and a single path is a batch of one.  The
 coefficients are the affine family of `coefficients`, so a step is a few
 matrix products on the whole batch (`euler_stepper`).  No projection onto a
 constraint set is applied by default; callers needing hard feasibility can
-pass `project_onto`, which applies a Euclidean projection onto the polyhedron
-after every step.
+pass `project_onto`, the (normals, offsets) of a polyhedron, which applies a
+Euclidean projection onto it after every step.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from .coefficients import ModelCoefficients
 from .fbm import FbmConfig, sample_paths
 from .grids import TimeGrid
-from .viability import Polyhedron, face_terms, project_into
+from .viability import face_terms, project_into
 
 
 def require_young(hurst: float) -> None:
@@ -81,14 +81,14 @@ def euler_paths(
     db: np.ndarray,
     initial: np.ndarray,
     dt: float,
-    project_onto: Polyhedron | tuple[np.ndarray, np.ndarray] | None = None,
+    project_onto: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Batched Euler recursion: db has shape (paths, n, d), xi scalar or (paths,).
 
     Returns states of shape (paths, n + 1, d).  `initial` must have d entries.
-    `project_onto` may be a polyhedron, or a (normals, offsets) pair whose
-    offsets carry a leading paths axis so each path can have its own
-    constraint levels.  Raises as soon as any state stops being finite, naming
+    `project_onto` is None or a (normals, offsets) pair; the offsets may
+    carry a leading paths axis so each path can have its own constraint
+    levels.  Raises as soon as any state stops being finite, naming
     the offending step.
     """
     db = np.asarray(db, dtype=float)
@@ -101,8 +101,6 @@ def euler_paths(
         )
     out = np.empty((paths, n + 1, d))
     x = np.broadcast_to(initial, (paths, d)).copy()
-    if isinstance(project_onto, Polyhedron):
-        project_onto = (project_onto.normals, project_onto.offsets)
     step = euler_stepper(coeffs, xi, dt, project_onto)
     out[:, 0] = x
     with np.errstate(over="ignore", invalid="ignore"):

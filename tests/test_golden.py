@@ -155,9 +155,10 @@ def _digest(case: str, tmp_path) -> str:
     if kind == "euler":
         sc = SCENARIOS["worked"]()
         driver = sample_paths(sc.grid, FbmConfig(0.7, 2, PATH_SEED), 1)
-        poly = sc.polyhedron(0.8) if PROJECTIONS[rest[0]] else None
+        poly = sc.polyhedron(0.8)
+        constraint = (poly.normals, poly.offsets) if PROJECTIONS[rest[0]] else None
         db = np.diff(driver, axis=1)
-        states = euler_paths(sc.coefficients, 0.8, db, sc.initial_state, sc.grid.dt, poly)
+        states = euler_paths(sc.coefficients, 0.8, db, sc.initial_state, sc.grid.dt, constraint)
         return _array_digest(states[0])
     if kind == "transform":
         grid = TimeGrid(1.0, 64)

@@ -138,7 +138,7 @@ class TestEulerSolve:
         with pytest.raises(FloatingPointError, match="step 2"):
             euler_paths(
                 overflowing_coefficients(), 0.0, zero_increments(grid, 1), [-1.0], grid.dt,
-                project_onto=faces,
+                project_onto=(faces.normals, faces.offsets),
             )
 
     def test_dimension_mismatch_rejected(self):
@@ -166,7 +166,9 @@ class TestEulerSolve:
         poly = shifted_polyhedron(sc.market.projections, sc.market.anchor_indices, xi)
         grid = sc.grid
         db = driver_increments(grid, 2)
-        out = euler_paths(sc.coefficients, xi, db, sc.initial_state, grid.dt, project_onto=poly)
+        out = euler_paths(
+            sc.coefficients, xi, db, sc.initial_state, grid.dt, (poly.normals, poly.offsets)
+        )
         assert path_viability_margin(out[0], poly) >= -1e-9
 
     def test_batched_matches_single(self):
