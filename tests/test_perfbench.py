@@ -5,7 +5,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+RUN = PERFBENCH / "run.py"
 
 
 def test_every_span_name_resolves(monkeypatch):
@@ -22,3 +24,26 @@ def test_every_span_name_resolves(monkeypatch):
         if hasattr(importlib.import_module(module), attr)
     }
     assert resolved == names
+
+
+def test_recorded_batch_size_is_the_run_batch_size(monkeypatch):
+    # perfbench/run.py records this expression as the provenance field
+    # "mc_batch_size"; a run of one path more than it builds two batches
+    expression = 'getattr(fracvol.MCConfig(paths=2), "batch_size", None)'
+    assert expression in RUN.read_text()
+    import fracvol
+    import fracvol.pricing as pricing
+
+    recorded = eval(expression)
+    counts = []
+    real = pricing.w_increments
+
+    def counting(scenario, seed, start, count):
+        counts.append(count)
+        return real(scenario, seed, start, count)
+
+    monkeypatch.setattr(pricing, "w_increments", counting)
+    monkeypatch.setattr(pricing, "_last_run", None)
+    scenario = fracvol.constant_vol_scenario(steps=2)
+    pricing.physical_terminal_sample(scenario, fracvol.MCConfig(paths=recorded + 1, seed=3))
+    assert counts == [recorded, 1]
