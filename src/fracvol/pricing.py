@@ -128,8 +128,8 @@ class MCConfig:
 
     `seed` of None means "use the scenario's seed".  `batch_size` is a class
     constant, not a setting: runs build paths that many at a time, which
-    bounds their memory; path draws are keyed per path, so batching moves no
-    bits.
+    bounds their memory; path draws are keyed per path, so the batch size does
+    not change which paths are drawn.
 
     `project` keeps the state inside its shifted constraint set by a Euclidean
     projection after every Euler step.  Pricing needs the volatility bounded
@@ -541,7 +541,7 @@ def simulate_scenario_paths(
     The paths are the physical estimator's paths for the scenario's seed.
     Returns one dict per path with keys xi, w, b, state, vol, prices, margin
     (the slack of the state inside its shifted constraint set at each grid
-    time).  Paths are built in batches of `MCConfig.batch_size`, which bounds the
+    time).  Paths are built `MCConfig.batch_size` at a time, bounding the
     transient memory; the draws are keyed per path, so batching moves no bits.
     """
     if n_paths < 1:

@@ -88,8 +88,8 @@ def euler_paths(
     Returns states of shape (paths, n + 1, d).  `initial` must have d entries.
     `project_onto` is None or a (normals, offsets) pair; the offsets may
     carry a leading paths axis so each path can have its own constraint
-    levels.  Raises as soon as any state stops being finite, naming
-    the offending step.
+    levels.  Raises as soon as any state stops being finite, naming the
+    offending step.
     """
     db = np.asarray(db, dtype=float)
     paths, n, d = db.shape

@@ -259,7 +259,7 @@ def _box_arrays(box, dims: int) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = box
     lo = np.broadcast_to(np.asarray(lo, dtype=float), (dims,)).copy()
     hi = np.broadcast_to(np.asarray(hi, dtype=float), (dims,)).copy()
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+    if not np.isfinite([lo, hi]).all():
         raise ValueError(f"box bounds must be finite, got {lo} and {hi}")
     if np.any(lo >= hi):
         raise ValueError("box must have positive extent in every coordinate")

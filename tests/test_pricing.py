@@ -70,18 +70,20 @@ class TestBlackScholesReference:
         with pytest.raises(ValueError, match="strike must be finite and nonnegative"):
             bs_reference_price(1.0, strike, 0.0, 0.2, 1.0)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
-    @pytest.mark.parametrize("name", ["s0", "sigma", "maturity"])
-    def test_positive_parameter_validation(self, name, value):
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [("rate", value, "rate must be finite") for value in (math.nan, math.inf, -math.inf)]
+        + [
+            (name, value, f"{name} must be finite and positive")
+            for name in ("s0", "sigma", "maturity")
+            for value in (math.nan, math.inf, 0.0, -1.0)
+        ],
+    )
+    def test_parameter_validation(self, name, value, message):
         # NaN and inf returned NaN, and s0 <= 0 raised "math domain error"
         args = {"s0": 1.0, "strike": 1.0, "rate": 0.0, "sigma": 0.2, "maturity": 1.0}
-        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        with pytest.raises(ValueError, match=message):
             bs_reference_price(**{**args, name: value})
-
-    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
-    def test_rate_validation(self, rate):
-        with pytest.raises(ValueError, match="rate must be finite"):
-            bs_reference_price(1.0, 1.0, rate, 0.2, 1.0)
 
 
 class TestPayoffs:
