@@ -48,7 +48,6 @@ from .scenario import (
 )
 from .viability import (
     ConditionReport,
-    HalfSpace,
     Polyhedron,
     chebyshev_center,
     check_viability_conditions,

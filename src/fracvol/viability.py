@@ -44,48 +44,31 @@ _GEOM_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
-class HalfSpace:
-    """Points x with <normal, x - anchor> <= 0; the normal points outward."""
+class Polyhedron:
+    """{x : normals @ x <= offsets}: face k has outward normal normals[k] and passes
+    through anchors[k].  The (faces, dims) arrays are read-only copies."""
 
-    anchor: np.ndarray
-    normal: np.ndarray
+    normals: np.ndarray
+    anchors: np.ndarray
+    offsets: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        anchor = np.asarray(self.anchor, dtype=float)
-        normal = np.asarray(self.normal, dtype=float)
-        if anchor.shape != normal.shape or anchor.ndim != 1:
-            raise ValueError("anchor and normal must be 1-D vectors of equal length")
-        if not np.any(normal != 0):
-            raise ValueError("normal must be nonzero")
-        object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "normal", normal)
-
-    @property
-    def offset(self) -> float:
-        return float(self.normal @ self.anchor)
-
-
-class Polyhedron:
-    """Finite intersection of half-spaces."""
-
-    def __init__(self, faces):
-        faces = list(faces)
-        if not faces:
+        normals = np.array(self.normals, dtype=float, order="C")
+        anchors = np.array(self.anchors, dtype=float, order="C")
+        if normals.ndim != 2 or normals.shape != anchors.shape:
+            raise ValueError(f"normals {normals.shape}, anchors {anchors.shape}: need one 2-D shape")
+        if not len(normals):
             raise ValueError("a polyhedron needs at least one face")
-        dims = {f.normal.size for f in faces}
-        if len(dims) != 1:
-            raise ValueError("all faces must live in the same dimension")
-        self.faces = faces
-        self.normals = np.vstack([f.normal for f in faces])
-        self.anchors = np.vstack([f.anchor for f in faces])
-        self.offsets = np.einsum("kd,kd->k", self.normals, self.anchors)
+        if not np.all(np.any(normals != 0, axis=1)):
+            raise ValueError("every face normal must be nonzero")
+        offsets = np.einsum("kd,kd->k", normals, anchors)
+        for name, array in (("normals", normals), ("anchors", anchors), ("offsets", offsets)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def dims(self) -> int:
         return self.normals.shape[1]
-
-    def __repr__(self):
-        return f"Polyhedron({len(self.faces)} faces, dims={self.dims})"
 
 
 def shifted_polyhedron(projections, anchor_indices, xi: float) -> Polyhedron:
@@ -100,19 +83,16 @@ def shifted_polyhedron(projections, anchor_indices, xi: float) -> Polyhedron:
     if len(indices) != h.shape[0]:
         raise ValueError("need one anchor index per projection vector")
     d = h.shape[1]
-    faces = []
-    for k, (hk, ik) in enumerate(zip(h, indices)):
+    anchors = np.zeros(h.shape)
+    for k, ik in enumerate(indices):
         if not 0 <= ik < d:
             raise ValueError(f"anchor index {ik} out of range for dimension {d}")
-        pivot = hk[ik]
-        if pivot == 0:
+        if h[k, ik] == 0:
             raise ValueError(
                 f"projection {k} has zero coordinate at its anchor index {ik}"
             )
-        anchor = np.zeros(d)
-        anchor[ik] = xi / pivot
-        faces.append(HalfSpace(anchor, -hk))
-    return Polyhedron(faces)
+        anchors[k, ik] = xi / h[k, ik]
+    return Polyhedron(-h, anchors)
 
 
 def slack(poly: Polyhedron, x) -> np.ndarray | float:
@@ -427,15 +407,13 @@ def check_viability_conditions(
         mode=mode, xi=float(xi), tol=float(tol), exact_for_affine=True
     )
 
-    for k in range(len(poly.faces)):
+    for k in range(len(poly.normals)):
         normal = poly.normals[k]
         offset = poly.offsets[k]
         if mode == "cone":
-            others = [j for j in range(len(poly.faces)) if j != k]
-            ineq_normals = np.vstack([poly.normals[others], box_normals]) if others else box_normals
-            ineq_offsets = (
-                np.concatenate([poly.offsets[others], box_offsets]) if others else box_offsets
-            )
+            others = np.arange(len(poly.normals)) != k
+            ineq_normals = np.vstack([poly.normals[others], box_normals])
+            ineq_offsets = np.concatenate([poly.offsets[others], box_offsets])
         else:
             ineq_normals, ineq_offsets = box_normals, box_offsets
         vertices = _polytope_vertices(normal, offset, ineq_normals, ineq_offsets, scale)

@@ -5,7 +5,6 @@ import pytest
 
 from fracvol import (
     FbmConfig,
-    HalfSpace,
     ModelCoefficients,
     Polyhedron,
     TimeGrid,
@@ -134,7 +133,7 @@ class TestEulerSolve:
         # the overflowing state lies outside both faces of x >= -1e200; the
         # projection leaves it to the solver's finiteness check
         grid = TimeGrid(1.0, 8)
-        faces = Polyhedron([HalfSpace([-1e200], [-1.0]), HalfSpace([-1e200], [-2.0])])
+        faces = Polyhedron([[-1.0], [-2.0]], [[-1e200], [-1e200]])
         with pytest.raises(FloatingPointError, match="step 2"):
             euler_paths(
                 overflowing_coefficients(), 0.0, zero_increments(grid, 1), [-1.0], grid.dt,

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import nnls
 
 from fracvol import (
-    HalfSpace,
     Polyhedron,
     chebyshev_center,
     check_viability_conditions,
@@ -71,6 +70,61 @@ class TestShiftedPolyhedron:
         pts = rng.uniform(-1, 4, size=(500, 2))
         inside_inner = contains(inner, pts)
         assert np.all(contains(outer, pts[inside_inner]))
+
+    @pytest.mark.parametrize(
+        "projections, indices, xi",
+        [
+            (H_ROWS, ANCHORS, 0.8),
+            (H_ROWS, ANCHORS, 0.0),
+            ([[2.0, 1.0], [3.0, 0.0]], (0, 0), 0.3),
+            ([[2.0, 1.0], [3.0, 0.0]], (1, 0), 0.3),
+            ([[2.0, 1.0], [-3.0, 7.0]], (0, 0), 0.0),
+            ([[0.7, -1.3, 2.1], [1.1, 0.0, -0.4], [0.3, 5.0, 0.0]], (2, 0, 1), 0.37),
+        ],
+    )
+    def test_equals_the_per_face_build_bit_for_bit(self, projections, indices, xi):
+        poly = shifted_polyhedron(projections, indices, xi)
+        expected = _per_face_build(projections, indices, xi)
+        got = (poly.normals, poly.anchors, poly.offsets)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
+    def test_arrays_are_read_only_copies(self):
+        normals, anchors = np.array([[-1.0, 0.0]]), np.array([[0.5, 0.0]])
+        poly = Polyhedron(normals, anchors)
+        for array in (poly.normals, poly.anchors, poly.offsets):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        normals[0, 0] = -2.0  # the inputs stay writable and detached
+        assert poly.normals[0, 0] == -1.0 and poly.offsets[0] == -0.5
+
+    @pytest.mark.parametrize(
+        "normals, anchors, message",
+        [
+            (np.zeros((0, 2)), np.zeros((0, 2)), "at least one face"),
+            ([1.0, 0.0], [0.0, 0.0], "need one 2-D shape"),
+            ([[1.0, 0.0]], [[0.0, 0.0, 0.0]], "need one 2-D shape"),
+            ([[1.0, 0.0], [0.0, 0.0]], np.zeros((2, 2)), "normal must be nonzero"),
+        ],
+    )
+    def test_invalid_arrays_rejected(self, normals, anchors, message):
+        with pytest.raises(ValueError, match=message):
+            Polyhedron(normals, anchors)
+
+
+def _per_face_build(projections, anchor_indices, xi):
+    """(normals, anchors, offsets) built face by face, one 1-D anchor and normal
+    per face stacked into arrays: the reference for `shifted_polyhedron`, which
+    fills the arrays directly."""
+    h = np.atleast_2d(np.asarray(projections, dtype=float))
+    faces = []
+    for hk, ik in zip(h, [int(i) for i in anchor_indices]):
+        pivot = hk[ik]
+        anchor = np.zeros(h.shape[1])
+        anchor[ik] = xi / pivot
+        faces.append((np.asarray(anchor, dtype=float), np.asarray(-hk, dtype=float)))
+    normals = np.vstack([normal for _, normal in faces])
+    anchors = np.vstack([anchor for anchor, _ in faces])
+    return normals, anchors, np.einsum("kd,kd->k", normals, anchors)
 
 
 class TestSlackAndCones:
@@ -294,12 +348,7 @@ class TestConditionChecker:
         assert {f.status for f in report.faces} == {"unsampled"}
 
     def test_empty_interior_rejected(self):
-        sliver = Polyhedron(
-            [
-                HalfSpace(np.zeros(2), np.array([1.0, 0.0])),
-                HalfSpace(np.zeros(2), np.array([-1.0, 0.0])),
-            ]
-        )
+        sliver = Polyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.zeros((2, 2)))
         with pytest.raises(ValueError, match="interior"):
             check_viability_conditions(
                 section4_scenario(steps=8).coefficients, sliver, 0.0, box=BOX
@@ -384,11 +433,11 @@ def _loop_checker(
         mode=mode, xi=float(xi), tol=float(tol), exact_for_affine=affine
     )
 
-    for k in range(len(poly.faces)):
+    for k in range(len(poly.normals)):
         normal = poly.normals[k]
         offset = poly.offsets[k]
         if mode == "cone":
-            others = [j for j in range(len(poly.faces)) if j != k]
+            others = [j for j in range(len(poly.normals)) if j != k]
             ineq_normals = np.vstack([poly.normals[others], box_normals]) if others else box_normals
             ineq_offsets = (
                 np.concatenate([poly.offsets[others], box_offsets]) if others else box_offsets
@@ -462,7 +511,7 @@ def checker_cases(draw):
     rows = st.lists(entry, min_size=d, max_size=d).filter(any)
     normals = np.array(draw(st.lists(rows, min_size=m, max_size=m)), dtype=float)
     center = ints(d)
-    poly = Polyhedron([HalfSpace(center + n, n) for n in normals])
+    poly = Polyhedron(normals, center + normals)
     mode = draw(st.sampled_from(["cone", "hyperplane"]))
     drift, xi_drift, const = ints(d, d), ints(d), ints(d)
     weights, xi_weights, offsets, directions = ints(d, d), ints(d), ints(d), ints(d, d)
@@ -489,7 +538,7 @@ class TestArrayScoring:
         coeffs, poly, mode = case
         report = check_viability_conditions(coeffs, poly, xi, mode=mode)
         lo, hi = viability._box_arrays(viability.default_box(poly, xi), poly.dims)
-        rng = np.random.default_rng(len(poly.faces))
+        rng = np.random.default_rng(len(poly.normals))
         for face in report.faces:
             if face.status == "unsampled":
                 continue
