@@ -171,9 +171,14 @@ def kernel_K(t: float, s: float, hurst: float) -> float:
 
 def _kernel_values(t: np.ndarray, s: np.ndarray, hurst: float) -> np.ndarray:
     """Vectorized kernel on 0 < s < t (no indicator handling)."""
-    a = 0.5 - hurst
-    factor = _hyp2f1_mapped(a, hurst - 0.5, hurst + 0.5, 1.0 - t / s)
-    return (t - s) ** (hurst - 0.5) / math.gamma(hurst + 0.5) * factor
+    return _kernel_of_gap(t - s, 1.0 - t / s, hurst)
+
+
+def _kernel_of_gap(gap, z, hurst: float) -> np.ndarray:
+    """The kernel (t - s)^(H - 1/2) / Gamma(H + 1/2) 2F1(1/2 - H, H - 1/2; H + 1/2; z)
+    from the gap t - s and the argument z = 1 - t/s, however each is computed."""
+    factor = _hyp2f1_mapped(0.5 - hurst, hurst - 0.5, hurst + 0.5, z)
+    return gap ** (hurst - 0.5) / math.gamma(hurst + 0.5) * factor
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,10 +266,7 @@ def _cell_mean_square(t: np.ndarray, lo, hi, hurst: float) -> np.ndarray:
     width = hi - lo
     s = lo + width * x[None, :]
     gap = (t - hi) + width * xc[None, :]
-    a = 0.5 - hurst
-    factor = _hyp2f1_mapped(a, hurst - 0.5, hurst + 0.5, -gap / s)
-    kernel = gap ** (hurst - 0.5) / math.gamma(hurst + 0.5) * factor
-    return kernel**2 @ w
+    return _kernel_of_gap(gap, -gap / s, hurst) ** 2 @ w
 
 
 # Within this distance of hurst = 1/2 the edge singularities are negligible
