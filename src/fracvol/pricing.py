@@ -387,26 +387,24 @@ def _run(scenario, mc, batch_fns):
     missing = [fn for fn in batch_fns if fn not in outputs]
     if len(missing) == 2 or pair:
         try:
-            parts = _batches(_paired_batch, scenario, km, seed, mc)
+            parts = _batches(_paired_batch, scenario, km, seed, mc.paths, mc.project)
         except (FloatingPointError, ValueError):
             pass
         else:
             outputs.update(zip(_MEASURES, map(_joined, zip(*parts))))
     for fn in missing:
         if fn not in outputs:
-            outputs[fn] = _joined(_batches(fn, scenario, km, seed, mc))
+            outputs[fn] = _joined(_batches(fn, scenario, km, seed, mc.paths, mc.project))
     return [outputs[fn] for fn in batch_fns], seed
 
 
-def _batches(batch_fn, scenario, km, seed, mc):
-    """`batch_fn`'s outputs on each batch of the run, whose draws are freed
-    before the next batch is drawn."""
+def _batches(batch_fn, scenario, km, seed, paths, project):
+    """`batch_fn`'s outputs on each batch of paths [0, paths), whose draws are
+    freed before the next batch is drawn."""
     size = MCConfig.batch_size
     return [
-        batch_fn(
-            scenario, km, *_draws(scenario, seed, start, min(size, mc.paths - start)), mc.project
-        )
-        for start in range(0, mc.paths, size)
+        batch_fn(scenario, km, *_draws(scenario, seed, start, min(size, paths - start)), project)
+        for start in range(0, paths, size)
     ]
 
 
@@ -547,17 +545,14 @@ def simulate_scenario_paths(
     if n_paths < 1:
         raise ValueError(f"need at least 1 path, got {n_paths}")
     km = _kernel_matrix(scenario)
-    size = MCConfig.batch_size
-    out = []
-    for start in range(0, n_paths, size):
-        out += _simulated_batch(scenario, km, start, min(size, n_paths - start), project)
-    return out
+    parts = _batches(_simulated_batch, scenario, km, scenario.seed, n_paths, project)
+    return [path for part in parts for path in part]
 
 
-def _simulated_batch(scenario, km, start, count, project) -> list[dict]:
-    """`simulate_scenario_paths` output for paths [start, start + count)."""
+def _simulated_batch(scenario, km, xi, dw, project) -> list[dict]:
+    """`simulate_scenario_paths` output for the paths of draws (xi, dW)."""
     params = scenario.market
-    xi, dw = _draws(scenario, scenario.seed, start, count)
+    count = xi.size
     b_values, states = _physical_paths(scenario, km, xi, dw, project)
     w = np.concatenate([np.zeros((count, 1, scenario.dims)), np.cumsum(dw, axis=1)], axis=1)
     vol = volatility(states, params)
