@@ -21,6 +21,8 @@ from functools import cached_property
 import numpy as np
 from scipy.integrate import quad
 
+from .grids import is_integer
+
 # Reserved stream tag for the mixing-variable draw; driver components use 0..d-1.
 XI_STREAM = 0x5A1
 
@@ -30,7 +32,7 @@ _BISECTION_TOL = 1e-12
 
 def xi_normalizer(exponent: int, scale: float, cutoff: float) -> float:
     """Constant that turns exp(-scale / x^exponent) on (0, cutoff] into a density."""
-    if exponent < 2 or int(exponent) != exponent:
+    if not (is_integer(exponent) and exponent >= 2):
         raise ValueError(f"exponent must be an integer >= 2, got {exponent}")
     if scale <= 0 or cutoff <= 0:
         raise ValueError(f"scale and cutoff must be positive, got {scale}, {cutoff}")

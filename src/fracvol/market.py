@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grids import is_integer
+
 
 @dataclass(frozen=True, eq=False)
 class MarketParams:
@@ -38,7 +40,10 @@ class MarketParams:
         proj = np.atleast_2d(np.array(self.projections, dtype=float))
         for arr in (drifts, prices, proj):
             arr.setflags(write=False)
-        indices = tuple(int(i) for i in self.anchor_indices)
+        indices = tuple(self.anchor_indices)
+        if not all(map(is_integer, indices)):
+            raise ValueError(f"anchor_indices must be integers, got {indices!r}")
+        indices = tuple(map(int, indices))
         object.__setattr__(self, "drifts", drifts)
         object.__setattr__(self, "initial_prices", prices)
         object.__setattr__(self, "projections", proj)

@@ -95,7 +95,7 @@ def _parse_xi(doc: dict) -> XiLaw:
     if kind == "singular":
         _check_no_extras(doc, {"kind", "exponent", "scale", "cutoff"}, "xi")
         return SingularXi(
-            int(_take(doc, "exponent", "xi")),
+            _take(doc, "exponent", "xi"),
             float(_take(doc, "scale", "xi")),
             float(_take(doc, "cutoff", "xi")),
         )
@@ -160,7 +160,7 @@ def parse_scenario(doc: dict) -> Scenario:
             hurst=float(_take(doc, "hurst", "scenario")),
             grid=TimeGrid(
                 float(_take(grid_doc, "horizon", "grid")),
-                int(_take(grid_doc, "steps", "grid")),
+                _take(grid_doc, "steps", "grid"),
             ),
             initial_state=_take(doc, "initial_state", "scenario"),
             seed=int(_take(doc, "seed", "scenario")),

@@ -31,7 +31,9 @@ class TestNormalizer:
         riemann = np.sum(np.exp(-1.0 / nodes**2)) * step
         assert xi_normalizer(2, 1.0, 1.0) == pytest.approx(1.0 / riemann, rel=1e-6)
 
-    @pytest.mark.parametrize("args", [(1, 1.0, 1.0), (3, -1.0, 1.0), (3, 1.0, 0.0)])
+    @pytest.mark.parametrize(
+        "args", [(1, 1.0, 1.0), (3, -1.0, 1.0), (3, 1.0, 0.0), (3.0, 1.0, 1.0)]
+    )
     def test_parameter_domain(self, args):
         with pytest.raises(ValueError):
             xi_normalizer(*args)

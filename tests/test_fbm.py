@@ -149,6 +149,14 @@ class TestWoodChanSample:
             sample_paths(TimeGrid(1.0, 4), FbmConfig(0.5), 2, method="hosking")
 
 
+class TestInputValidation:
+    @pytest.mark.parametrize("steps", [4.0, True, 0])
+    def test_grid_steps_must_be_a_positive_integer(self, steps):
+        # 4.0 and True were accepted, and every engine call then failed
+        with pytest.raises(ValueError, match="steps must be a positive integer"):
+            TimeGrid(1.0, steps)
+
+
 @pytest.mark.parametrize("method", ["wood-chan", "cholesky"])
 class TestOneSeed:
     """FbmConfig.seed is the only seed of a draw, and a path does not depend on

@@ -213,6 +213,18 @@ class TestStochasticExponential:
 
 
 class TestMarketParamsValidation:
+    @pytest.mark.parametrize("indices", [(0.5, 0), (True, 0)])
+    def test_non_integer_anchor_index_rejected(self, indices):
+        # 0.5 was truncated to 0 and True ran as 1
+        with pytest.raises(ValueError, match="anchor_indices must be integers"):
+            MarketParams(
+                rate=0.05,
+                drifts=np.zeros(2),
+                initial_prices=np.ones(2),
+                projections=np.array([[1.0, 1.0], [1.0, 0.0]]),
+                anchor_indices=indices,
+            )
+
     def test_zero_projection_rejected(self):
         with pytest.raises(ValueError):
             MarketParams(

@@ -79,6 +79,27 @@ class TestScenarioFormat:
         with pytest.raises(ScenarioError, match="initial_state"):
             parse_scenario(doc)
 
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
+            (("grid", "steps"), 8.7),
+            (("grid", "steps"), True),
+            (("xi", "exponent"), 3.5),
+            (("xi", "exponent"), True),
+            (("market", "anchor_indices"), [0.5, 0]),
+            (("market", "anchor_indices"), [True, 0]),
+        ],
+    )
+    def test_invalid_integer_field_rejected(self, keys, value):
+        # a float was truncated (steps 8.7 ran 8 steps) and True ran as 1
+        doc = scenario_to_dict(section4_scenario(steps=8))
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        with pytest.raises(ScenarioError, match=keys[-1]):
+            parse_scenario(doc)
+
     def test_foreign_coefficients_rejected(self):
         # a field object of another type, even one with the wrong `dims`, is
         # rejected by type rather than let through unchecked
