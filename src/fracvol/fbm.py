@@ -20,7 +20,7 @@ import scipy.linalg
 from scipy.special import ndtri
 
 from .grids import TimeGrid
-from .rng import batch_uniforms, stream_keys
+from .rng import batch_uniforms, check_seed, stream_keys
 
 logger = logging.getLogger(__name__)
 
@@ -49,6 +49,7 @@ class FbmConfig:
         _check_hurst(self.hurst)
         if self.dims < 1:
             raise ValueError(f"dims must be >= 1, got {self.dims}")
+        check_seed(self.seed)
 
 
 def _check_hurst(hurst: float) -> None:

@@ -55,7 +55,7 @@ from .market import (
     volatility,
 )
 from .rde import check_finite, euler_paths, euler_stepper, require_young
-from .rng import batch_uniforms, stream_keys
+from .rng import batch_uniforms, check_seed, stream_keys
 from .scenario import Scenario
 from .viability import check_viability_conditions
 from .volterra import KernelMatrix, build_kernel_matrix, transform_increments
@@ -149,6 +149,8 @@ class MCConfig:
             raise ValueError(f"paths must be an integer, got {self.paths!r}")
         if not (self.seed is None or isinstance(self.seed, numbers.Integral)):
             raise ValueError(f"seed must be an integer or None, got {self.seed!r}")
+        if self.seed is not None:
+            check_seed(self.seed)
         if self.paths < 2:
             raise ValueError("need at least 2 paths for a standard error")
 

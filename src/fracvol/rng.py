@@ -21,6 +21,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
+from .grids import is_integer
+
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 _MIX_PATH = 0x9E3779B97F4A7C15
@@ -39,6 +41,13 @@ _PHILOX_ROUNDS = 10
 _VECTOR_MAX_DRAWS = 64
 _VECTOR_MIN_STREAMS = 128
 _VECTOR_CHUNK = 1 << 13
+
+
+def check_seed(seed) -> None:
+    """Reject a seed that is not an integer in [0, 2^64): `stream_keys` keeps
+    only its low 64 bits, so it would repeat the streams of a seed inside."""
+    if not (is_integer(seed) and 0 <= seed <= _MASK64):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 def stream_keys(seed: int, paths, components) -> np.ndarray:

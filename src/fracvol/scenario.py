@@ -19,6 +19,7 @@ from .coefficients import (
 )
 from .grids import TimeGrid
 from .market import MarketParams
+from .rng import check_seed
 from .viability import Polyhedron, shifted_polyhedron
 
 
@@ -47,6 +48,7 @@ class Scenario:
         initial = np.atleast_1d(np.array(self.initial_state, dtype=float))
         initial.setflags(write=False)
         object.__setattr__(self, "initial_state", initial)
+        check_seed(self.seed)
         if not (0.0 < self.hurst < 1.0):
             raise ScenarioError(f"hurst must lie in (0, 1), got {self.hurst}")
         d = self.market.dims
@@ -163,7 +165,7 @@ def parse_scenario(doc: dict) -> Scenario:
                 _take(grid_doc, "steps", "grid"),
             ),
             initial_state=_take(doc, "initial_state", "scenario"),
-            seed=int(_take(doc, "seed", "scenario")),
+            seed=_take(doc, "seed", "scenario"),
         )
     except ScenarioError:
         raise

@@ -156,6 +156,12 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="steps must be a positive integer"):
             TimeGrid(1.0, steps)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
+    def test_seed_outside_the_key_range_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            FbmConfig(0.7, 1, seed)
+        assert FbmConfig(0.7, 1, 2**64 - 1).seed == 2**64 - 1
+
 
 @pytest.mark.parametrize("method", ["wood-chan", "cholesky"])
 class TestOneSeed:

@@ -253,6 +253,10 @@ class TestRunMechanics:
             MCConfig(paths=2.5)
         with pytest.raises(ValueError, match="seed must be an integer or None, got 1.7"):
             MCConfig(paths=2, seed=1.7)
+        # the keyed streams keep a seed's low 64 bits: -1 ran as 2**64 - 1
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+                MCConfig(paths=2, seed=seed)
 
     def test_rough_regime_rejected_before_any_draw(self, monkeypatch):
         def no_draws(*args, **kwargs):

@@ -84,6 +84,10 @@ class TestScenarioFormat:
         [
             (("grid", "steps"), 8.7),
             (("grid", "steps"), True),
+            (("seed",), 3.9),
+            (("seed",), True),
+            (("seed",), -1),
+            (("seed",), 2**64),
             (("xi", "exponent"), 3.5),
             (("xi", "exponent"), True),
             (("market", "anchor_indices"), [0.5, 0]),
@@ -91,7 +95,8 @@ class TestScenarioFormat:
         ],
     )
     def test_invalid_integer_field_rejected(self, keys, value):
-        # a float was truncated (steps 8.7 ran 8 steps) and True ran as 1
+        # a float was truncated (steps 8.7 ran 8 steps) and True ran as 1; a
+        # seed outside [0, 2**64) repeated the paths of the seed it wraps to
         doc = scenario_to_dict(section4_scenario(steps=8))
         parent = doc
         for key in keys[:-1]:
@@ -382,6 +387,12 @@ class TestPriceCommand:
         path = write_scenario(tmp_path, constant_vol_scenario())
         assert main(["price", path, "--paths", "64", *argv]) == 2
         assert capsys.readouterr().err.startswith("error: strike must be finite and nonnegative")
+
+    def test_seed_out_of_range_is_usage_error(self, tmp_path, capsys):
+        # -1 priced the paths of seed 2**64 - 1
+        path = write_scenario(tmp_path, constant_vol_scenario())
+        assert main(["price", path, "--paths", "64", "--seed", "-1"]) == 2
+        assert "seed must be an integer in [0, 2**64), got -1" in capsys.readouterr().err
 
     def test_basket_requires_weights(self, tmp_path, capsys):
         path = write_scenario(tmp_path, constant_vol_scenario())
