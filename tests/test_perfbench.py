@@ -47,3 +47,24 @@ def test_recorded_batch_size_is_the_run_batch_size(monkeypatch):
     scenario = fracvol.constant_vol_scenario(steps=2)
     pricing.physical_terminal_sample(scenario, fracvol.MCConfig(paths=recorded + 1, seed=3))
     assert counts == [recorded, 1]
+
+
+def _load(name, monkeypatch):
+    """perfbench/<name>.py, imported for one test."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_workloads_run_in_process(tmp_path, monkeypatch):
+    # a benchmark run fails if a workload's set-up, request or check raises, as
+    # it would after a change to the package drops an argument `warm()` passes
+    spans, workloads = _load("spans", monkeypatch), _load("workloads", monkeypatch)
+    for name, workload in workloads.WORKLOADS.items():
+        workload = workload(tiny=True)
+        workload.setup(spans.NullTracer())
+        out_dir = tmp_path / name
+        raw = workload.request(workloads.request_seed(3, 0), out_dir)
+        assert workload.check(raw, out_dir).failure is None
