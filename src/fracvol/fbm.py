@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import ndtri
 
-from .grids import TimeGrid
+from .grids import TimeGrid, is_integer
 from .rng import batch_uniforms, check_seed, stream_keys
 
 logger = logging.getLogger(__name__)
@@ -47,8 +47,8 @@ class FbmConfig:
 
     def __post_init__(self):
         _check_hurst(self.hurst)
-        if self.dims < 1:
-            raise ValueError(f"dims must be >= 1, got {self.dims}")
+        if not (is_integer(self.dims) and self.dims >= 1):
+            raise ValueError(f"dims must be an integer >= 1, got {self.dims!r}")
         check_seed(self.seed)
 
 

@@ -156,6 +156,12 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="steps must be a positive integer"):
             TimeGrid(1.0, steps)
 
+    @pytest.mark.parametrize("dims", [1.5, 2.0, True, 0])
+    def test_dims_must_be_a_positive_integer(self, dims):
+        # 1.5 was accepted, and sampling then failed with a bare TypeError
+        with pytest.raises(ValueError, match="dims must be an integer >= 1"):
+            FbmConfig(0.7, dims)
+
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
     def test_seed_outside_the_key_range_rejected(self, seed):
         with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
