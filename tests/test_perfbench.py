@@ -62,8 +62,8 @@ def test_workloads_run_in_process(tmp_path, monkeypatch):
     # a benchmark run fails if a workload's set-up, request or check raises, as
     # it would after a change to the package drops an argument `warm()` passes
     spans, workloads = _load("spans", monkeypatch), _load("workloads", monkeypatch)
-    for name, workload in workloads.WORKLOADS.items():
-        workload = workload(tiny=True)
+    for name, make in workloads.WORKLOADS.items():
+        workload = make(tiny=True)
         workload.setup(spans.NullTracer())
         out_dir = tmp_path / name
         raw = workload.request(workloads.request_seed(3, 0), out_dir)
