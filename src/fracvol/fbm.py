@@ -162,6 +162,8 @@ def sample_paths(
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {sorted(_METHODS)}, got {method!r}")
+    if not is_integer(n_paths):
+        raise ValueError(f"n_paths must be an integer, got {n_paths!r}")
     if n_paths < 1:
         raise ValueError(f"need at least 1 path, got {n_paths}")
     paths_from, per_step = _METHODS[method]

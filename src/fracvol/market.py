@@ -10,7 +10,7 @@ time) axes, so the pricing engine and `simulate` call them on whole batches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,8 @@ class MarketParams:
     Row k of `projections` is the vector h_k defining volatility component k as
     <h_k, U(t)>; `anchor_indices` locate the coordinate used to anchor the
     shifted constraint set, and each h_k must be nonzero there.  The arrays are
-    read-only copies of the inputs.
+    read-only copies of the inputs, and `premium` is the read-only risk
+    premium r - b_k of each asset.
     """
 
     rate: float
@@ -33,6 +34,7 @@ class MarketParams:
     projections: np.ndarray
     anchor_indices: tuple[int, ...]
     initial_riskfree: float = 1.0
+    premium: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         drifts = np.atleast_1d(np.array(self.drifts, dtype=float))
@@ -66,35 +68,48 @@ class MarketParams:
                 raise ValueError(f"anchor index {ik} out of range for dimension {d}")
             if proj[k, ik] == 0:
                 raise ValueError(f"projection {k} vanishes at its anchor index {ik}")
+        premium = self.rate - drifts
+        premium.setflags(write=False)
+        object.__setattr__(self, "premium", premium)
 
     @property
     def dims(self) -> int:
         return self.projections.shape[0]
 
 
-def volatility(states: np.ndarray, params: MarketParams) -> np.ndarray:
-    """Volatility <h_k, U> of states (..., d) over any leading path and time axes."""
-    return states @ params.projections.T
+def volatility(states: np.ndarray, params: MarketParams, out=None) -> np.ndarray:
+    """Volatility <h_k, U> of states (..., d) over any leading path and time
+    axes, written into `out` if given."""
+    return np.matmul(states, params.projections.T, out=out)
 
 
-def floor_breach(v: np.ndarray, xi) -> tuple[np.ndarray, np.ndarray]:
+def vol_floor(xi, ndim: int) -> np.ndarray:
+    """The floor xi / 2 of volatilities with `ndim` axes whose leading axes
+    are those of `xi`, shaped to broadcast against them."""
+    xi = np.asarray(xi, dtype=float)
+    return 0.5 * xi.reshape(xi.shape + (1,) * (ndim - xi.ndim))
+
+
+def floor_breach(v: np.ndarray, xi, floor=None) -> tuple[np.ndarray, np.ndarray]:
     """Paths with some V <= xi / 2, and V with those components replaced by 1.
 
     `xi` carries the leading path axes of `v`.  Below the floor the weights
     lose their integrability, so the estimators discard those paths and only
     need finite placeholder values for them; with none below the floor, `v`
-    itself comes back.
+    itself comes back.  `floor` is `vol_floor(xi, v.ndim)`, which a caller
+    testing many `v` against one `xi` computes once.
     """
     xi = np.asarray(xi, dtype=float)
-    low = v <= 0.5 * xi.reshape(xi.shape + (1,) * (v.ndim - xi.ndim))
+    low = v <= (vol_floor(xi, v.ndim) if floor is None else floor)
     if not np.count_nonzero(low):
         return np.zeros(low.shape[: xi.ndim], dtype=bool), v
     return np.any(low, axis=tuple(range(xi.ndim, v.ndim))), np.where(low, 1.0, v)
 
 
-def theta(v: np.ndarray, params: MarketParams) -> np.ndarray:
-    """Market price of risk (rate - b_k) / V_k, componentwise over leading axes."""
-    return (params.rate - params.drifts) / v
+def theta(v: np.ndarray, params: MarketParams, out=None) -> np.ndarray:
+    """Market price of risk (rate - b_k) / V_k, componentwise over leading
+    axes, written into `out` if given."""
+    return np.divide(params.premium, v, out=out)
 
 
 def log_price_increments(v_left, dw, drift, dt: float) -> np.ndarray:

@@ -44,6 +44,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .coefficients import ConstantXi, SingularXi, XiLaw, xi_inverse_cdf, XI_STREAM
+from .grids import is_integer
 from .market import (
     asset_prices,
     discount_factor,
@@ -52,6 +53,7 @@ from .market import (
     log_weight,
     price_paths,
     theta,
+    vol_floor,
     volatility,
 )
 from .rde import check_finite, euler_paths, euler_stepper, require_young
@@ -67,6 +69,9 @@ _DRAW_CHUNK = 1 << 16
 # The feedback loop keeps this many bytes of steps of risk-neutral volatility
 # before it adds their log-price increments to the running sum.
 _HISTORY_BYTES = 1 << 16
+# The physical weights are computed this many bytes of (n, d) increments at a
+# time: 64 paths at 256 steps, which measured faster than 16, 32, 128 or all.
+_WEIGHT_BYTES = 1 << 18
 
 
 class BreachRateError(RuntimeError):
@@ -237,16 +242,30 @@ def _physical_batch(scenario: Scenario, km: KernelMatrix, xi, dw, project: bool)
 
 
 def _weighted_terminal(scenario: Scenario, xi, dw, states):
-    """`_physical_batch` outputs of physical-measure states (count, n + 1, d)."""
+    """`_physical_batch` outputs of physical-measure states (count, n + 1, d).
+
+    The weights are computed a block of paths (`_WEIGHT_BYTES`) at a time, and
+    each path's sums keep their order, so the block size moves no bits.
+    `states` may be a path-major view of step-major states.
+    """
     dt = scenario.grid.dt
     params = scenario.market
-    v_left = volatility(states, params)[:, :-1, :]
-    breached, v_safe = floor_breach(v_left, xi)
-    log_incr = log_price_increments(v_left, dw, params.drifts, dt)
-    with np.errstate(over="ignore", invalid="ignore"):  # breached paths are discarded later
-        log_w = log_weight(theta(v_safe, params), dw, dt)
+    count, n, d = dw.shape
+    size = max(1, _WEIGHT_BYTES // (8 * n * d))
+    s_log = np.empty((count, d))
+    log_w = np.empty(count)
+    breached = np.empty(count, dtype=bool)
+    for lo in range(0, count, size):
+        hi = min(lo + size, count)
+        v_left = volatility(np.ascontiguousarray(states[lo:hi]), params)[:, :-1, :]
+        breached[lo:hi], v_safe = floor_breach(v_left, xi[lo:hi])
+        log_incr = log_price_increments(v_left, dw[lo:hi], params.drifts, dt)
+        with np.errstate(over="ignore", invalid="ignore"):  # breached paths are discarded later
+            log_w[lo:hi] = log_weight(theta(v_safe, params), dw[lo:hi], dt)
+            np.sum(log_incr, axis=1, out=s_log[lo:hi])
+    with np.errstate(over="ignore", invalid="ignore"):
         weight = np.exp(log_w)
-        terminal = asset_prices(np.sum(log_incr, axis=1), params)
+        terminal = asset_prices(s_log, params)
     finite = np.isfinite(log_w) | breached
     if np.count_nonzero(finite) < finite.size:
         raise FloatingPointError(
@@ -285,6 +304,11 @@ def _feedback_loop(scenario, km, xi, dw_star, project, paired):
     increments feed no step; the floored volatility is kept for a block of
     steps (`_HISTORY_BYTES`), whose increments are then added to the running
     sum one step after another, the order of a per-step `s_log += ...`.
+
+    Per-step arrays are step-major and contiguous: a block's shifted
+    increments are copied once into a (steps, paths, d) buffer, the physical
+    driver increments and states are (n, paths, d) and (n + 1, paths, d), and
+    the volatility is written straight into its history row.
     """
     grid = scenario.grid
     n, d = grid.steps, scenario.dims
@@ -295,8 +319,10 @@ def _feedback_loop(scenario, km, xi, dw_star, project, paired):
     rows = xi_rows.size
     rn = slice(rows - count, rows)  # the risk-neutral rows
     if paired:
-        db_physical = np.diff(transform_increments(dw_star, km), axis=1)
-        states = np.empty((count, n + 1, d))
+        b_steps = transform_increments(dw_star, km).transpose(1, 0, 2)
+        db_physical = np.subtract(b_steps[1:], b_steps[:-1], out=np.empty((n, count, d)))
+        del b_steps
+        states = np.empty((n + 1, count, d))
     dw = np.empty((n, count * d))  # row i: physical increments of step i, all paths
     constraint = _constraint_data(scenario, xi_rows) if project else None
 
@@ -306,34 +332,38 @@ def _feedback_loop(scenario, km, xi, dw_star, project, paired):
     b_prev = np.zeros((count, d))
     span = min(n, max(1, _HISTORY_BYTES // (8 * count * d)))
     v_history = np.empty((span, count, d))  # floored volatility of a block of steps
+    dw_block = np.empty((span, count, d))  # shifted increments of a block of steps
+    floor = vol_floor(xi, 2)
     s_log = np.zeros((count, d))
     breached = np.zeros(count, dtype=bool)
     frozen = False  # breached paths are frozen, and discarded later
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n, span):
             hi = min(lo + span, n)
+            np.copyto(dw_block[: hi - lo], dw_star[:, lo:hi].transpose(1, 0, 2))
             for i in range(lo, hi):
-                v = volatility(x[rn], params)
-                low, v_safe = floor_breach(v, xi)
+                v = volatility(x[rn], params, out=v_history[i - lo])
+                low, v_safe = floor_breach(v, xi, floor)
                 if v_safe is not v:  # some path is at the floor
                     breached |= low
                     frozen = True
-                v_history[i - lo] = v_safe
-                dw_i = np.multiply(theta(v_safe, params), dt, out=dw[i].reshape(count, d))
-                dw_i += dw_star[:, i]
+                    v[...] = v_safe
+                dw_i = theta(v, params, out=dw[i].reshape(count, d))
+                dw_i *= dt
+                dw_i += dw_block[i - lo]
                 b_next = np.dot(km.entries[i, None, : i + 1], dw[: i + 1]).reshape(count, d)
                 db_step = np.subtract(b_next, b_prev, out=db[rn])
                 if frozen:  # a breached path's dW reaches only its own dB, zeroed here
                     db_step[breached] = 0.0
                 if paired:
-                    states[:, i] = x[:count]
-                    db[:count] = db_physical[:, i]
+                    states[i] = x[:count]
+                    db[:count] = db_physical[i]
                 x = step(x, db)
                 check_finite(x, i + 1)
                 b_prev = b_next
             # (steps, paths, d), so the sum over steps adds them one by one
             block = log_price_increments(
-                v_history[: hi - lo], dw_star[:, lo:hi].transpose(1, 0, 2), params.rate, dt
+                v_history[: hi - lo], dw_block[: hi - lo], params.rate, dt
             )
             block[0] += s_log
             np.add.reduce(block, axis=0, out=s_log)
@@ -345,8 +375,8 @@ def _feedback_loop(scenario, km, xi, dw_star, project, paired):
         return None, riskneutral
     # before the weight computation's temporaries; dw_i and db_step are views
     del dw, dw_i, db, db_step, db_physical
-    states[:, n] = x[:count]
-    return _weighted_terminal(scenario, xi, dw_star, states), riskneutral
+    states[n] = x[:count]
+    return _weighted_terminal(scenario, xi, dw_star, states.transpose(1, 0, 2)), riskneutral
 
 
 _MEASURES = (_physical_batch, _riskneutral_batch)
@@ -544,6 +574,8 @@ def simulate_scenario_paths(
     time).  Paths are built `MCConfig.batch_size` at a time, bounding the
     transient memory; the draws are keyed per path, so batching moves no bits.
     """
+    if not is_integer(n_paths):
+        raise ValueError(f"n_paths must be an integer, got {n_paths!r}")
     if n_paths < 1:
         raise ValueError(f"need at least 1 path, got {n_paths}")
     km = _kernel_matrix(scenario)

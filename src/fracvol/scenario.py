@@ -83,6 +83,13 @@ def _take(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _take_object(mapping: dict, key: str, where: str) -> dict:
+    value = _take(mapping, key, where)
+    if not isinstance(value, dict):
+        raise ScenarioError(f"'{key}' in {where} must be an object, got {type(value).__name__}")
+    return value
+
+
 def _check_no_extras(mapping: dict, allowed: set[str], where: str) -> None:
     extras = sorted(set(mapping) - allowed)
     if extras:
@@ -152,13 +159,13 @@ def parse_scenario(doc: dict) -> Scenario:
         raise ScenarioError("scenario document must be a JSON object")
     allowed = {"market", "coefficients", "xi", "hurst", "grid", "initial_state", "seed"}
     _check_no_extras(doc, allowed, "scenario")
-    grid_doc = _take(doc, "grid", "scenario")
+    grid_doc = _take_object(doc, "grid", "scenario")
     _check_no_extras(grid_doc, {"horizon", "steps"}, "grid")
     try:
         return Scenario(
-            market=_parse_market(_take(doc, "market", "scenario")),
-            coefficients=_parse_coefficients(_take(doc, "coefficients", "scenario")),
-            xi=_parse_xi(_take(doc, "xi", "scenario")),
+            market=_parse_market(_take_object(doc, "market", "scenario")),
+            coefficients=_parse_coefficients(_take_object(doc, "coefficients", "scenario")),
+            xi=_parse_xi(_take_object(doc, "xi", "scenario")),
             hurst=float(_take(doc, "hurst", "scenario")),
             grid=TimeGrid(
                 float(_take(grid_doc, "horizon", "grid")),

@@ -39,6 +39,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .coefficients import ModelCoefficients, eval_mu, eval_sigma
+from .grids import is_integer
 
 _GEOM_TOL = 1e-9
 
@@ -79,7 +80,10 @@ def shifted_polyhedron(projections, anchor_indices, xi: float) -> Polyhedron:
     <h_k, x> >= xi instead.
     """
     h = np.atleast_2d(np.asarray(projections, dtype=float))
-    indices = [int(i) for i in anchor_indices]
+    indices = list(anchor_indices)
+    for i in indices:
+        if not is_integer(i):
+            raise ValueError(f"anchor index {i!r} must be an integer")
     if len(indices) != h.shape[0]:
         raise ValueError("need one anchor index per projection vector")
     d = h.shape[1]

@@ -162,6 +162,12 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="dims must be an integer >= 1"):
             FbmConfig(0.7, dims)
 
+    @pytest.mark.parametrize("count", [2.5, True])
+    def test_path_count_must_be_an_integer(self, count):
+        # 2.5 failed in `range` with a bare TypeError
+        with pytest.raises(ValueError, match=f"n_paths must be an integer, got {count!r}"):
+            sample_paths(TimeGrid(1.0, 4), FbmConfig(0.7), count)
+
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
     def test_seed_outside_the_key_range_rejected(self, seed):
         with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from fracvol.market import (
     log_weight,
     price_paths,
     theta,
+    vol_floor,
     volatility,
 )
 
@@ -62,6 +64,15 @@ class TestVolProjection:
         v = volatility(u, two_asset_params())
         for p in range(4):
             assert np.array_equal(v[p], volatility(u[p], two_asset_params()))
+
+    def test_out_argument(self):
+        # written into a row of a larger buffer, with the bits of a fresh result
+        u = np.random.default_rng(3).normal(size=(5, 2))
+        history = np.zeros((3, 5, 2))
+        v = volatility(u, two_asset_params(), out=history[1])
+        assert np.shares_memory(v, history[1])
+        assert history[1].tobytes() == volatility(u, two_asset_params()).tobytes()
+        assert not history[[0, 2]].any()
 
 
 class TestRiskfree:
@@ -149,6 +160,24 @@ class TestTheta:
         v = np.array([0.5, 0.2])
         assert np.allclose(theta(2 * v, params), 0.5 * theta(v, params))
 
+    def test_premium_is_read_only_rate_minus_drifts(self):
+        params = two_asset_params(rate=0.05, drifts=(0.1, 0.02))
+        assert params.premium.tobytes() == (0.05 - np.array([0.1, 0.02])).tobytes()
+        assert not params.premium.flags.writeable
+        assert "premium" not in repr(params)
+        # a changed drift gives a new premium
+        again = dataclasses.replace(params, drifts=np.array([0.05, 0.05]))
+        assert np.array_equal(again.premium, [0.0, 0.0])
+
+    def test_out_argument(self):
+        v = np.random.default_rng(4).uniform(0.3, 1.0, size=(6, 2))
+        params = two_asset_params()
+        buffer = np.empty((4, 12))
+        th = theta(v, params, out=buffer[2].reshape(6, 2))
+        assert np.shares_memory(th, buffer[2])
+        want = (params.rate - params.drifts) / v
+        assert buffer[2].tobytes() == want.tobytes() == theta(v, params).tobytes()
+
     # floor_breach is the guard that keeps theta's reciprocal of V finite
     def test_floor_guard(self):
         breached, _ = floor_breach(np.array([0.3, 0.2]), 0.5)
@@ -184,6 +213,18 @@ class TestTheta:
         breached, _ = floor_breach(v, xi)
         assert breached.shape == np.shape(xi)
         assert breached.tolist() == (True if np.ndim(xi) == 0 else [False, True])
+
+    @pytest.mark.parametrize("xi", [0.5, np.array([0.5, 0.7])])
+    def test_precomputed_floor(self, xi):
+        # the floor xi / 2 shaped against v, computed once, gives what
+        # floor_breach computes from xi, with and without a breach
+        for last in (0.36, 0.2):  # no breach, then one
+            v = np.array([[[0.6, 0.4], [0.5, 0.36]], [[0.6, 0.4], [0.5, last]]])
+            floor = vol_floor(xi, v.ndim)
+            assert floor.shape == np.shape(xi) + (1,) * (v.ndim - np.ndim(xi))
+            assert np.array_equal(floor, 0.5 * np.reshape(xi, floor.shape))
+            for a, b in zip(floor_breach(v, xi, floor), floor_breach(v, xi)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestStochasticExponential:

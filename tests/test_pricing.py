@@ -29,7 +29,14 @@ from fracvol import (
     simulate_scenario_paths,
 )
 from fracvol.coefficients import XI_STREAM, xi_inverse_cdf
-from fracvol.market import asset_prices, floor_breach, log_price_increments, theta, volatility
+from fracvol.market import (
+    asset_prices,
+    floor_breach,
+    log_price_increments,
+    log_weight,
+    theta,
+    volatility,
+)
 from fracvol.pricing import _constraint_data, _draws, _weighted_terminal
 from fracvol.rde import check_finite, euler_stepper
 from fracvol.rng import NormalStream, stream_key
@@ -257,6 +264,12 @@ class TestRunMechanics:
         for seed in (-1, 2**64):
             with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
                 MCConfig(paths=2, seed=seed)
+
+    @pytest.mark.parametrize("count", [2.5, True])
+    def test_simulated_path_count_must_be_an_integer(self, count):
+        # 2.5 failed in `range` with a bare TypeError
+        with pytest.raises(ValueError, match=f"n_paths must be an integer, got {count!r}"):
+            simulate_scenario_paths(section4_scenario(steps=8), count)
 
     def test_rough_regime_rejected_before_any_draw(self, monkeypatch):
         def no_draws(*args, **kwargs):
@@ -940,6 +953,26 @@ def _parent_feedback_loop(scenario, km, seed, start, count, project, paired):
     return _weighted_terminal(scenario, xi, dw_star, states), riskneutral
 
 
+def _parent_weighted_terminal(scenario, xi, dw, states):
+    """`pricing._weighted_terminal` as it was before it worked a block of paths
+    at a time, verbatim: the whole batch's weights at once."""
+    dt = scenario.grid.dt
+    params = scenario.market
+    v_left = volatility(states, params)[:, :-1, :]
+    breached, v_safe = floor_breach(v_left, xi)
+    log_incr = log_price_increments(v_left, dw, params.drifts, dt)
+    with np.errstate(over="ignore", invalid="ignore"):  # breached paths are discarded later
+        log_w = log_weight(theta(v_safe, params), dw, dt)
+        weight = np.exp(log_w)
+        terminal = asset_prices(np.sum(log_incr, axis=1), params)
+    finite = np.isfinite(log_w) | breached
+    if np.count_nonzero(finite) < finite.size:
+        raise FloatingPointError(
+            f"log-weight became non-finite (path {int(np.argmin(finite))} of the batch)"
+        )
+    return terminal, weight, breached
+
+
 class TestFeedbackLoop:
     """`_feedback_loop` equals the per-step loop it replaced byte for byte,
     frozen paths, blocks of steps and a full default batch included."""
@@ -985,6 +1018,16 @@ class TestFeedbackLoop:
         assert 0 < np.count_nonzero(breached) < count
 
     @pytest.mark.parametrize("paired", [False, True])
+    def test_equals_parent_loop_at_c10_shape(self, paired, monkeypatch):
+        # the benchmark's c10 batch: 256 paths keep 16 steps a block, so 256
+        # steps make 16 blocks, and the weights take four blocks of paths;
+        # the reference computes the weights as the parent did
+        sc, count = section4_scenario(steps=256), 256
+        assert pricing._HISTORY_BYTES // (8 * count * 2) == 16
+        monkeypatch.setitem(globals(), "_weighted_terminal", _parent_weighted_terminal)
+        self._check_equals_parent(sc, 201, 0, count, True, paired)
+
+    @pytest.mark.parametrize("paired", [False, True])
     @pytest.mark.parametrize("project", [False, True])
     def test_equals_parent_loop_at_batch_size(self, project, paired):
         # a full default batch keeps one step a block
@@ -998,7 +1041,7 @@ class TestFeedbackLoop:
         km = pricing._kernel_matrix(sc)
         draws = _draws(sc, 7, 0, count)  # drawn before tracing
         peaks = {}
-        for batch_fn in (pricing._paired_batch, pricing._riskneutral_batch):
+        for batch_fn in (pricing._paired_batch, pricing._riskneutral_batch, pricing._physical_batch):
             tracemalloc.start()
             try:
                 batch_fn(sc, km, *draws, True)
@@ -1012,6 +1055,54 @@ class TestFeedbackLoop:
         # the paired loop's peak is the weight computation, once its own
         # increments are freed (97.2 MiB while a view kept them alive)
         assert peaks[pricing._paired_batch] < 5.25 * size
+        # with the weights a block of paths at a time, the peaks are the
+        # loops': 49.64 MiB paired, when the loop holds its increments, the
+        # physical driver increments and the states, and 48.64 MiB for the lone
+        # physical estimator's Euler paths (81.1 and 96.3 MiB whole-batch)
+        assert peaks[pricing._paired_batch] < 50 * 2**20
+        assert peaks[pricing._physical_batch] < 49 * 2**20
+
+
+class TestBlockedWeights:
+    """`_weighted_terminal`, a block of paths at a time, equals the
+    whole-batch computation it replaced byte for byte."""
+
+    @staticmethod
+    def _inputs(sc, count, project):
+        km = pricing._kernel_matrix(sc)
+        xi, dw = _draws(sc, 3, 10, count)
+        _, states = pricing._physical_paths(sc, km, xi, dw, project)
+        return xi, dw, states
+
+    @pytest.mark.parametrize("count", [1, 255, 256, 257, 773])
+    def test_equals_parent_weights(self, count):
+        # 64 steps of 2 assets make blocks of 256 paths; some paths breach
+        sc = TestRiskNeutralLoop._breaching_scenario()
+        assert pricing._WEIGHT_BYTES // (8 * 64 * 2) == 256
+        xi, dw, states = self._inputs(sc, count, False)
+        want = _parent_weighted_terminal(sc, xi, dw, states)
+        if count > 256:
+            assert 0 < np.count_nonzero(want[2]) < count
+        # path-major states, and a path-major view of step-major ones as the
+        # paired loop passes them
+        step_major = np.ascontiguousarray(states.transpose(1, 0, 2))
+        for layout in (states, step_major.transpose(1, 0, 2)):
+            got = pricing._weighted_terminal(sc, xi, dw, layout)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+    def test_non_finite_names_the_batch_index(self):
+        # three blocks of 256 paths and five more; the message names the
+        # first bad path's index in the batch, not in its block
+        sc, count = section4_scenario(steps=64, seed=5), 3 * 256 + 5
+        xi, dw, states = self._inputs(sc, count, True)
+        for bad in (2 * 256 + 1, 256 + 3):  # the second also precedes the first
+            dw[bad, 5, 0] = np.nan
+            message = rf"log-weight became non-finite \(path {bad} of the batch\)"
+            for weighted_terminal in (_parent_weighted_terminal, pricing._weighted_terminal):
+                with pytest.raises(FloatingPointError, match=message):
+                    weighted_terminal(sc, xi, dw, states)
 
 
 class TestWeightChecks:

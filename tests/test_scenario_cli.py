@@ -105,6 +105,17 @@ class TestScenarioFormat:
         with pytest.raises(ScenarioError, match=keys[-1]):
             parse_scenario(doc)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("grid", 5), ("grid", None), ("grid", []), ("market", 5), ("xi", None), ("coefficients", [])],
+    )
+    def test_non_object_section_rejected(self, key, value):
+        # a non-object grid raised a bare TypeError outside the parser's try
+        doc = scenario_to_dict(section4_scenario(steps=8))
+        doc[key] = value
+        with pytest.raises(ScenarioError, match=f"'{key}' in scenario must be an object"):
+            parse_scenario(doc)
+
     def test_foreign_coefficients_rejected(self):
         # a field object of another type, even one with the wrong `dims`, is
         # rejected by type rather than let through unchecked
@@ -301,6 +312,15 @@ def overflowing_scenario():
 
 
 class TestPriceCommand:
+    def test_non_object_grid_exits_2(self, tmp_path, capsys):
+        # it exited 1 with a TypeError traceback
+        doc = scenario_to_dict(section4_scenario(steps=8))
+        doc["grid"] = 5
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["price", str(path)]) == 2
+        assert "error: 'grid' in scenario must be an object, got int" in capsys.readouterr().err
+
     def test_bond_payoff(self, tmp_path, capsys):
         path = write_scenario(tmp_path, constant_vol_scenario())
         assert main(

@@ -63,6 +63,12 @@ class TestShiftedPolyhedron:
         with pytest.raises(ValueError, match="zero coordinate"):
             shifted_polyhedron([[0.0, 1.0]], [0], 0.5)
 
+    @pytest.mark.parametrize("index", [0.7, True])
+    def test_non_integer_anchor_index_rejected(self, index):
+        # 0.7 was truncated to 0, anchoring face 0 at column 0
+        with pytest.raises(ValueError, match=f"anchor index {index!r} must be an integer"):
+            shifted_polyhedron([[1.0, 1.0], [1.0, 0.0]], [index, 0], 1.0)
+
     def test_monotone_in_shift(self):
         inner = reference_set(0.9)
         outer = reference_set(0.4)
