@@ -1041,7 +1041,8 @@ class TestFeedbackLoop:
         km = pricing._kernel_matrix(sc)
         draws = _draws(sc, 7, 0, count)  # drawn before tracing
         peaks = {}
-        for batch_fn in (pricing._paired_batch, pricing._riskneutral_batch, pricing._physical_batch):
+        batch_fns = (pricing._paired_batch, pricing._riskneutral_batch, pricing._physical_batch)
+        for batch_fn in batch_fns:
             tracemalloc.start()
             try:
                 batch_fn(sc, km, *draws, True)
@@ -1097,7 +1098,7 @@ class TestBlockedWeights:
         # first bad path's index in the batch, not in its block
         sc, count = section4_scenario(steps=64, seed=5), 3 * 256 + 5
         xi, dw, states = self._inputs(sc, count, True)
-        for bad in (2 * 256 + 1, 256 + 3):  # the second also precedes the first
+        for bad in (2 * 256 + 1, 256 + 3):  # one bad path in block 2, then one in block 1
             dw[bad, 5, 0] = np.nan
             message = rf"log-weight became non-finite \(path {bad} of the batch\)"
             for weighted_terminal in (_parent_weighted_terminal, pricing._weighted_terminal):

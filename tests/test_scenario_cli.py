@@ -107,7 +107,10 @@ class TestScenarioFormat:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("grid", 5), ("grid", None), ("grid", []), ("market", 5), ("xi", None), ("coefficients", [])],
+        [
+            ("grid", 5), ("grid", None), ("grid", []),
+            ("market", 5), ("xi", None), ("coefficients", []),
+        ],
     )
     def test_non_object_section_rejected(self, key, value):
         # a non-object grid raised a bare TypeError outside the parser's try
