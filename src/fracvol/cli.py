@@ -1,7 +1,7 @@
 """Batch command-line front end: scenario files in, CSV/JSON results out.
 
 Exit codes: 0 success, 1 check failure, 2 usage or domain error (including a
-state that became non-finite and a kernel series that did not converge), 3
+state that became non-finite and a kernel 2F1 value that was not finite), 3
 runtime breach.  Every command is deterministic given its full argument vector
 (including seeds); CSV and JSON outputs are byte-stable across runs.
 """

@@ -225,13 +225,13 @@ CASES = (
 )
 
 GOLDEN = {
-    "terminal/worked/projected": "aff49bf58b2871f62b0f02b058b817641a56abf86d782f365008e1c3c145289e",
-    "terminal/worked/free": "c47e2e097588b1d07f8f9fd50a8660cd97c45ece07ab221a7dd698a45f10aea2",
+    "terminal/worked/projected": "8b177b335276ffa2d68bb4244b9e6964f1ce8027f1c5f4292e6f2616d7cfb33c",
+    "terminal/worked/free": "e56bdfa02a0ffa341d8246f0b204eeb7dfe709ed4e472e3281c689e9eff18be0",
     "terminal/constant/projected": "77907a2f23639cba1a87eb1d1951cd2be2a6c39dae73965f39fec76aa8304310",
     "terminal/constant/free": "77907a2f23639cba1a87eb1d1951cd2be2a6c39dae73965f39fec76aa8304310",
     "physical/worked/projected/call0": "75206f97115be1d511f7575d58d0318187b5dc20f3831b13f4da166c88285099",
-    "physical/worked/projected/put1": "bb1d86ba77951603aded124c161edc815524efa1cd31761a5e6175020799abe1",
-    "physical/worked/projected/basket": "5a8baefac80da22a286c0a5f6edba64501227bc2f7cb5aa00a78eee1e70d957d",
+    "physical/worked/projected/put1": "21f91689228e991914bb43d17e76c44f309d9ef4e8d00e3ade5e22dd4e03f7a5",
+    "physical/worked/projected/basket": "8ab1606727e7ce2669f82350094563bcd1c57a365ce118c12c1c2b721b905684",
     "physical/worked/free/call0": "8af817c8506316c3cbd917746fcd8cec03d9969cdddafe2792a604838f37772a",
     "physical/worked/free/put1": "8af817c8506316c3cbd917746fcd8cec03d9969cdddafe2792a604838f37772a",
     "physical/worked/free/basket": "8af817c8506316c3cbd917746fcd8cec03d9969cdddafe2792a604838f37772a",
@@ -241,9 +241,9 @@ GOLDEN = {
     "physical/constant/free/call0": "44e30d0002df0a9296e1be4f68dccbe710f0d6fb6a1ce4ea85308ae041700031",
     "physical/constant/free/put1": "13ef612f46d9cf0e849798635f0d9059b440daaaeac14d779c226174a626fc9a",
     "physical/constant/free/basket": "ca2ce942415b745c89b592530d0afa86b672f871665643db89b286d2f6e257c0",
-    "riskneutral/worked/projected/call0": "059ca0b6edf249144596cb3e4fb95c69629a58e00e74f38b756f28cbe2153e4b",
+    "riskneutral/worked/projected/call0": "cfeeedf7bbb8a81513e1af7ef887592ccf3bf6f9483d6179f0f44413ecff1557",
     "riskneutral/worked/projected/put1": "02a7ba2e396d02a107974b45ea09e18629c508e9dbf75c5cd4582fb6c5146120",
-    "riskneutral/worked/projected/basket": "06f86ccbc340000e2a16cf1649d9eb9cb09c78bbe37b2bf11e4ae83cfbc66c50",
+    "riskneutral/worked/projected/basket": "cf6534cdda7339004325a0dc5a4f1525b5035fb3316165be3d0fe952acba26c2",
     "riskneutral/worked/free/call0": "2f376cebf78689f617cfa4b4dc918bed0d01c588d4a34e8fcc6e229a22f83bd1",
     "riskneutral/worked/free/put1": "2f376cebf78689f617cfa4b4dc918bed0d01c588d4a34e8fcc6e229a22f83bd1",
     "riskneutral/worked/free/basket": "2f376cebf78689f617cfa4b4dc918bed0d01c588d4a34e8fcc6e229a22f83bd1",
@@ -253,20 +253,20 @@ GOLDEN = {
     "riskneutral/constant/free/call0": "40be9fca92e1bb5a691a23d851027839b9e4cf16b999d9adcf850dfec5df126a",
     "riskneutral/constant/free/put1": "8a8f637ed47e59f8eff326a16064f2fe513885b13a5c7c2ff0d27227661a748f",
     "riskneutral/constant/free/basket": "c67caf5c351fb136ba905b9f5e5f69554c48cb137319f7de9135fe75e4097fa9",
-    "simulate/worked/projected": "3fbffd35214461f726016690c03d968acddcbb7b0689216a3682c8ed19dbd332",
-    "simulate/worked/free": "27792009aefb57da512428434101ae8f4651048568d887e77d284ea95f49354f",
-    "simulate/constant/projected": "8a7a273e16e294d6e910d99298fe4e8a842e498cb522e77d55cca44b35b86546",
-    "simulate/constant/free": "8a7a273e16e294d6e910d99298fe4e8a842e498cb522e77d55cca44b35b86546",
-    "kernel/0.3": "418fcfed154e8ec3757eeb33c3e87d02b3af7ef86a997abb042ca778eedf6d1c",
-    "kernel/0.7": "7d9d4e117673dead4754b24be6b5ab9f9d56e862344c7912dbd7cd9a420cfae0",
-    "kernel/1024/0.7": "49195c4f266eda7e1209ae624215a233418e0f063466b9e8e713516812fb9149",
-    "kernel/256/0.55": "5c07a37059729650246cf82b758c6f805fda0a96636b293622e5284f078537ec",
-    "kernel/256/0.85": "77f62f11f4b281bd7a0cbcdd12fe482d0c02d0c10610f623827c450e0d6ae635",
+    "simulate/worked/projected": "b8fcc47c1ef8ab8e755875f61b874a3eb5c8dde43df821e660f88067e69159e4",
+    "simulate/worked/free": "64f175e0096855e4792064879de020e513018030e63c75fc6d3420d70eff647b",
+    "simulate/constant/projected": "e466328363417d5bdd21e63cac8b8fde6ec7869e0e8b5f1a807b4d8aabd6cf7f",
+    "simulate/constant/free": "e466328363417d5bdd21e63cac8b8fde6ec7869e0e8b5f1a807b4d8aabd6cf7f",
+    "kernel/0.3": "34b942dc95e824955dda2509182872f377e24918530bb1249f90757e6769f38b",
+    "kernel/0.7": "94f7891a32e9e63920fbbce8636ed845e4dae003fadd4a7165bdfab6f410a6e7",
+    "kernel/1024/0.7": "ba12f324eba6c000c40883abe16bbda6a9d2707e943ef1e9c43395904ddf8c68",
+    "kernel/256/0.55": "e89e955478a35b9bc0bd591085883524af6bb20077322bdfeb18c8c34df5bcb1",
+    "kernel/256/0.85": "f2b4f2e55558138d76b2e9e75c998d5c811ef34a4d10187360bb5427ecb0a92e",
     "fbm/wood-chan": "d78f82c87c810d5f63ab402d0cd163cb4aae9b403fd1b51cd3e4096226579a4d",
     "fbm/cholesky": "14acf0add04197694fe9a8051b076b31d9df3f2f7d46edb43b774942f7bafe02",
     "euler/free": "204bd6df383286863e78a901d5849b709033936b01bc0845da794be5a9aa4000",
     "euler/projected": "7766163e41faecb95eab5c5595b0938e5cbec9ea8247b63b9c15a997b2354adb",
-    "transform/0.7": "f26367721bc16b5e6fbe55d402a7da5901df0ac5ef988775e50dcae1006a17c3",
+    "transform/0.7": "78807f27edcaed65e8d487c13d30aa71d97f6c16fbe314fe09b43c845eff2893",
     "probe/4": "0d76ced5486cb97ad26bc1aab7989b440ae7c49340bb1cd5e667d3d0ab2fa39d",
     "xi/singular": "4e8231b9dafc4934a7d93f3a16ae7ac0a971abbac725f624b7d5439577978e14",
     "rng/2048x16": "eebda2aa9b538c9d3c4826a349a77addf3c73a9e53b511e0947af5cdc93e1aea",
@@ -285,8 +285,8 @@ GOLDEN = {
     "checker/constant/cone/256/0.1": "c4250b29a116aecdd9d841ecc5b715789f3c833d3f37ba07782c99ea2d66f987",
     "checker/constant/hyperplane/64/0.1": "0ef1d0b4f4c968346f088a3cd2c3676b89f24d8973fa2646f94463067f4726b4",
     "checker/constant/hyperplane/256/0.1": "0ef1d0b4f4c968346f088a3cd2c3676b89f24d8973fa2646f94463067f4726b4",
-    "bundle/reproduce-section4": "a5ea33c449a4217d32c45cd6b7baed75241e0ffacd1eefc22cce58b592968f23",
-    "bundle/simulate-project": "5ae1db61df7a5ae114b55b2df8f7b04f29b350c61410141cdd87eebd26a938a4",
+    "bundle/reproduce-section4": "09d76b1a4f14ecd54c893cb1f694e245b6963cc73102347d5718a6aa87eb5e29",
+    "bundle/simulate-project": "5080d76c761ed12c76a2c826a353c07a29c00c0d9fc54525c5b35981fe47f0e0",
 }
 
 

@@ -396,11 +396,20 @@ class TestPriceCommand:
 
     def test_series_failure_is_domain_error(self, tmp_path, capsys, monkeypatch):
         def diverging(*args):
-            raise HypergeometricError("series did not converge")
+            raise HypergeometricError("2F1 is not finite")
 
         monkeypatch.setattr(cli, "load_scenario", diverging)
         assert main(["price", "unused.json"]) == 2
-        assert capsys.readouterr().err == "error: series did not converge\n"
+        assert capsys.readouterr().err == "error: 2F1 is not finite\n"
+
+    @pytest.mark.parametrize("hurst", [0.976, 0.99])
+    def test_hurst_close_to_one_prices(self, tmp_path, capsys, hurst):
+        scenario = dataclasses.replace(section4_scenario(steps=16, seed=5), hurst=hurst)
+        path = write_scenario(tmp_path, scenario)
+        assert main(["price", path, "--paths", "64", "--both"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert math.isfinite(doc["physical"]["estimate"])
+        assert math.isfinite(doc["riskneutral"]["estimate"])
 
     @pytest.mark.parametrize(
         "argv", [["--strike", "nan"], ["--payoff", "put", "--strike", "inf", "--both"]]
