@@ -72,10 +72,18 @@ def _kernel_values(t: np.ndarray, s: np.ndarray, hurst: float) -> np.ndarray:
 
 
 def _kernel_of_gap(gap, z, hurst: float) -> np.ndarray:
-    """The kernel (t - s)^(H - 1/2) / Gamma(H + 1/2) 2F1(1/2 - H, H - 1/2; H + 1/2; z)
-    from the gap t - s and the argument z = 1 - t/s, however each is computed."""
+    """The kernel c_H (t - s)^(H - 1/2) / Gamma(H + 1/2) 2F1(1/2 - H, H - 1/2; H + 1/2; z)
+    from the gap t - s and the argument z = 1 - t/s, however each is computed.
+
+    c_H = sqrt(2H Gamma(3/2 - H) Gamma(H + 1/2) / Gamma(2 - 2H)), exactly 1 at
+    H = 1/2, makes the transform of a standard Brownian motion a standard fBm,
+    of variance t^(2H) (Decreusefond & Ustunel, Potential Anal. 1999).
+    """
+    c_h = math.sqrt(
+        2 * hurst * math.gamma(1.5 - hurst) * math.gamma(hurst + 0.5) / math.gamma(2 - 2 * hurst)
+    )
     factor = _hyp2f1(0.5 - hurst, hurst - 0.5, hurst + 0.5, z)
-    return gap ** (hurst - 0.5) / math.gamma(hurst + 0.5) * factor
+    return c_h / math.gamma(hurst + 0.5) * gap ** (hurst - 0.5) * factor
 
 
 @dataclass(frozen=True, eq=False)

@@ -225,13 +225,13 @@ CASES = (
 )
 
 GOLDEN = {
-    "terminal/worked/projected": "8b177b335276ffa2d68bb4244b9e6964f1ce8027f1c5f4292e6f2616d7cfb33c",
-    "terminal/worked/free": "e56bdfa02a0ffa341d8246f0b204eeb7dfe709ed4e472e3281c689e9eff18be0",
+    "terminal/worked/projected": "1373418c1104f13a96295c5954a70edee0f4371e0a4db09ad993a15da0c8cb00",
+    "terminal/worked/free": "d2a5a93a47c3a0e165f1e4487ee7f231168118c71ea55d16f50d856272f9584a",
     "terminal/constant/projected": "77907a2f23639cba1a87eb1d1951cd2be2a6c39dae73965f39fec76aa8304310",
     "terminal/constant/free": "77907a2f23639cba1a87eb1d1951cd2be2a6c39dae73965f39fec76aa8304310",
-    "physical/worked/projected/call0": "75206f97115be1d511f7575d58d0318187b5dc20f3831b13f4da166c88285099",
-    "physical/worked/projected/put1": "21f91689228e991914bb43d17e76c44f309d9ef4e8d00e3ade5e22dd4e03f7a5",
-    "physical/worked/projected/basket": "8ab1606727e7ce2669f82350094563bcd1c57a365ce118c12c1c2b721b905684",
+    "physical/worked/projected/call0": "8e16df38d19e1b9efc44845b7f3d56c569dfb9b26940b328319c0491ad78d8fb",
+    "physical/worked/projected/put1": "4d0dfb7c867b72515aa56491874b98635d4207372f87cf6ca677c966c37e84c6",
+    "physical/worked/projected/basket": "6992e00336b9ac5ae030af447ce4eecd611a792129ff1db073f25864b22ba19b",
     "physical/worked/free/call0": "8af817c8506316c3cbd917746fcd8cec03d9969cdddafe2792a604838f37772a",
     "physical/worked/free/put1": "8af817c8506316c3cbd917746fcd8cec03d9969cdddafe2792a604838f37772a",
     "physical/worked/free/basket": "8af817c8506316c3cbd917746fcd8cec03d9969cdddafe2792a604838f37772a",
@@ -241,9 +241,9 @@ GOLDEN = {
     "physical/constant/free/call0": "44e30d0002df0a9296e1be4f68dccbe710f0d6fb6a1ce4ea85308ae041700031",
     "physical/constant/free/put1": "13ef612f46d9cf0e849798635f0d9059b440daaaeac14d779c226174a626fc9a",
     "physical/constant/free/basket": "ca2ce942415b745c89b592530d0afa86b672f871665643db89b286d2f6e257c0",
-    "riskneutral/worked/projected/call0": "cfeeedf7bbb8a81513e1af7ef887592ccf3bf6f9483d6179f0f44413ecff1557",
-    "riskneutral/worked/projected/put1": "02a7ba2e396d02a107974b45ea09e18629c508e9dbf75c5cd4582fb6c5146120",
-    "riskneutral/worked/projected/basket": "cf6534cdda7339004325a0dc5a4f1525b5035fb3316165be3d0fe952acba26c2",
+    "riskneutral/worked/projected/call0": "23b1ecce4140bc37059ca8e1f294539fe26c7509ded858facfe5c79ba4a4f622",
+    "riskneutral/worked/projected/put1": "3a4832987629e72df95d2448441abc292f397d844e91be3f1ff079c86bd492c5",
+    "riskneutral/worked/projected/basket": "be935bed53bd7c17e7160f5bdf1b1ea23757c9c3b8fe98a181bc5d58737505d8",
     "riskneutral/worked/free/call0": "2f376cebf78689f617cfa4b4dc918bed0d01c588d4a34e8fcc6e229a22f83bd1",
     "riskneutral/worked/free/put1": "2f376cebf78689f617cfa4b4dc918bed0d01c588d4a34e8fcc6e229a22f83bd1",
     "riskneutral/worked/free/basket": "2f376cebf78689f617cfa4b4dc918bed0d01c588d4a34e8fcc6e229a22f83bd1",
@@ -253,20 +253,20 @@ GOLDEN = {
     "riskneutral/constant/free/call0": "40be9fca92e1bb5a691a23d851027839b9e4cf16b999d9adcf850dfec5df126a",
     "riskneutral/constant/free/put1": "8a8f637ed47e59f8eff326a16064f2fe513885b13a5c7c2ff0d27227661a748f",
     "riskneutral/constant/free/basket": "c67caf5c351fb136ba905b9f5e5f69554c48cb137319f7de9135fe75e4097fa9",
-    "simulate/worked/projected": "b8fcc47c1ef8ab8e755875f61b874a3eb5c8dde43df821e660f88067e69159e4",
-    "simulate/worked/free": "64f175e0096855e4792064879de020e513018030e63c75fc6d3420d70eff647b",
-    "simulate/constant/projected": "e466328363417d5bdd21e63cac8b8fde6ec7869e0e8b5f1a807b4d8aabd6cf7f",
-    "simulate/constant/free": "e466328363417d5bdd21e63cac8b8fde6ec7869e0e8b5f1a807b4d8aabd6cf7f",
-    "kernel/0.3": "34b942dc95e824955dda2509182872f377e24918530bb1249f90757e6769f38b",
-    "kernel/0.7": "94f7891a32e9e63920fbbce8636ed845e4dae003fadd4a7165bdfab6f410a6e7",
-    "kernel/1024/0.7": "ba12f324eba6c000c40883abe16bbda6a9d2707e943ef1e9c43395904ddf8c68",
-    "kernel/256/0.55": "e89e955478a35b9bc0bd591085883524af6bb20077322bdfeb18c8c34df5bcb1",
-    "kernel/256/0.85": "f2b4f2e55558138d76b2e9e75c998d5c811ef34a4d10187360bb5427ecb0a92e",
+    "simulate/worked/projected": "263704f73264803ad96b98728f9c7d403f3e1536bff111485585827830fc2781",
+    "simulate/worked/free": "deecdbe8772ba87e05a55ff93309757870cd2265c7bc4265d3374fe207ec40f1",
+    "simulate/constant/projected": "34827b74c676c3121fc22c2b0e291558c0ee8d0949a3e86f1feec6c56cc9434b",
+    "simulate/constant/free": "34827b74c676c3121fc22c2b0e291558c0ee8d0949a3e86f1feec6c56cc9434b",
+    "kernel/0.3": "04b323473e9d207d7442f0df6c19768e5670a5351aaf4e9886fe70cfc226584d",
+    "kernel/0.7": "83f43949dd3e7e1b6f2bd112a705ad177cb62583192ea6b64ffaa83385cd62e8",
+    "kernel/1024/0.7": "b424549f77eef4733e10c3dfad2fb9d99be398ab8e8b59cf44c9129db9a5d875",
+    "kernel/256/0.55": "bf71c7f7b6f4faab788776100c45bc83c64dbcd8387ce1dca9022d7dc69fcdd2",
+    "kernel/256/0.85": "d2436897853d5d998c5451ddf2e9b59ce31559dad590f1d2671b6dd1e2b4b607",
     "fbm/wood-chan": "d78f82c87c810d5f63ab402d0cd163cb4aae9b403fd1b51cd3e4096226579a4d",
     "fbm/cholesky": "14acf0add04197694fe9a8051b076b31d9df3f2f7d46edb43b774942f7bafe02",
     "euler/free": "204bd6df383286863e78a901d5849b709033936b01bc0845da794be5a9aa4000",
     "euler/projected": "7766163e41faecb95eab5c5595b0938e5cbec9ea8247b63b9c15a997b2354adb",
-    "transform/0.7": "78807f27edcaed65e8d487c13d30aa71d97f6c16fbe314fe09b43c845eff2893",
+    "transform/0.7": "0fea144a0bce1d1d9e3a313f95dcfe7f5879319fa8e4c5d82d6812b5113a9e55",
     "probe/4": "0d76ced5486cb97ad26bc1aab7989b440ae7c49340bb1cd5e667d3d0ab2fa39d",
     "xi/singular": "4e8231b9dafc4934a7d93f3a16ae7ac0a971abbac725f624b7d5439577978e14",
     "rng/2048x16": "eebda2aa9b538c9d3c4826a349a77addf3c73a9e53b511e0947af5cdc93e1aea",
@@ -285,8 +285,8 @@ GOLDEN = {
     "checker/constant/cone/256/0.1": "c4250b29a116aecdd9d841ecc5b715789f3c833d3f37ba07782c99ea2d66f987",
     "checker/constant/hyperplane/64/0.1": "0ef1d0b4f4c968346f088a3cd2c3676b89f24d8973fa2646f94463067f4726b4",
     "checker/constant/hyperplane/256/0.1": "0ef1d0b4f4c968346f088a3cd2c3676b89f24d8973fa2646f94463067f4726b4",
-    "bundle/reproduce-section4": "09d76b1a4f14ecd54c893cb1f694e245b6963cc73102347d5718a6aa87eb5e29",
-    "bundle/simulate-project": "5080d76c761ed12c76a2c826a353c07a29c00c0d9fc54525c5b35981fe47f0e0",
+    "bundle/reproduce-section4": "1c987d9b688dbcabaf11da97187cf323fb5212def2ccb7319a987067be28d81f",
+    "bundle/simulate-project": "1c2e9fd2632ffc6e2d397a7d4128e9851495f6723f20f8ea834b9a7eef394957",
 }
 
 

@@ -105,15 +105,17 @@ class TestKernel:
             kernel_K(1.0, 0.0, 0.7)
 
     def test_high_precision_value(self):
-        # frozen from the 30-digit evaluation of the defining formula
-        assert kernel_K(1.0, 0.5, 0.7) == pytest.approx(0.97473775260964768, abs=1e-8)
+        # frozen from the 30-digit evaluation of the defining formula, c_H included
+        assert kernel_K(1.0, 0.5, 0.7) == pytest.approx(0.97714049739361676, abs=1e-8)
 
     def test_matches_high_precision_formula(self):
         for t, s, h in [(1.0, 0.25, 0.7), (0.8, 0.3, 0.3), (2.0, 1.9, 0.6)]:
-            ref = (
-                (t - s) ** (h - 0.5)
-                / math.gamma(h + 0.5)
-                * mp_hyp2f1(0.5 - h, h - 0.5, h + 0.5, 1 - t / s)
+            c_h = mp.sqrt(2 * h * mp.gamma(1.5 - h) * mp.gamma(h + 0.5) / mp.gamma(2 - 2 * h))
+            ref = float(
+                c_h
+                * (t - s) ** (h - 0.5)
+                / mp.gamma(h + 0.5)
+                * mp.hyp2f1(0.5 - h, h - 0.5, h + 0.5, 1 - t / s)
             )
             assert kernel_K(t, s, h) == pytest.approx(ref, rel=1e-10)
 
@@ -307,18 +309,7 @@ class TestDuTransform:
         b = transform_increments(dw, km)[:, 1:, 0]
         _assert_covariance_close(b, grid, h)
 
-    @pytest.mark.parametrize(
-        "h",
-        [
-            pytest.param(0.55, marks=pytest.mark.xfail(
-                strict=True, reason="the kernel omits c_H: rows give 0.9675 = 1/c_H^2"
-            )),
-            0.7,
-            pytest.param(0.85, marks=pytest.mark.xfail(
-                strict=True, reason="the kernel omits c_H: rows give 1.4225-1.4244"
-            )),
-        ],
-    )
+    @pytest.mark.parametrize("h", [0.55, 0.7, 0.85])
     def test_row_variance_is_fbm_variance(self, h):
         # Var B(t_i) = sum_j K[i, j]^2 dt for unit Brownian increments, and a
         # standard fBm has t_i^(2H); rows >= 16 are clear of the coarse start
@@ -327,11 +318,6 @@ class TestDuTransform:
         ratio = np.sum(entries**2, axis=1) * grid.dt / grid.times[1:] ** (2 * h)
         assert np.all(np.abs(ratio[16:] - 1.0) <= 0.01)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the kernel's low-roughness normalization constant (~1.38 at "
-        "hurst 0.3) shifts the whole covariance; see the decisions ledger in CHANGES.md",
-    )
     def test_covariance_fidelity_low_hurst(self):
         h, steps, n_paths = 0.3, 16, 20_000
         grid = TimeGrid(1.0, steps)
