@@ -84,21 +84,24 @@ def _check_strike(strike: float) -> None:
 
 
 @dataclass(frozen=True)
-class Call:
+class _Vanilla:
+    """A European claim on one asset, by its nonnegative integer index."""
+
     asset: int
     strike: float
 
     def __post_init__(self):
+        if not (is_integer(self.asset) and self.asset >= 0):
+            raise ValueError(f"asset must be a nonnegative integer, got {self.asset!r}")
         _check_strike(self.strike)
 
 
-@dataclass(frozen=True)
-class Put:
-    asset: int
-    strike: float
+class Call(_Vanilla):
+    """Pays max(S_asset - strike, 0)."""
 
-    def __post_init__(self):
-        _check_strike(self.strike)
+
+class Put(_Vanilla):
+    """Pays max(strike - S_asset, 0)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,8 +117,15 @@ class Basket:
 
 
 def payoff_values(payoff, terminal: np.ndarray) -> np.ndarray:
-    """Payoff of each row of terminal prices (paths, d)."""
+    """Payoff of each row of terminal prices (paths, d).
+
+    Raises ValueError for a call or put on an asset index >= d, and for a
+    callable whose result does not broadcast to (paths,).
+    """
     terminal = np.atleast_2d(terminal)
+    paths, d = terminal.shape
+    if isinstance(payoff, _Vanilla) and payoff.asset >= d:
+        raise ValueError(f"asset index {payoff.asset} out of range for {d} assets")
     if isinstance(payoff, Call):
         return np.maximum(terminal[:, payoff.asset] - payoff.strike, 0.0)
     if isinstance(payoff, Put):
@@ -123,7 +133,14 @@ def payoff_values(payoff, terminal: np.ndarray) -> np.ndarray:
     if isinstance(payoff, Basket):
         return np.maximum(terminal @ payoff.weights - payoff.strike, 0.0)
     if callable(payoff):
-        return np.asarray(payoff(terminal), dtype=float)
+        values = np.asarray(payoff(terminal), dtype=float)
+        try:
+            return np.broadcast_to(values, (paths,))
+        except ValueError:
+            raise ValueError(
+                f"a callable payoff must give one value per path, shape ({paths},) "
+                f"or one that broadcasts to it; got shape {values.shape}"
+            ) from None
     raise TypeError(f"unsupported payoff {payoff!r}")
 
 

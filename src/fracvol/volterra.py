@@ -43,10 +43,8 @@ def _hyp2f1(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     values = np.asarray(special.hyp2f1(a, b, c, z))
     bad = ~np.isfinite(values)
     if np.any(bad):
-        raise HypergeometricError(
-            f"2F1({a!r}, {b!r}; {c!r}; z) is not finite at "
-            f"z = {float(np.broadcast_to(z, values.shape)[bad][0])!r}"
-        )
+        at = float(np.broadcast_to(z, values.shape)[bad][0])
+        raise HypergeometricError(f"2F1({a!r}, {b!r}; {c!r}; z) is not finite at z = {at!r}")
     return values
 
 
@@ -79,9 +77,8 @@ def _kernel_of_gap(gap, z, hurst: float) -> np.ndarray:
     H = 1/2, makes the transform of a standard Brownian motion a standard fBm,
     of variance t^(2H) (Decreusefond & Ustunel, Potential Anal. 1999).
     """
-    c_h = math.sqrt(
-        2 * hurst * math.gamma(1.5 - hurst) * math.gamma(hurst + 0.5) / math.gamma(2 - 2 * hurst)
-    )
+    c_h = math.sqrt(2 * hurst * math.gamma(1.5 - hurst) * math.gamma(hurst + 0.5)
+                    / math.gamma(2 - 2 * hurst))
     factor = _hyp2f1(0.5 - hurst, hurst - 0.5, hurst + 0.5, z)
     return c_h / math.gamma(hurst + 0.5) * gap ** (hurst - 0.5) * factor
 

@@ -115,6 +115,36 @@ class TestPayoffs:
         with pytest.raises(TypeError):
             payoff_values(object(), np.ones((2, 2)))
 
+    def test_callable_of_shape_paths_by_one_rejected(self):
+        # a (paths, 1) result was broadcast against the (paths,) weights into
+        # a (paths, paths) outer product, and priced without an error
+        sc = constant_vol_scenario(steps=4)
+        payoff = lambda t: np.maximum(t[:, :1] - 1.0, 0.0)
+        with pytest.raises(ValueError, match=r"shape \(64,\) .* got shape \(64, 1\)"):
+            price_physical_weighted(payoff, sc, MCConfig(paths=64, seed=3))
+
+    def test_scalar_callable_prices(self):
+        sc = constant_vol_scenario(steps=4)
+        assert np.array_equal(payoff_values(lambda t: 2.0, np.ones((3, 2))), [2.0, 2.0, 2.0])
+        res = price_physical_weighted(lambda t: 1.0, sc, MCConfig(paths=64, seed=3))
+        bond = price_physical_weighted(bond_payoff, sc, MCConfig(paths=64, seed=3))
+        assert res == bond
+
+    @pytest.mark.parametrize("make", [Call, Put])
+    @pytest.mark.parametrize("asset", [-1, True, 0.0, 1.5, "0"])
+    def test_asset_index_must_be_a_nonnegative_integer(self, make, asset):
+        # -1 priced the last asset and True failed with a broadcasting error
+        with pytest.raises(ValueError, match="asset must be a nonnegative integer"):
+            make(asset, 1.0)
+
+    @pytest.mark.parametrize("make", [Call, Put])
+    def test_asset_index_beyond_the_assets_rejected(self, make):
+        # it raised a bare IndexError
+        sc = constant_vol_scenario(steps=4)
+        assert payoff_values(make(np.int64(1), 1.0), np.ones((2, 2))).shape == (2,)
+        with pytest.raises(ValueError, match="asset index 2 out of range for 2 assets"):
+            price_physical_weighted(make(2, 1.0), sc, MCConfig(paths=64, seed=3))
+
 
 class TestDegenerateBlackScholes:
     def test_both_estimators_match_closed_form(self):
