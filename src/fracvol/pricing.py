@@ -120,7 +120,7 @@ def payoff_values(payoff, terminal: np.ndarray) -> np.ndarray:
     """Payoff of each row of terminal prices (paths, d).
 
     Raises ValueError for a call or put on an asset index >= d, and for a
-    callable whose result does not broadcast to (paths,).
+    basket or callable whose values do not broadcast to (paths,).
     """
     terminal = np.atleast_2d(terminal)
     paths, d = terminal.shape
@@ -131,17 +131,18 @@ def payoff_values(payoff, terminal: np.ndarray) -> np.ndarray:
     if isinstance(payoff, Put):
         return np.maximum(payoff.strike - terminal[:, payoff.asset], 0.0)
     if isinstance(payoff, Basket):
-        return np.maximum(terminal @ payoff.weights - payoff.strike, 0.0)
-    if callable(payoff):
+        values = np.maximum(terminal @ payoff.weights - payoff.strike, 0.0)
+    elif callable(payoff):
         values = np.asarray(payoff(terminal), dtype=float)
-        try:
-            return np.broadcast_to(values, (paths,))
-        except ValueError:
-            raise ValueError(
-                f"a callable payoff must give one value per path, shape ({paths},) "
-                f"or one that broadcasts to it; got shape {values.shape}"
-            ) from None
-    raise TypeError(f"unsupported payoff {payoff!r}")
+    else:
+        raise TypeError(f"unsupported payoff {payoff!r}")
+    try:
+        return np.broadcast_to(values, (paths,))
+    except ValueError:
+        raise ValueError(
+            f"a payoff must give one value per path, shape ({paths},) or one that "
+            f"broadcasts to it; got shape {values.shape}"
+        ) from None
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,13 @@ class TestPayoffs:
         with pytest.raises(ValueError, match=r"shape \(64,\) .* got shape \(64, 1\)"):
             price_physical_weighted(payoff, sc, MCConfig(paths=64, seed=3))
 
+    def test_basket_of_column_weights_rejected(self):
+        # (d, 1) weights gave (paths, 1) values and the same outer product
+        sc = constant_vol_scenario(steps=4)
+        basket = Basket([[0.5], [0.5]], 1.0)
+        with pytest.raises(ValueError, match=r"got shape \(64, 1\)"):
+            price_physical_weighted(basket, sc, MCConfig(paths=64, seed=3))
+
     def test_scalar_callable_prices(self):
         sc = constant_vol_scenario(steps=4)
         assert np.array_equal(payoff_values(lambda t: 2.0, np.ones((3, 2))), [2.0, 2.0, 2.0])
