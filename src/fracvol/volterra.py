@@ -35,7 +35,7 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
         raise ValueError(f"c must not be a non-positive integer, got {c}")
     if z > 0:
         raise ValueError(f"argument must satisfy z <= 0, got {z}")
-    return float(_hyp2f1(a, b, c, np.asarray(z, dtype=float)))
+    return float(_hyp2f1(a, b, c, z))
 
 
 def _hyp2f1(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
