@@ -107,10 +107,11 @@ def build_kernel_matrix(grid: TimeGrid, hurst: float) -> KernelMatrix:
 
     A grid whose steps x steps matrix would not fit in the machine's physical
     memory is rejected before anything is allocated.  Beside the matrix the
-    build holds one band of about `_BAND_CELLS` midpoint cells at a time,
-    then the quadrature of the first column and the diagonal, 79 nodes per
-    row, so what it needs beyond the matrix grows only linearly with steps (a
-    traced peak of 11.6 MiB for the 8 MiB matrix at 1024 steps).
+    build holds the midpoint cells of one block of whole rows at a time (at
+    most `_BAND_CELLS` cells, or one row), then the quadrature of the
+    first column and the diagonal, 79 nodes per row, so what it needs beyond
+    the matrix grows only linearly with steps (a traced peak of 11.6 MiB for
+    the 8 MiB matrix at 1024 steps).
     """
     if not (0.0 < hurst < 1.0):
         raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
@@ -181,26 +182,6 @@ _NEAR_HALF_BAND = 0.025
 _BAND_CELLS = 2**15
 
 
-def _midpoint_bands(steps: int, first: int):
-    """(rows, cols) of the cells first <= j <= i - first, one s/t band at a time.
-
-    Band b of n takes the b-th of n near-equal slices of each row's columns.
-    n is the fewest bands whose slices, each rounded up, fit in
-    `_BAND_CELLS`: the build holds one band's temporaries, never the whole
-    triangle's.
-    """
-    rows = np.arange(2 * first, steps)
-    width = rows + 1 - 2 * first
-    n = -(-int(width.sum()) // _BAND_CELLS)
-    while n < width.max(initial=0) and np.sum(-(-width // n)) > _BAND_CELLS:
-        n += 1
-    for b in range(n):
-        lo = first + b * width // n
-        count = first + (b + 1) * width // n - lo
-        offsets = np.repeat(lo - (np.cumsum(count) - count), count)
-        yield np.repeat(rows, count), np.arange(offsets.size) + offsets
-
-
 @lru_cache(maxsize=8)
 def _kernel_matrix_cached(horizon: float, steps: int, hurst: float) -> KernelMatrix:
     grid = TimeGrid(horizon, steps)
@@ -210,8 +191,16 @@ def _kernel_matrix_cached(horizon: float, steps: int, hurst: float) -> KernelMat
     entries = np.zeros((steps, steps))
     near_half = abs(hurst - 0.5) < _NEAR_HALF_BAND
     # near 1/2 every cell is a midpoint cell; otherwise the first column and
-    # the diagonal are filled below
-    for rows, cols in _midpoint_bands(steps, first=0 if near_half else 1):
+    # the diagonal are filled below.  Row i's midpoint cells are
+    # first <= j <= i - first, filled a block of whole rows at a time: at
+    # most `_BAND_CELLS` cells, or one row where a row holds more.
+    first = 0 if near_half else 1
+    block = max(1, _BAND_CELLS // steps)
+    for lo in range(2 * first, steps, block):
+        hi = min(lo + block, steps)
+        rows, cols = np.nonzero(np.tri(hi - lo, hi - 2 * first, lo - 2 * first, dtype=bool))
+        rows += lo
+        cols += first
         entries[rows, cols] = _kernel_values(targets[rows], mids[cols], hurst)
     if near_half:
         entries.setflags(write=False)

@@ -193,10 +193,11 @@ class TestKernelMatrix:
             tracemalloc.stop()
         assert peak < 2**16
 
-    # the larger grids take chunks that cut them into 17-22 bands
+    # a chunk of 1 or 7 cells makes each row its own block; the larger chunks
+    # take 2 and 7 rows a block
     @pytest.mark.parametrize(
         "steps, chunks",
-        [(1, (1, 7)), (2, (1, 7)), (3, (1, 7)), (5, (1, 7)), (64, (128,)), (257, (2048,))],
+        [(1, (1, 7)), (2, (1, 7)), (3, (1, 7)), (5, (1, 7)), (64, (1, 7, 128)), (257, (1, 7, 2048))],
     )
     @pytest.mark.parametrize("hurst", [0.51, 0.55, 0.85, 0.3])
     def test_banded_build_matches_one_pass_build_bit_for_bit(self, steps, chunks, hurst):
@@ -205,22 +206,6 @@ class TestKernelMatrix:
             with mock.patch.object(volterra, "_BAND_CELLS", chunk):
                 got = volterra._kernel_matrix_cached.__wrapped__(1.0, steps, hurst)
             np.testing.assert_array_equal(got.entries, expected)
-
-    @pytest.mark.parametrize("steps", [1, 2, 3, 5, 64, 257])
-    @pytest.mark.parametrize("chunk", [1, 7, 128, 2048])
-    @pytest.mark.parametrize("first", [0, 1])
-    def test_bands_cover_each_midpoint_cell_once(self, steps, chunk, first):
-        seen = np.zeros((steps, steps), int)
-        with mock.patch.object(volterra, "_BAND_CELLS", chunk):
-            bands = list(volterra._midpoint_bands(steps, first))
-        for rows, cols in bands:
-            np.add.at(seen, (rows, cols), 1)
-        rows, cols = np.indices((steps, steps))
-        assert np.array_equal(seen, (cols >= first) & (cols <= rows - first))
-        # a chunk narrower than the triangle's row count cannot hold a band of
-        # one cell a row; then the bands stop at that
-        assert all(band.size <= max(chunk, steps) for band, _ in bands)
-        assert len(bands) >= -(-int(seen.sum()) // chunk)
 
     def test_build_holds_the_matrix_and_one_band(self):
         # a 1024-step build traced 55.6 MiB in one pass over the triangle
@@ -235,7 +220,7 @@ class TestKernelMatrix:
 
 
 def _one_pass_kernel(horizon: float, steps: int, hurst: float) -> np.ndarray:
-    """Kernel entries as built before the s/t bands, in one pass over the triangle."""
+    """Kernel entries as built before the row blocks, in one pass over the triangle."""
     grid = TimeGrid(horizon, steps)
     dt = grid.dt
     targets = grid.times[1:]
