@@ -47,9 +47,11 @@ class _Plain:
 dw = w_increments(_Plain(grid, 1), seed=3, start=0, count=4_000)
 b = transform_increments(dw, km)
 print("transformed-path variance vs the target t^1.4:")
-print(f"{'t':>6} {'target':>10} {'empirical':>10}")
+print(f"{'t':>6} {'target':>10} {'matrix':>10} {'empirical':>10}")
 for idx in (8, 16, 32, 64):
     t = grid.times[idx]
-    print(f"{t:6.3f} {fbm_cov(t, t, hurst):10.4f} {np.var(b[:, idx, 0]):10.4f}")
-print("\n(the small systematic gap is the kernel's normalization constant,")
-print(" about 0.5% at hurst 0.7)")
+    exact = np.sum(km.entries[idx - 1] ** 2) * grid.dt  # the row's variance
+    print(f"{t:6.3f} {fbm_cov(t, t, hurst):10.4f} {exact:10.4f} {np.var(b[:, idx, 0]):10.4f}")
+print("\n(the matrix's row variance, sum_j K^2 dt, is within 0.05% of t^1.4; the")
+print(" empirical gaps are sampling error: with 4000 paths a variance has a")
+print(" relative standard error of about 2.2%)")

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .coefficients import xi_normalizer
 from .fbm import FbmConfig, fbm_cov, sample_paths
 from .grids import TimeGrid
 from .pricing import (
@@ -164,7 +163,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _build_payoff(args, scenario: Scenario):
+def _build_payoff(args):
     kind = args.payoff
     if kind == "bond":
         return lambda terminal: np.ones(terminal.shape[0])
@@ -172,20 +171,14 @@ def _build_payoff(args, scenario: Scenario):
         weights = args.weights
         if weights is None:
             raise ValueError("--weights is required for a basket payoff")
-        if len(weights) != scenario.dims:
-            raise ValueError(
-                f"--weights needs {scenario.dims} entries, got {len(weights)}"
-            )
         return Basket(np.asarray(weights, dtype=float), args.strike)
-    if not 0 <= args.asset < scenario.dims:
-        raise ValueError(f"--asset must lie in [0, {scenario.dims}), got {args.asset}")
     cls = Call if kind == "call" else Put
     return cls(args.asset, args.strike)
 
 
 def cmd_price(args) -> int:
     scenario = load_scenario(args.scenario)
-    payoff = _build_payoff(args, scenario)
+    payoff = _build_payoff(args)
     mc = MCConfig(paths=args.paths, seed=args.seed, project=not args.no_project)
     if args.both:
         first, second = price_both(payoff, scenario, mc)
@@ -212,7 +205,7 @@ def cmd_reproduce_section4(args) -> int:
     results = simulate_scenario_paths(scenario, args.paths)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    normalizer = xi_normalizer(3, 1.0, 1.0)
+    normalizer = scenario.xi.normalizer
 
     xi_rep = scenario.xi.upper
     report = check_viability_conditions(

@@ -20,7 +20,9 @@ coincide path for path, and in general they are common-random-number coupled.
 
 Every run first rejects a scenario that fails the cone-mode boundary
 conditions (`_check_scenario`), without which the pricing formula does not
-hold.  The last run's outputs are kept (`_last_run`), keyed on the scenario
+hold; each estimator rejects a claim that does not fit the scenario's assets
+(`_check_payoff`) before that, and checks a callable payoff's values after
+the run.  The last run's outputs are kept (`_last_run`), keyed on the scenario
 instance and the run's (seed, paths, projection): each estimator's read-only
 terminal prices, weights and breach mask over the whole run, (d + 1) * 8 + 1
 bytes per path and estimator, so another payoff on the same run does no path
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import ClassVar
 
@@ -116,26 +118,39 @@ class Basket:
         _check_strike(self.strike)
 
 
+def _check_payoff(payoff, dims: int) -> None:
+    """Reject a claim that does not fit `dims` assets: a call or put on an
+    asset index >= dims, a basket without one weight per asset in one
+    dimension, and a payoff of another type that is not callable."""
+    if isinstance(payoff, _Vanilla):
+        if payoff.asset >= dims:
+            raise ValueError(f"asset index {payoff.asset} out of range for {dims} assets")
+    elif isinstance(payoff, Basket):
+        if payoff.weights.shape != (dims,):
+            raise ValueError(
+                f"basket weights must have shape ({dims},), one per asset, "
+                f"got shape {payoff.weights.shape}"
+            )
+    elif not callable(payoff):
+        raise TypeError(f"unsupported payoff {payoff!r}")
+
+
 def payoff_values(payoff, terminal: np.ndarray) -> np.ndarray:
     """Payoff of each row of terminal prices (paths, d).
 
-    Raises ValueError for a call or put on an asset index >= d, and for a
-    basket or callable whose values do not broadcast to (paths,).
+    Raises for a claim that does not fit d assets (`_check_payoff`), and
+    ValueError for a callable whose values do not broadcast to (paths,).
     """
     terminal = np.atleast_2d(terminal)
     paths, d = terminal.shape
-    if isinstance(payoff, _Vanilla) and payoff.asset >= d:
-        raise ValueError(f"asset index {payoff.asset} out of range for {d} assets")
+    _check_payoff(payoff, d)
     if isinstance(payoff, Call):
         return np.maximum(terminal[:, payoff.asset] - payoff.strike, 0.0)
     if isinstance(payoff, Put):
         return np.maximum(payoff.strike - terminal[:, payoff.asset], 0.0)
     if isinstance(payoff, Basket):
-        values = np.maximum(terminal @ payoff.weights - payoff.strike, 0.0)
-    elif callable(payoff):
-        values = np.asarray(payoff(terminal), dtype=float)
-    else:
-        raise TypeError(f"unsupported payoff {payoff!r}")
+        return np.maximum(terminal @ payoff.weights - payoff.strike, 0.0)
+    values = np.asarray(payoff(terminal), dtype=float)
     try:
         return np.broadcast_to(values, (paths,))
     except ValueError:
@@ -187,13 +202,7 @@ class MCResult:
     breached: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "paths": self.paths,
-            "seed": self.seed,
-            "breached": self.breached,
-        }
+        return asdict(self)
 
 
 def xi_draws(law: XiLaw, seed: int, start: int, count: int) -> np.ndarray:
@@ -511,12 +520,14 @@ def _assemble(payoff, scenario, terminal, weight, breached, seed) -> MCResult:
 
 def price_physical_weighted(payoff, scenario: Scenario, mc: MCConfig) -> MCResult:
     """Average of martingale-weighted discounted payoffs under the physical draws."""
+    _check_payoff(payoff, scenario.dims)
     [outputs], seed = _run(scenario, mc, [_physical_batch])
     return _assemble(payoff, scenario, *outputs, seed)
 
 
 def price_riskneutral(payoff, scenario: Scenario, mc: MCConfig) -> MCResult:
     """Average of discounted payoffs under the directly simulated driftless measure."""
+    _check_payoff(payoff, scenario.dims)
     [outputs], seed = _run(scenario, mc, [_riskneutral_batch])
     return _assemble(payoff, scenario, *outputs, seed)
 
@@ -525,6 +536,7 @@ def price_both(payoff, scenario: Scenario, mc: MCConfig) -> tuple[MCResult, MCRe
     """(`price_physical_weighted`, `price_riskneutral`) of one claim, bit for
     bit, with every batch's two measures stepped through one loop; if the loop
     fails, the measures run alone, physical first, and raise as they do."""
+    _check_payoff(payoff, scenario.dims)
     columns, seed = _run(scenario, mc, _MEASURES)
     return tuple(_assemble(payoff, scenario, *outputs, seed) for outputs in columns)
 

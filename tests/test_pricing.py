@@ -127,7 +127,7 @@ class TestPayoffs:
         # (d, 1) weights gave (paths, 1) values and the same outer product
         sc = constant_vol_scenario(steps=4)
         basket = Basket([[0.5], [0.5]], 1.0)
-        with pytest.raises(ValueError, match=r"got shape \(64, 1\)"):
+        with pytest.raises(ValueError, match=r"shape \(2,\), one per asset, got shape \(2, 1\)"):
             price_physical_weighted(basket, sc, MCConfig(paths=64, seed=3))
 
     def test_scalar_callable_prices(self):
@@ -151,6 +151,22 @@ class TestPayoffs:
         assert payoff_values(make(np.int64(1), 1.0), np.ones((2, 2))).shape == (2,)
         with pytest.raises(ValueError, match="asset index 2 out of range for 2 assets"):
             price_physical_weighted(make(2, 1.0), sc, MCConfig(paths=64, seed=3))
+
+    @pytest.mark.parametrize("estimator", [price_physical_weighted, price_riskneutral, price_both])
+    @pytest.mark.parametrize(
+        "payoff", [Call(2, 1.0), Put(2, 1.0), Basket([1, 1, 1], 1.0)], ids=["call", "put", "basket"]
+    )
+    def test_claim_that_does_not_fit_the_scenario_rejected_before_the_run(
+        self, monkeypatch, estimator, payoff
+    ):
+        # each simulated the whole run first; the basket then failed in numpy's matmul
+        def no_draws(*args):
+            raise AssertionError("drew Brownian increments")
+
+        monkeypatch.setattr(pricing, "w_increments", no_draws)
+        sc = constant_vol_scenario(steps=4)
+        with pytest.raises(ValueError, match="out of range for 2 assets|one per asset"):
+            estimator(payoff, sc, MCConfig(paths=64, seed=3))
 
 
 class TestDegenerateBlackScholes:

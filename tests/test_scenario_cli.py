@@ -431,6 +431,21 @@ class TestPriceCommand:
         assert main(["price", path, "--payoff", "basket"]) == 2
         assert "--weights" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--asset", "2"], "asset index 2 out of range for 2 assets"),
+            (["--payoff", "put", "--asset", "-1", "--both"], "asset must be a nonnegative integer"),
+            (["--payoff", "basket", "--weights", "1", "1", "1"], "got shape (3,)"),
+        ],
+    )
+    def test_claim_that_does_not_fit_the_scenario_is_usage_error(
+        self, tmp_path, capsys, argv, message
+    ):
+        path = write_scenario(tmp_path, constant_vol_scenario())
+        assert main(["price", path, "--paths", "64", *argv]) == 2
+        assert message in capsys.readouterr().err
+
     def test_breach_rate_exit_code(self, tmp_path, capsys):
         # initial volatility already sits at half the mixing floor, so every
         # path aborts regardless of the projection
