@@ -27,7 +27,6 @@ from .grids import is_integer
 XI_STREAM = 0x5A1
 
 _CDF_TABLE_SIZE = 2**14
-_BISECTION_TOL = 1e-12
 
 
 def xi_normalizer(exponent: int, scale: float, cutoff: float) -> float:
@@ -111,18 +110,15 @@ XiLaw = ConstantXi | SingularXi
 
 
 def xi_inverse_cdf(law: XiLaw, u) -> np.ndarray:
-    """Quantiles of the law at u in (0, 1), by bisection on the tabulated CDF."""
+    """Quantiles of the law at u in (0, 1): the exact inverse of the piecewise
+    linear CDF table.  The table is 0 up to its last zero, where the density
+    underflows, and strictly rises after it, so u is interpolated over that part."""
     u = np.asarray(u, dtype=float)
     if isinstance(law, ConstantXi):
         return np.full_like(u, law.value)
-    lo = np.zeros_like(u)
-    hi = np.full_like(u, law.cutoff)
-    while np.max(hi - lo) > _BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        below = law.cdf(mid) < u
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    xs, table = law._cdf_table
+    rise = np.count_nonzero(table == 0) - 1
+    return np.interp(u, table[rise:], xs[rise:])
 
 
 @dataclass(frozen=True, eq=False)

@@ -91,6 +91,32 @@ class TestSampling:
         q = xi_inverse_cdf(law, u)
         assert np.all(np.diff(q) > 0)
 
+    @pytest.mark.parametrize(
+        "law", [SingularXi(3, 1.0, 1.0), SingularXi(2, 0.1, 0.5), SingularXi(6, 10.0, 4.0)]
+    )
+    def test_inverse_cdf_round_trip(self, law):
+        # the inverse is exact on the table, so the CDF maps each quantile back
+        # to its level up to rounding, from 2^-54 to 1 - 2^-53
+        u = np.concatenate([
+            2.0 ** -np.arange(54, 0, -1),
+            np.linspace(0.0, 1.0, 1001)[1:-1],
+            1.0 - 2.0 ** -np.arange(1, 54),
+        ])
+        q = xi_inverse_cdf(law, u)
+        assert np.all(np.abs(law.cdf(q) - u) <= 1e-13 * u)
+
+    @pytest.mark.parametrize("exponent", [2, 3, 4, 5, 6])
+    def test_cdf_table_rises_strictly_after_its_last_zero(self, exponent):
+        # xi_inverse_cdf interpolates over this part, and np.interp needs its
+        # abscissae strictly increasing without checking them
+        for scale in (0.1, 1.0, 10.0):
+            for cutoff in (0.5, 1.0, 4.0):
+                _, table = SingularXi(exponent, scale, cutoff)._cdf_table
+                rise = np.count_nonzero(table == 0) - 1
+                assert np.all(table[:rise + 1] == 0)
+                assert np.all(np.diff(table[rise:]) > 0), (scale, cutoff)
+                assert table[-1] == 1.0
+
     def test_constant_validation(self):
         with pytest.raises(ValueError):
             ConstantXi(0.0)

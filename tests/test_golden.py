@@ -225,13 +225,13 @@ CASES = (
 )
 
 GOLDEN = {
-    "terminal/worked/projected": "1373418c1104f13a96295c5954a70edee0f4371e0a4db09ad993a15da0c8cb00",
-    "terminal/worked/free": "d2a5a93a47c3a0e165f1e4487ee7f231168118c71ea55d16f50d856272f9584a",
+    "terminal/worked/projected": "e22cfead350f77423d4d18469504ba949a7408552d8fd45564ac6baa2b978dba",
+    "terminal/worked/free": "672171c18e18de81945a89954f7dbb9643e5684a3db962b203b9a3169ece3264",
     "terminal/constant/projected": "77907a2f23639cba1a87eb1d1951cd2be2a6c39dae73965f39fec76aa8304310",
     "terminal/constant/free": "77907a2f23639cba1a87eb1d1951cd2be2a6c39dae73965f39fec76aa8304310",
-    "physical/worked/projected/call0": "8e16df38d19e1b9efc44845b7f3d56c569dfb9b26940b328319c0491ad78d8fb",
-    "physical/worked/projected/put1": "4d0dfb7c867b72515aa56491874b98635d4207372f87cf6ca677c966c37e84c6",
-    "physical/worked/projected/basket": "6992e00336b9ac5ae030af447ce4eecd611a792129ff1db073f25864b22ba19b",
+    "physical/worked/projected/call0": "2181171178426fb13a761355968e0b22f5002d32900995a1fcfdd61f27aa3523",
+    "physical/worked/projected/put1": "f4b0b341e7abd8990812d72333dcc809a42bdc10fc1c630cbcbf9eeb647ef132",
+    "physical/worked/projected/basket": "2176342bc9ac49f6593177840a3cce462e2a8c9763682a222c7f84ce986db880",
     "physical/worked/free/call0": "8af817c8506316c3cbd917746fcd8cec03d9969cdddafe2792a604838f37772a",
     "physical/worked/free/put1": "8af817c8506316c3cbd917746fcd8cec03d9969cdddafe2792a604838f37772a",
     "physical/worked/free/basket": "8af817c8506316c3cbd917746fcd8cec03d9969cdddafe2792a604838f37772a",
@@ -241,9 +241,9 @@ GOLDEN = {
     "physical/constant/free/call0": "44e30d0002df0a9296e1be4f68dccbe710f0d6fb6a1ce4ea85308ae041700031",
     "physical/constant/free/put1": "13ef612f46d9cf0e849798635f0d9059b440daaaeac14d779c226174a626fc9a",
     "physical/constant/free/basket": "ca2ce942415b745c89b592530d0afa86b672f871665643db89b286d2f6e257c0",
-    "riskneutral/worked/projected/call0": "23b1ecce4140bc37059ca8e1f294539fe26c7509ded858facfe5c79ba4a4f622",
-    "riskneutral/worked/projected/put1": "3a4832987629e72df95d2448441abc292f397d844e91be3f1ff079c86bd492c5",
-    "riskneutral/worked/projected/basket": "be935bed53bd7c17e7160f5bdf1b1ea23757c9c3b8fe98a181bc5d58737505d8",
+    "riskneutral/worked/projected/call0": "808f433ff4b3fe20784ea6b6a5be8677557b646d5cf12ed4824814ceed31ae2f",
+    "riskneutral/worked/projected/put1": "621b6ec2122852f65b784a66941c4ab81f93d25e6a89e6078fbcad159eb5ba8c",
+    "riskneutral/worked/projected/basket": "a16b76eeaaa1dd00b5617dd70a1c0f8f0cbf43c83140efaf1986ed67af6e8650",
     "riskneutral/worked/free/call0": "2f376cebf78689f617cfa4b4dc918bed0d01c588d4a34e8fcc6e229a22f83bd1",
     "riskneutral/worked/free/put1": "2f376cebf78689f617cfa4b4dc918bed0d01c588d4a34e8fcc6e229a22f83bd1",
     "riskneutral/worked/free/basket": "2f376cebf78689f617cfa4b4dc918bed0d01c588d4a34e8fcc6e229a22f83bd1",
@@ -253,8 +253,8 @@ GOLDEN = {
     "riskneutral/constant/free/call0": "40be9fca92e1bb5a691a23d851027839b9e4cf16b999d9adcf850dfec5df126a",
     "riskneutral/constant/free/put1": "8a8f637ed47e59f8eff326a16064f2fe513885b13a5c7c2ff0d27227661a748f",
     "riskneutral/constant/free/basket": "c67caf5c351fb136ba905b9f5e5f69554c48cb137319f7de9135fe75e4097fa9",
-    "simulate/worked/projected": "263704f73264803ad96b98728f9c7d403f3e1536bff111485585827830fc2781",
-    "simulate/worked/free": "deecdbe8772ba87e05a55ff93309757870cd2265c7bc4265d3374fe207ec40f1",
+    "simulate/worked/projected": "b29645aefda5f24733119cd0672a234d8d8a3a99c603ed8b11e575c69958afdd",
+    "simulate/worked/free": "ad5d37356be4de8d930b73953de600f83e0e0efaab50b41b9d577aa66e0b594e",
     "simulate/constant/projected": "34827b74c676c3121fc22c2b0e291558c0ee8d0949a3e86f1feec6c56cc9434b",
     "simulate/constant/free": "34827b74c676c3121fc22c2b0e291558c0ee8d0949a3e86f1feec6c56cc9434b",
     "kernel/0.3": "04b323473e9d207d7442f0df6c19768e5670a5351aaf4e9886fe70cfc226584d",
@@ -268,7 +268,7 @@ GOLDEN = {
     "euler/projected": "7766163e41faecb95eab5c5595b0938e5cbec9ea8247b63b9c15a997b2354adb",
     "transform/0.7": "0fea144a0bce1d1d9e3a313f95dcfe7f5879319fa8e4c5d82d6812b5113a9e55",
     "probe/4": "0d76ced5486cb97ad26bc1aab7989b440ae7c49340bb1cd5e667d3d0ab2fa39d",
-    "xi/singular": "4e8231b9dafc4934a7d93f3a16ae7ac0a971abbac725f624b7d5439577978e14",
+    "xi/singular": "44210c8fcd0f87eae1843369ca605de99b0edfa388e2f2497641a1c80b634520",
     "rng/2048x16": "eebda2aa9b538c9d3c4826a349a77addf3c73a9e53b511e0947af5cdc93e1aea",
     "rng/256x1": "4e8830fe4ea63eea255c49d0623e5cdbae9e7e943c3973064172272df259ece1",
     "rng/512x256": "ac530f25783ae99debc7a1913fc5dcce8f2888ae5e9d37a09f1f119d682979b2",
@@ -285,8 +285,8 @@ GOLDEN = {
     "checker/constant/cone/256/0.1": "c4250b29a116aecdd9d841ecc5b715789f3c833d3f37ba07782c99ea2d66f987",
     "checker/constant/hyperplane/64/0.1": "0ef1d0b4f4c968346f088a3cd2c3676b89f24d8973fa2646f94463067f4726b4",
     "checker/constant/hyperplane/256/0.1": "0ef1d0b4f4c968346f088a3cd2c3676b89f24d8973fa2646f94463067f4726b4",
-    "bundle/reproduce-section4": "1c987d9b688dbcabaf11da97187cf323fb5212def2ccb7319a987067be28d81f",
-    "bundle/simulate-project": "1c2e9fd2632ffc6e2d397a7d4128e9851495f6723f20f8ea834b9a7eef394957",
+    "bundle/reproduce-section4": "4eae6fce35b02f1ac7977d3e07fa00e3ab6bbfac95e11c5a5bdb706027755eed",
+    "bundle/simulate-project": "9e86f9e233282c261dc66374a84ab73e41b1860f604fe9c277675acce6d31c4c",
 }
 
 
