@@ -1,7 +1,8 @@
 """Batch command-line front end: scenario files in, CSV/JSON results out.
 
-Exit codes: 0 success, 1 check failure, 2 usage or domain error (including a
-state that became non-finite and a kernel 2F1 value that was not finite), 3
+Exit codes: 0 success, 1 check failure, 2 usage or domain error (including an
+arithmetic failure: a state that became non-finite, a kernel 2F1 value that was
+not finite, a mixing-law quadrature or a circulant embedding that failed), 3
 runtime breach.  Every command is deterministic given its full argument vector
 (including seeds); CSV and JSON outputs are byte-stable across runs.
 """
@@ -37,7 +38,6 @@ from .scenario import (
     section4_scenario,
 )
 from .viability import check_viability_conditions
-from .volterra import HypergeometricError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -318,8 +318,7 @@ def main(argv=None) -> int:
     except BreachRateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BREACH
-    except (ScenarioError, ValueError, FileNotFoundError, FloatingPointError,
-            HypergeometricError) as exc:
+    except (ScenarioError, ValueError, FileNotFoundError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

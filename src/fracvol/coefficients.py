@@ -33,8 +33,8 @@ def xi_normalizer(exponent: int, scale: float, cutoff: float) -> float:
     """Constant that turns exp(-scale / x^exponent) on (0, cutoff] into a density."""
     if not (is_integer(exponent) and exponent >= 2):
         raise ValueError(f"exponent must be an integer >= 2, got {exponent}")
-    if scale <= 0 or cutoff <= 0:
-        raise ValueError(f"scale and cutoff must be positive, got {scale}, {cutoff}")
+    if not all(math.isfinite(v) and v > 0 for v in (scale, cutoff)):
+        raise ValueError(f"scale and cutoff must be positive and finite, got {scale}, {cutoff}")
     integral, err = quad(
         lambda x: math.exp(-scale / x**exponent), 0.0, cutoff, epsabs=0.0, epsrel=1e-12
     )
@@ -52,8 +52,8 @@ class ConstantXi:
     value: float
 
     def __post_init__(self):
-        if not (self.value > 0):
-            raise ValueError(f"value must be positive, got {self.value}")
+        if not (math.isfinite(self.value) and self.value > 0):
+            raise ValueError(f"value must be positive and finite, got {self.value}")
 
     @property
     def upper(self) -> float:
@@ -74,7 +74,7 @@ class SingularXi:
     cutoff: float
 
     def __post_init__(self):
-        xi_normalizer(self.exponent, self.scale, self.cutoff)  # validates parameters
+        self.normalizer  # validates the parameters and caches the quadrature
 
     @property
     def upper(self) -> float:

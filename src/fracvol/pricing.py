@@ -112,9 +112,11 @@ class Basket:
     strike: float
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        if not np.all(np.isfinite(self.weights)):
+        weights = np.array(self.weights, dtype=float)
+        if not np.all(np.isfinite(weights)):
             raise ValueError("basket weights must be finite")
+        weights.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
         _check_strike(self.strike)
 
 

@@ -215,23 +215,15 @@ def chebyshev_center(poly: Polyhedron, box) -> tuple[np.ndarray, float]:
     Solved as a linear program over (x, r): maximize r subject to
     <v_k, x> + r |v_k| <= offset_k and the box inflated inward by r.
     """
-    lo, hi = _box_arrays(box, poly.dims)
-    d = poly.dims
-    norms = np.linalg.norm(poly.normals, axis=1)
-    a_rows = [np.concatenate([poly.normals, norms[:, None]], axis=1)]
-    b_rows = [poly.offsets]
-    eye = np.eye(d)
-    a_rows.append(np.concatenate([eye, np.ones((d, 1))], axis=1))
-    b_rows.append(hi)
-    a_rows.append(np.concatenate([-eye, np.ones((d, 1))], axis=1))
-    b_rows.append(-lo)
-    cost = np.zeros(d + 1)
+    box_normals, box_offsets = _box_inequalities(*_box_arrays(box, poly.dims))
+    normals = np.vstack([poly.normals, box_normals])
+    cost = np.zeros(poly.dims + 1)
     cost[-1] = -1.0
     res = linprog(
         cost,
-        A_ub=np.vstack(a_rows),
-        b_ub=np.concatenate(b_rows),
-        bounds=[(None, None)] * (d + 1),
+        A_ub=np.column_stack([normals, np.linalg.norm(normals, axis=1)]),
+        b_ub=np.concatenate([poly.offsets, box_offsets]),
+        bounds=[(None, None)] * (poly.dims + 1),
         method="highs",
     )
     if not res.success:

@@ -32,7 +32,11 @@ class TestNormalizer:
         assert xi_normalizer(2, 1.0, 1.0) == pytest.approx(1.0 / riemann, rel=1e-6)
 
     @pytest.mark.parametrize(
-        "args", [(1, 1.0, 1.0), (3, -1.0, 1.0), (3, 1.0, 0.0), (3.0, 1.0, 1.0)]
+        "args",
+        [
+            (1, 1.0, 1.0), (3, -1.0, 1.0), (3, 1.0, 0.0), (3.0, 1.0, 1.0),
+            (3, math.inf, 1.0), (3, 1.0, math.inf), (3, math.nan, 1.0),
+        ],
     )
     def test_parameter_domain(self, args):
         with pytest.raises(ValueError):
@@ -120,6 +124,12 @@ class TestSampling:
     def test_constant_validation(self):
         with pytest.raises(ValueError):
             ConstantXi(0.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_constant_rejects_non_finite(self, value):
+        # inf failed only in simulate, as "state became non-finite at step 1"
+        with pytest.raises(ValueError, match="positive and finite"):
+            ConstantXi(value)
 
 
 def reference_preset():

@@ -111,6 +111,16 @@ class TestPayoffs:
             with pytest.raises(ValueError, match="strike must be finite and nonnegative"):
                 make()
 
+    def test_basket_weights_are_a_read_only_copy(self):
+        # the basket kept the caller's float array, so NaN written into it
+        # after construction got past the finite check and into pricing
+        weights = np.array([0.5, 0.5])
+        basket = Basket(weights, 1.0)
+        weights[0] = math.nan
+        assert np.array_equal(basket.weights, [0.5, 0.5])
+        with pytest.raises(ValueError, match="read-only"):
+            basket.weights[0] = math.nan
+
     def test_unknown_payoff_rejected(self):
         with pytest.raises(TypeError):
             payoff_values(object(), np.ones((2, 2)))

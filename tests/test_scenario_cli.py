@@ -455,6 +455,19 @@ class TestPriceCommand:
         assert "breached" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["price", "simulate", "check-viability"])
+def test_mixing_law_quadrature_failure_is_domain_error(tmp_path, capsys, command):
+    # exp(-1e6 / x^3) underflows to 0 on all of (0, 1], so the normalizing
+    # integral is 0; the ArithmeticError exited 1 with a traceback
+    doc = scenario_to_dict(section4_scenario(steps=8))
+    doc["xi"] = {"kind": "singular", "exponent": 3, "scale": 1e6, "cutoff": 1.0}
+    path = tmp_path / "underflow.json"
+    path.write_text(json.dumps(doc))
+    out = ["--out", str(tmp_path / "out")] if command == "simulate" else []
+    assert main([command, str(path), *out]) == 2
+    assert capsys.readouterr().err.startswith("error: normalizing quadrature did not converge")
+
+
 class TestCsvCells:
     def test_cells_are_float_reprs(self, tmp_path):
         values = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e16, 1 / 3])
