@@ -1,10 +1,10 @@
 """Batch command-line front end: scenario files in, CSV/JSON results out.
 
-Exit codes: 0 success, 1 check failure, 2 usage or domain error (including an
-arithmetic failure: a state that became non-finite, a kernel 2F1 value that was
-not finite, a mixing-law quadrature or a circulant embedding that failed), 3
-runtime breach.  Every command is deterministic given its full argument vector
-(including seeds); CSV and JSON outputs are byte-stable across runs.
+Exit codes: 0 success, 1 check failure, 3 runtime breach, and 2 for a usage,
+domain or file-system error, an arithmetic failure included (a state that
+became non-finite, a kernel 2F1 value that was not finite, a failed mixing-law
+quadrature or circulant embedding).  Every command is deterministic given its
+full argument vector (seeds included); CSV and JSON outputs are byte-stable.
 """
 
 from __future__ import annotations
@@ -318,7 +318,7 @@ def main(argv=None) -> int:
     except BreachRateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BREACH
-    except (ScenarioError, ValueError, FileNotFoundError, ArithmeticError) as exc:
+    except (ScenarioError, ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -40,7 +40,9 @@ class MarketParams:
         drifts = np.atleast_1d(np.array(self.drifts, dtype=float))
         prices = np.atleast_1d(np.array(self.initial_prices, dtype=float))
         proj = np.atleast_2d(np.array(self.projections, dtype=float))
-        for arr in (drifts, prices, proj):
+        for name, arr in (("drifts", drifts), ("initial_prices", prices), ("projections", proj)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} contains non-finite entries")
             arr.setflags(write=False)
         indices = tuple(self.anchor_indices)
         if not all(map(is_integer, indices)):
@@ -55,12 +57,12 @@ class MarketParams:
             raise ValueError(f"projections must be square, got shape {proj.shape}")
         if drifts.shape != (d,) or prices.shape != (d,):
             raise ValueError("drifts and initial_prices must have one entry per asset")
-        if not (self.rate > 0):
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        if not (math.isfinite(self.rate) and self.rate > 0):
+            raise ValueError(f"rate must be finite and positive, got {self.rate}")
         if not np.all(prices > 0):
             raise ValueError("initial prices must be positive")
-        if self.initial_riskfree <= 0:
-            raise ValueError("initial risk-free price must be positive")
+        if not (math.isfinite(self.initial_riskfree) and self.initial_riskfree > 0):
+            raise ValueError("initial_riskfree must be finite and positive")
         if len(indices) != d:
             raise ValueError("need one anchor index per projection vector")
         for k, ik in enumerate(indices):

@@ -27,11 +27,12 @@ instance and the run's (seed, paths, projection): each estimator's read-only
 terminal prices, weights and breach mask over the whole run, (d + 1) * 8 + 1
 bytes per path and estimator, so another payoff on the same run does no path
 work.  Draws are not kept: `simulate_scenario_paths` and two lone estimator
-calls on one seed each draw their own.  A run steps both measures through one
-loop (`_paired_batch`) when asked for both, or when it is one batch following
+calls on one seed each draw their own.  Every measure is stepped by one loop
+(`_feedback_loop`), over the rows of the measures a run needs.  A run steps
+both measures at once when asked for both, or when it is one batch following
 a one-batch run asked for both under the same projection setting; each row
-keeps the bits of its measure's own loop, and if the paired loop fails the
-measures run alone, so the pairing never changes a result.
+keeps the bits it has when its measure runs alone, and if the paired loop
+fails the measures run alone, so the pairing never changes a result.
 """
 
 from __future__ import annotations
@@ -250,28 +251,8 @@ def _kernel_matrix(scenario: Scenario) -> KernelMatrix:
     return build_kernel_matrix(scenario.grid, scenario.hurst)
 
 
-def _physical_paths(scenario: Scenario, km: KernelMatrix, xi, dw, project: bool):
-    """(B, states) of the physical-measure paths of draws (xi, dW).
-
-    With `project`, every Euler step is projected onto the path's own K(xi).
-    """
-    b_values = transform_increments(dw, km)
-    db = np.diff(b_values, axis=1)
-    constraint = _constraint_data(scenario, xi) if project else None
-    states = euler_paths(
-        scenario.coefficients, xi, db, scenario.initial_state, scenario.grid.dt, constraint
-    )
-    return b_values, states
-
-
-def _physical_batch(scenario: Scenario, km: KernelMatrix, xi, dw, project: bool):
-    """Terminal prices, terminal martingale weights, and breach mask for a batch."""
-    _, states = _physical_paths(scenario, km, xi, dw, project)
-    return _weighted_terminal(scenario, xi, dw, states)
-
-
 def _weighted_terminal(scenario: Scenario, xi, dw, states):
-    """`_physical_batch` outputs of physical-measure states (count, n + 1, d).
+    """Terminal prices, martingale weights and breach mask of physical states (count, n + 1, d).
 
     The weights are computed a block of paths (`_WEIGHT_BYTES`) at a time, and
     each path's sums keep their order, so the block size moves no bits.
@@ -303,123 +284,116 @@ def _weighted_terminal(scenario: Scenario, xi, dw, states):
     return terminal, weight, breached
 
 
-def _riskneutral_batch(scenario: Scenario, km: KernelMatrix, xi, dw, project: bool):
-    """Terminal prices under the risk-neutral coupling, plus breach mask.
+def _feedback_loop(scenario, km, xi, dw_star, project, measures):
+    """{measure: (terminal, weight, breached)} of a batch, for a nonempty set
+    `measures` of "physical" and "riskneutral".
 
-    The shifted increments are i.i.d. Gaussian; the physical increments are
-    recovered causally (left-point market price of risk) and feed the kernel
-    reconstruction of the driver one row at a time.
-    """
-    return _feedback_loop(scenario, km, xi, dw, project, paired=False)[1]
+    The state stacks the physical rows, driven by the kernel transform of the
+    increments, over the risk-neutral rows, driven by the feedback; every
+    operation acts row by row, so a row's bits do not depend on the rows
+    stepped beside it.
 
-
-def _paired_batch(scenario: Scenario, km: KernelMatrix, xi, dw, project: bool):
-    """(`_physical_batch`, `_riskneutral_batch`) outputs of a batch, bit for bit,
-    from one time loop over both measures' paths."""
-    return _feedback_loop(scenario, km, xi, dw, project, paired=True)
-
-
-def _feedback_loop(scenario, km, xi, dw_star, project, paired):
-    """(physical outputs or None, risk-neutral outputs) of a batch.
-
-    When `paired`, the state stacks the physical rows, driven by the kernel
-    transform as in `_physical_paths`, over the risk-neutral rows, driven by
-    the feedback; every operation acts row by row, so each row keeps the bits
-    of its measure's lone loop.
-
-    A step runs only the chain that feeds the next: volatility, floor test,
-    market price of risk, physical increments, kernel row, driver increments,
-    Euler step and projection, finiteness check.  The risk-neutral log-price
-    increments feed no step; the floored volatility is kept for a block of
-    steps (`_HISTORY_BYTES`), whose increments are then added to the running
-    sum one step after another, the order of a per-step `s_log += ...`.
+    A risk-neutral step runs only the chain that feeds the next: volatility,
+    floor test, market price of risk, physical increments, kernel row, driver
+    increments, Euler step and projection, finiteness check.  The risk-neutral
+    log-price increments feed no step; the floored volatility is kept for a
+    block of steps (`_HISTORY_BYTES`), whose increments are then added to the
+    running sum one step after another, the order of a per-step `s_log += ...`.
+    The physical weights are computed from the states after the loop.
 
     Per-step arrays are step-major and contiguous: a block's shifted
     increments are copied once into a (steps, paths, d) buffer, the physical
     driver increments and states are (n, paths, d) and (n + 1, paths, d), and
     the volatility is written straight into its history row.
     """
-    grid = scenario.grid
-    n, d = grid.steps, scenario.dims
-    dt = grid.dt
+    n, d, dt = scenario.grid.steps, scenario.dims, scenario.grid.dt
     params = scenario.market
     count = xi.size
-    xi_rows = np.concatenate([xi, xi]) if paired else xi
+    physical = "physical" in measures
+    riskneutral = "riskneutral" in measures
+    xi_rows = np.concatenate([xi, xi]) if physical and riskneutral else xi
     rows = xi_rows.size
     rn = slice(rows - count, rows)  # the risk-neutral rows
-    if paired:
+    if physical:
         b_steps = transform_increments(dw_star, km).transpose(1, 0, 2)
         db_physical = np.subtract(b_steps[1:], b_steps[:-1], out=np.empty((n, count, d)))
         del b_steps
         states = np.empty((n + 1, count, d))
-    dw = np.empty((n, count * d))  # row i: physical increments of step i, all paths
+    if riskneutral:
+        dw = np.empty((n, count * d))  # row i: physical increments of step i, all paths
     constraint = _constraint_data(scenario, xi_rows) if project else None
 
     step = euler_stepper(scenario.coefficients, xi_rows, dt, constraint)
     x = np.broadcast_to(scenario.initial_state, (rows, d)).copy()
     db = np.empty((rows, d))  # one step's driver increments, all rows
-    b_prev = np.zeros((count, d))
     span = min(n, max(1, _HISTORY_BYTES // (8 * count * d)))
-    v_history = np.empty((span, count, d))  # floored volatility of a block of steps
-    dw_block = np.empty((span, count, d))  # shifted increments of a block of steps
-    floor = vol_floor(xi, 2)
-    s_log = np.zeros((count, d))
-    breached = np.zeros(count, dtype=bool)
-    frozen = False  # breached paths are frozen, and discarded later
+    if riskneutral:
+        b_prev = np.zeros((count, d))
+        v_history = np.empty((span, count, d))  # floored volatility of a block of steps
+        dw_block = np.empty((span, count, d))  # shifted increments of a block of steps
+        floor = vol_floor(xi, 2)
+        s_log = np.zeros((count, d))
+        breached = np.zeros(count, dtype=bool)
+        frozen = False  # breached paths are frozen, and discarded later
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n, span):
             hi = min(lo + span, n)
-            np.copyto(dw_block[: hi - lo], dw_star[:, lo:hi].transpose(1, 0, 2))
+            if riskneutral:
+                np.copyto(dw_block[: hi - lo], dw_star[:, lo:hi].transpose(1, 0, 2))
             for i in range(lo, hi):
-                v = volatility(x[rn], params, out=v_history[i - lo])
-                low, v_safe = floor_breach(v, xi, floor)
-                if v_safe is not v:  # some path is at the floor
-                    breached |= low
-                    frozen = True
-                    v[...] = v_safe
-                dw_i = theta(v, params, out=dw[i].reshape(count, d))
-                dw_i *= dt
-                dw_i += dw_block[i - lo]
-                b_next = np.dot(km.entries[i, None, : i + 1], dw[: i + 1]).reshape(count, d)
-                db_step = np.subtract(b_next, b_prev, out=db[rn])
-                if frozen:  # a breached path's dW reaches only its own dB, zeroed here
-                    db_step[breached] = 0.0
-                if paired:
+                if riskneutral:
+                    v = volatility(x[rn], params, out=v_history[i - lo])
+                    low, v_safe = floor_breach(v, xi, floor)
+                    if v_safe is not v:  # some path is at the floor
+                        breached |= low
+                        frozen = True
+                        v[...] = v_safe
+                    dw_i = theta(v, params, out=dw[i].reshape(count, d))
+                    dw_i *= dt
+                    dw_i += dw_block[i - lo]
+                    b_next = np.dot(km.entries[i, None, : i + 1], dw[: i + 1]).reshape(count, d)
+                    db_step = np.subtract(b_next, b_prev, out=db[rn])
+                    b_prev = b_next
+                    if frozen:  # a breached path's dW reaches only its own dB, zeroed here
+                        db_step[breached] = 0.0
+                if physical:
                     states[i] = x[:count]
                     db[:count] = db_physical[i]
                 x = step(x, db)
                 check_finite(x, i + 1)
-                b_prev = b_next
-            # (steps, paths, d), so the sum over steps adds them one by one
-            block = log_price_increments(
-                v_history[: hi - lo], dw_block[: hi - lo], params.rate, dt
-            )
-            block[0] += s_log
-            np.add.reduce(block, axis=0, out=s_log)
-            del block
-    with np.errstate(over="ignore"):  # breached paths may overflow; discarded later
-        terminal = asset_prices(s_log, params)
-    riskneutral = terminal, np.ones(count), breached
-    if not paired:
-        return None, riskneutral
-    # before the weight computation's temporaries; dw_i and db_step are views
-    del dw, dw_i, db, db_step, db_physical
-    states[n] = x[:count]
-    return _weighted_terminal(scenario, xi, dw_star, states.transpose(1, 0, 2)), riskneutral
+            if riskneutral:
+                # (steps, paths, d), so the sum over steps adds them one by one
+                block = log_price_increments(
+                    v_history[: hi - lo], dw_block[: hi - lo], params.rate, dt
+                )
+                block[0] += s_log
+                np.add.reduce(block, axis=0, out=s_log)
+                del block
+    outputs = {}
+    if riskneutral:
+        with np.errstate(over="ignore"):  # breached paths may overflow; discarded later
+            terminal = asset_prices(s_log, params)
+        outputs["riskneutral"] = terminal, np.ones(count), breached
+        del dw, dw_i, db_step  # dw_i and db_step are views of dw and db
+    if physical:
+        del db, db_physical  # before the weight computation's temporaries
+        states[n] = x[:count]
+        outputs["physical"] = _weighted_terminal(
+            scenario, xi, dw_star, states.transpose(1, 0, 2)
+        )
+    return outputs
 
-
-_MEASURES = (_physical_batch, _riskneutral_batch)
 
 # (scenario, (seed, paths, project), outputs, asked) of the last run, or
-# None.  `outputs` maps each batch function to its read-only (terminal,
-# weight, breached) over the run, and `asked` holds the batch functions that
-# calls on the run asked for.  A new run replaces it whole, so concurrent
-# callers at worst compute a measure twice.
+# None.  `outputs` maps each measure, "physical" or "riskneutral", to its
+# read-only (terminal, weight, breached) over the run, and `asked` holds the
+# measures that calls on the run asked for.  A new run replaces it whole, so
+# concurrent callers at worst compute a measure twice.
 _last_run = None
 
 
-def _run(scenario, mc, batch_fns):
-    """Per batch function, its (terminal, weight, breached) over the run; and the seed.
+def _run(scenario, mc, measures):
+    """Per measure, its (terminal, weight, breached) over the run; and the seed.
 
     The scenario is checked first (`_check_scenario`), before the kernel build
     and any draw.  Only what the last run's memo lacks is computed.  The
@@ -444,27 +418,32 @@ def _run(scenario, mc, batch_fns):
         )
         last = _last_run = (scenario, key, {}, set())
     outputs, asked = last[2:]
-    asked.update(batch_fns)
-    missing = [fn for fn in batch_fns if fn not in outputs]
+    asked.update(measures)
+    missing = [measure for measure in measures if measure not in outputs]
+
+    def loop(names):
+        parts = _batches(_feedback_loop, scenario, km, seed, mc.paths, mc.project, names)
+        return {name: _joined([part[name] for part in parts]) for name in names}
+
     if len(missing) == 2 or pair:
         try:
-            parts = _batches(_paired_batch, scenario, km, seed, mc.paths, mc.project)
+            outputs.update(loop(("physical", "riskneutral")))
         except (FloatingPointError, ValueError):
             pass
-        else:
-            outputs.update(zip(_MEASURES, map(_joined, zip(*parts))))
-    for fn in missing:
-        if fn not in outputs:
-            outputs[fn] = _joined(_batches(fn, scenario, km, seed, mc.paths, mc.project))
-    return [outputs[fn] for fn in batch_fns], seed
+    for measure in missing:
+        if measure not in outputs:
+            outputs.update(loop((measure,)))
+    return [outputs[measure] for measure in measures], seed
 
 
-def _batches(batch_fn, scenario, km, seed, paths, project):
+def _batches(batch_fn, scenario, km, seed, paths, project, *args):
     """`batch_fn`'s outputs on each batch of paths [0, paths), whose draws are
-    freed before the next batch is drawn."""
+    freed before the next batch is drawn; `args` follow `project`."""
     size = MCConfig.batch_size
     return [
-        batch_fn(scenario, km, *_draws(scenario, seed, start, min(size, paths - start)), project)
+        batch_fn(
+            scenario, km, *_draws(scenario, seed, start, min(size, paths - start)), project, *args
+        )
         for start in range(0, paths, size)
     ]
 
@@ -520,27 +499,29 @@ def _assemble(payoff, scenario, terminal, weight, breached, seed) -> MCResult:
     return MCResult(estimate, stderr, int(values.size), int(seed), n_breached)
 
 
+def _estimate(payoff, scenario: Scenario, mc: MCConfig, measures) -> tuple[MCResult, ...]:
+    """`payoff`'s result under each of `measures`, in order: the claim is
+    checked against the scenario (`_check_payoff`) before the run."""
+    _check_payoff(payoff, scenario.dims)
+    columns, seed = _run(scenario, mc, measures)
+    return tuple(_assemble(payoff, scenario, *outputs, seed) for outputs in columns)
+
+
 def price_physical_weighted(payoff, scenario: Scenario, mc: MCConfig) -> MCResult:
     """Average of martingale-weighted discounted payoffs under the physical draws."""
-    _check_payoff(payoff, scenario.dims)
-    [outputs], seed = _run(scenario, mc, [_physical_batch])
-    return _assemble(payoff, scenario, *outputs, seed)
+    return _estimate(payoff, scenario, mc, ("physical",))[0]
 
 
 def price_riskneutral(payoff, scenario: Scenario, mc: MCConfig) -> MCResult:
     """Average of discounted payoffs under the directly simulated driftless measure."""
-    _check_payoff(payoff, scenario.dims)
-    [outputs], seed = _run(scenario, mc, [_riskneutral_batch])
-    return _assemble(payoff, scenario, *outputs, seed)
+    return _estimate(payoff, scenario, mc, ("riskneutral",))[0]
 
 
 def price_both(payoff, scenario: Scenario, mc: MCConfig) -> tuple[MCResult, MCResult]:
     """(`price_physical_weighted`, `price_riskneutral`) of one claim, bit for
     bit, with every batch's two measures stepped through one loop; if the loop
     fails, the measures run alone, physical first, and raise as they do."""
-    _check_payoff(payoff, scenario.dims)
-    columns, seed = _run(scenario, mc, _MEASURES)
-    return tuple(_assemble(payoff, scenario, *outputs, seed) for outputs in columns)
+    return _estimate(payoff, scenario, mc, ("physical", "riskneutral"))
 
 
 def agreement_zscore(a: MCResult, b: MCResult) -> float:
@@ -563,7 +544,7 @@ def physical_terminal_sample(scenario: Scenario, mc: MCConfig):
     re-simulating per payoff.  Like the estimators, it first rejects a
     scenario that fails the cone-mode check.
     """
-    [outputs], _ = _run(scenario, mc, [_physical_batch])
+    [outputs], _ = _run(scenario, mc, ("physical",))
     return tuple(array.copy() for array in outputs)
 
 
@@ -619,13 +600,18 @@ def _simulated_batch(scenario, km, xi, dw, project) -> list[dict]:
     """`simulate_scenario_paths` output for the paths of draws (xi, dW)."""
     params = scenario.market
     count = xi.size
-    b_values, states = _physical_paths(scenario, km, xi, dw, project)
+    normals, offsets = _constraint_data(scenario, xi)
+    b_values = transform_increments(dw, km)
+    db = np.diff(b_values, axis=1)
+    constraint = (normals, offsets) if project else None
+    states = euler_paths(
+        scenario.coefficients, xi, db, scenario.initial_state, scenario.grid.dt, constraint
+    )
     w = np.concatenate([np.zeros((count, 1, scenario.dims)), np.cumsum(dw, axis=1)], axis=1)
     vol = volatility(states, params)
     prices = price_paths(
         log_price_increments(vol[:, :-1], dw, params.drifts, scenario.grid.dt), params
     )
-    normals, offsets = _constraint_data(scenario, xi)
     margin = np.min(offsets[:, None, :] - states @ normals.T, axis=2)
     return [
         {

@@ -56,6 +56,8 @@ class Scenario:
             raise ScenarioError(
                 f"initial_state must have {d} entries to match the market, got {initial.shape}"
             )
+        if not np.all(np.isfinite(initial)):
+            raise ScenarioError("initial_state contains non-finite entries")
         if not isinstance(self.coefficients, ModelCoefficients):
             raise ScenarioError(
                 "coefficients must be ModelCoefficients, got "

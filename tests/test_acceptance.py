@@ -274,8 +274,10 @@ STOP_LEVEL = 5.0
 def stopped_discounted_run(weighted_terminal_run):
     """Rebuild the physical estimator's paths of the c07/c08 run batch by batch.
 
-    Returns the unstopped terminal prices and weights, computed as
-    pricing._physical_batch computes them, the weighted discounted prices
+    Returns the unstopped terminal prices and weights, computed from the
+    physical estimator's draws by a path-major Euler loop (`euler_paths`) and
+    the market formulas written out, which c08 compares with the estimator's
+    own within 1e-12, the weighted discounted prices
     w(tau) exp(-r tau) S(tau) stopped at tau, the first grid time at which
     some volatility component exceeds STOP_LEVEL (the horizon if none does),
     and the fraction of paths stopped before the horizon.

@@ -286,6 +286,38 @@ class TestMarketParamsValidation:
                 anchor_indices=(0, 0),
             )
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["drifts", "initial_prices", "projections"])
+    def test_non_finite_array_entry_rejected(self, field, value):
+        # they were kept: a NaN drift failed late as "log-weight became
+        # non-finite", a NaN projection in linprog, and an infinite initial
+        # price was priced as an infinite estimate with a NaN error bar
+        fields = {
+            "rate": 0.05,
+            "drifts": np.zeros(2),
+            "initial_prices": np.ones(2),
+            "projections": np.array([[1.0, 1.0], [1.0, 0.0]]),
+            "anchor_indices": (0, 0),
+        }
+        array = np.array(fields[field], dtype=float)
+        array.flat[0] = value
+        with pytest.raises(ValueError, match=f"{field} contains non-finite entries"):
+            MarketParams(**{**fields, field: array})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["rate", "initial_riskfree"])
+    def test_non_finite_scalar_rejected(self, field, value):
+        # an infinite rate and a NaN or infinite risk-free price were kept
+        fields = {
+            "rate": 0.05,
+            "drifts": np.zeros(2),
+            "initial_prices": np.ones(2),
+            "projections": np.eye(2),
+            "anchor_indices": (0, 1),
+        }
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+            MarketParams(**{**fields, field: value})
+
     def test_nonpositive_price_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             MarketParams(

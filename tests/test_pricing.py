@@ -38,10 +38,10 @@ from fracvol.market import (
     volatility,
 )
 from fracvol.pricing import _constraint_data, _draws, _weighted_terminal
-from fracvol.rde import check_finite, euler_stepper
+from fracvol.rde import check_finite, euler_paths, euler_stepper
 from fracvol.rng import NormalStream, stream_key
-from fracvol.scenario import constant_vol_scenario, section4_scenario
-from fracvol.volterra import transform_increments
+from fracvol.scenario import Scenario, constant_vol_scenario, section4_scenario
+from fracvol.volterra import KernelMatrix, transform_increments
 from test_rde import reference_step
 
 
@@ -524,16 +524,20 @@ class TestBatchDrawMemo:
         assert len(drawn) == 9 and all(ref() is None for ref in drawn)
 
 
+BOTH = ("_feedback_loop", frozenset({"physical", "riskneutral"}))
+
+
 @pytest.fixture
 def runs(monkeypatch):
     """Calls of the per-batch path work so far, starting from an empty memo; a
+    `_feedback_loop` call is recorded with its measure set, as in `BOTH`, and a
     call that raises is followed by "<name> raised"."""
     monkeypatch.setattr(pricing, "_last_run", None)
     calls = []
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
-            calls.append(name)
+            calls.append((name, frozenset(args[-1])) if name == "_feedback_loop" else name)
             try:
                 return real(*args, **kwargs)
             except Exception:
@@ -546,7 +550,7 @@ def runs(monkeypatch):
         (pricing, "euler_stepper"),
         (rde, "euler_stepper"),
         (pricing, "transform_increments"),
-        (pricing, "_paired_batch"),
+        (pricing, "_feedback_loop"),
     ]:
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     return calls
@@ -613,13 +617,13 @@ class TestBatchOutputMemo:
         sc, mc = section4_scenario(steps=16), MCConfig(paths=64, seed=3)
         terminal, weight, breached = physical_terminal_sample(sc, mc)
         terminal[0, 0] = weight[0] = 0.0  # the caller's copies
-        outputs = pricing._last_run[2][pricing._physical_batch]
+        outputs = pricing._last_run[2]["physical"]
         assert outputs[0][0, 0] != 0.0 and outputs[1][0] != 0.0
         for array in outputs:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
         price_riskneutral(Call(0, 1.0), sc, mc)
-        for array in pricing._last_run[2][pricing._riskneutral_batch]:
+        for array in pricing._last_run[2]["riskneutral"]:
             assert not array.flags.writeable
 
     def test_emptying_the_slot_recomputes(self, runs):
@@ -670,12 +674,46 @@ class TestPairedBatch:
     def _check_paired_equals_lone(sc, project, seed, start, count):
         km = pricing._kernel_matrix(sc)
         args = (sc, km, *_draws(sc, seed, start, count), project)
-        lone = (pricing._physical_batch(*args), pricing._riskneutral_batch(*args))
-        paired = pricing._paired_batch(*args)
-        for lone_out, paired_out in zip(lone, paired):
-            for a, b in zip(lone_out, paired_out):
+        paired = pricing._feedback_loop(*args, ("physical", "riskneutral"))
+        assert paired.keys() == {"physical", "riskneutral"}
+        for measure, paired_out in paired.items():
+            lone = pricing._feedback_loop(*args, (measure,))
+            assert lone.keys() == {measure}
+            for a, b in zip(lone[measure], paired_out):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        preset=st.sampled_from(sorted(PRESETS)),
+        project=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        start=st.integers(0, 10**6),
+        count=st.integers(1, 700),
+    )
+    def test_lone_physical_equals_parent_route(self, preset, project, seed, start, count):
+        self._check_lone_physical_equals_parent(self.PRESETS[preset], project, seed, start, count)
+
+    @pytest.mark.parametrize("project", [True, False])
+    @pytest.mark.parametrize("preset", ["worked", "constant"])
+    def test_lone_physical_equals_parent_route_at_batch_size(self, preset, project):
+        sc = {
+            "worked": section4_scenario(steps=8, seed=5),
+            "constant": constant_vol_scenario(steps=8),
+        }[preset]
+        self._check_lone_physical_equals_parent(sc, project, 11, 300, MCConfig.batch_size)
+
+    @staticmethod
+    def _check_lone_physical_equals_parent(sc, project, seed, start, count):
+        # the physical rows alone in the one loop against the path-major Euler
+        # route that the lone physical estimator ran before
+        km = pricing._kernel_matrix(sc)
+        args = (sc, km, *_draws(sc, seed, start, count), project)
+        got = pricing._feedback_loop(*args, ("physical",))
+        assert got.keys() == {"physical"}
+        for a, b in zip(got["physical"], _parent_physical_batch(*args)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
 
     # the c09 workload's request: both estimators on each of two assets
     @pytest.mark.parametrize(
@@ -691,13 +729,11 @@ class TestPairedBatch:
         mc = MCConfig(paths=64, seed=4)
         paired = [pricer(Put(a, 1.1), sc, mc) for a in assets for pricer in pricers]
         # one loop for both measures, and the later calls hit
-        assert runs == ["_paired_batch", "transform_increments", "euler_stepper"]
-        assert pricing._last_run[2].keys() == {
-            pricing._physical_batch, pricing._riskneutral_batch
-        }
+        assert runs == [BOTH, "transform_increments", "euler_stepper"]
+        assert pricing._last_run[2].keys() == {"physical", "riskneutral"}
         pricing._last_run = None
         assert [pricer(Put(a, 1.1), sc, mc) for a in assets for pricer in pricers] == paired
-        assert "_paired_batch" not in runs[3:]
+        assert BOTH not in runs[3:]
 
     def test_lone_patterns_never_pair(self, runs, monkeypatch):
         monkeypatch.setattr(MCConfig, "batch_size", 32)
@@ -711,7 +747,7 @@ class TestPairedBatch:
             config = dataclasses.replace(mc, seed=seed, paths=64)
             price_physical_weighted(Call(0, 1.0), sc, config)
             price_riskneutral(Call(0, 1.0), sc, config)
-        assert "_paired_batch" not in runs
+        assert BOTH not in runs
         assert runs.count("euler_stepper") == 3 + 2 + 3 * 4
         # both estimators under one projection setting pair no batch under the other
         price_physical_weighted(Call(0, 1.0), sc, dataclasses.replace(mc, seed=11))
@@ -719,7 +755,7 @@ class TestPairedBatch:
         price_riskneutral(
             Call(0, 1.0), sc, dataclasses.replace(mc, seed=12, project=False)
         )
-        assert "_paired_batch" not in runs
+        assert BOTH not in runs
 
     def test_transitions_after_a_paired_batch(self, runs, monkeypatch):
         monkeypatch.setattr(MCConfig, "batch_size", 32)
@@ -732,7 +768,7 @@ class TestPairedBatch:
             del runs[:]
             for call in calls:
                 call()
-            return runs.count("_paired_batch"), runs.count("euler_stepper")
+            return runs.count(BOTH), runs.count("euler_stepper")
 
         def lone(seed, **changes):
             config = dataclasses.replace(mc, seed=seed, **changes)
@@ -753,14 +789,14 @@ class TestPairedBatch:
         price_both(Call(0, 1.0), sc, several)
         del runs[:]
         lone(5)()
-        assert runs.count("_paired_batch") == 0
+        assert runs.count(BOTH) == 0
 
     def test_price_both_pairs_every_batch(self, runs, monkeypatch):
         monkeypatch.setattr(MCConfig, "batch_size", 32)
         sc = section4_scenario(steps=16, seed=5)
         mc = MCConfig(paths=80, seed=3)
         paired = price_both(Put(1, 1.1), sc, mc)
-        assert runs.count("_paired_batch") == runs.count("euler_stepper") == 3
+        assert runs.count(BOTH) == runs.count("euler_stepper") == 3
         pricing._last_run = None
         assert paired == (
             price_physical_weighted(Put(1, 1.1), sc, mc),
@@ -773,7 +809,7 @@ class TestPairedBatch:
             pricing._last_run = None
             alone = pricer(Put(1, 1.1), sc, one_batch)
             assert price_both(Put(1, 1.1), sc, one_batch)[index] == alone
-            assert runs.count("_paired_batch") == 0
+            assert runs.count(BOTH) == 0
             assert runs.count("euler_stepper") == 2
 
     @staticmethod
@@ -815,11 +851,11 @@ class TestPairedBatch:
                     assert pricer(Call(1, 1.0), bad, mc) == lone
         # the paired loop raised once, and each measure then ran alone
         assert runs[:4] == [
-            "_paired_batch", "transform_increments", "euler_stepper", "_paired_batch raised"
+            BOTH, "transform_increments", "euler_stepper", "_feedback_loop raised"
         ]
-        assert runs.count("_paired_batch") == 1
+        assert runs.count(BOTH) == 1
         assert runs.count("euler_stepper") == 1 + 2
-        assert pricing._last_run[2].keys() == {pricing._physical_batch}
+        assert pricing._last_run[2].keys() == {"physical"}
 
     @pytest.mark.parametrize("batch_size", [64, 32])
     def test_failed_price_both_raises_as_the_estimators(self, runs, monkeypatch, batch_size):
@@ -836,9 +872,9 @@ class TestPairedBatch:
                 price_both(Call(1, 1.0), bad, mc)
         assert str(error.value) == str(lone_error.value)
         # the paired loop of the first batch raised; then each measure ran alone
-        assert runs.count("_paired_batch") == 1
+        assert runs.count(BOTH) == 1
         assert runs[:4] == [
-            "_paired_batch", "transform_increments", "euler_stepper", "_paired_batch raised"
+            BOTH, "transform_increments", "euler_stepper", "_feedback_loop raised"
         ]
         assert runs.count("euler_stepper") == 1 + 64 // batch_size + 1
 
@@ -919,9 +955,9 @@ class TestRiskNeutralLoop:
         else:
             sc, project = section4_scenario(steps=64), True
         km = pricing._kernel_matrix(sc)
-        terminal, weight, breached = pricing._riskneutral_batch(
-            sc, km, *_draws(sc, 3, 10, 300), project
-        )
+        terminal, weight, breached = pricing._feedback_loop(
+            sc, km, *_draws(sc, 3, 10, 300), project, ("riskneutral",)
+        )["riskneutral"]
         want_terminal, want_breached = riskneutral_reference(sc, km, 3, 10, 300, project)
         assert terminal.tobytes() == want_terminal.tobytes()
         assert np.array_equal(breached, want_breached)
@@ -953,7 +989,34 @@ class TestRiskNeutralLoop:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # raises before any overflow warning
             with pytest.raises(FloatingPointError, match=rf"step 1 \(path {bad} of the batch\)"):
-                pricing._riskneutral_batch(sc, km, *_draws(sc, seed, 0, count), False)
+                pricing._feedback_loop(
+                    sc, km, *_draws(sc, seed, 0, count), False, ("riskneutral",)
+                )
+
+
+def _parent_physical_paths(scenario: Scenario, km: KernelMatrix, xi, dw, project: bool):
+    """`pricing._physical_paths` as it was before the lone physical estimator
+    ran through `_feedback_loop`, verbatim.
+
+    (B, states) of the physical-measure paths of draws (xi, dW).
+
+    With `project`, every Euler step is projected onto the path's own K(xi).
+    """
+    b_values = transform_increments(dw, km)
+    db = np.diff(b_values, axis=1)
+    constraint = _constraint_data(scenario, xi) if project else None
+    states = euler_paths(
+        scenario.coefficients, xi, db, scenario.initial_state, scenario.grid.dt, constraint
+    )
+    return b_values, states
+
+
+def _parent_physical_batch(scenario: Scenario, km: KernelMatrix, xi, dw, project: bool):
+    """`pricing._physical_batch` as it was then, verbatim.
+
+    Terminal prices, terminal martingale weights, and breach mask for a batch."""
+    _, states = _parent_physical_paths(scenario, km, xi, dw, project)
+    return _weighted_terminal(scenario, xi, dw, states)
 
 
 def _parent_feedback_loop(scenario, km, seed, start, count, project, paired):
@@ -961,7 +1024,7 @@ def _parent_feedback_loop(scenario, km, seed, start, count, project, paired):
     loop, verbatim: (physical outputs or None, risk-neutral outputs) of a batch.
 
     When `paired`, the state stacks the physical rows, driven by the kernel
-    transform as in `_physical_paths`, over the risk-neutral rows, driven by
+    transform as in `_parent_physical_paths`, over the risk-neutral rows, driven by
     the feedback; every operation acts row by row, so each row keeps the bits
     of its measure's lone loop.
     """
@@ -1049,14 +1112,15 @@ class TestFeedbackLoop:
     @staticmethod
     def _check_equals_parent(sc, seed, start, count, project, paired):
         km = pricing._kernel_matrix(sc)
-        got = pricing._feedback_loop(sc, km, *_draws(sc, seed, start, count), project, paired)
+        measures = ("physical", "riskneutral") if paired else ("riskneutral",)
+        got = pricing._feedback_loop(sc, km, *_draws(sc, seed, start, count), project, measures)
         want = _parent_feedback_loop(sc, km, seed, start, count, project, paired)
-        assert (got[0] is None) == (want[0] is None) == (not paired)
-        for got_out, want_out in zip(got, want):
+        assert ("physical" in got) == (want[0] is not None) == paired
+        for got_out, want_out in zip((got.get("physical"), got["riskneutral"]), want):
             for a, b in zip(got_out or (), want_out or ()):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
-        return got[1]
+        return got["riskneutral"]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1104,27 +1168,29 @@ class TestFeedbackLoop:
         km = pricing._kernel_matrix(sc)
         draws = _draws(sc, 7, 0, count)  # drawn before tracing
         peaks = {}
-        batch_fns = (pricing._paired_batch, pricing._riskneutral_batch, pricing._physical_batch)
-        for batch_fn in batch_fns:
+        for measures in (("physical", "riskneutral"), ("riskneutral",), ("physical",)):
             tracemalloc.start()
             try:
-                batch_fn(sc, km, *draws, True)
-                _, peaks[batch_fn] = tracemalloc.get_traced_memory()
+                pricing._feedback_loop(sc, km, *draws, True, measures)
+                _, peaks[measures] = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
+        paired, riskneutral, physical = peaks.values()
         size = count * n * d * 8
         # the lone loop holds its physical increments and a few rows beside
         # them (a history of the whole batch traced 32.8 MiB)
-        assert peaks[pricing._riskneutral_batch] < size + 16 * count * d * 8
+        assert riskneutral < size + 16 * count * d * 8
         # the paired loop's peak is the weight computation, once its own
         # increments are freed (97.2 MiB while a view kept them alive)
-        assert peaks[pricing._paired_batch] < 5.25 * size
+        assert paired < 5.25 * size
         # with the weights a block of paths at a time, the peaks are the
-        # loops': 49.64 MiB paired, when the loop holds its increments, the
-        # physical driver increments and the states, and 48.64 MiB for the lone
-        # physical estimator's Euler paths (81.1 and 96.3 MiB whole-batch)
-        assert peaks[pricing._paired_batch] < 50 * 2**20
-        assert peaks[pricing._physical_batch] < 49 * 2**20
+        # loops': 49.6 MiB paired, when the loop holds its increments, the
+        # physical driver increments and the states (81.1 MiB whole-batch),
+        # and 32.7 MiB for the physical rows alone, which hold the driver
+        # increments and the states; the path-major Euler route they
+        # replaced traced 48.64 MiB (96.3 MiB whole-batch)
+        assert paired < 50 * 2**20
+        assert physical < 34 * 2**20
 
 
 class TestBlockedWeights:
@@ -1135,7 +1201,7 @@ class TestBlockedWeights:
     def _inputs(sc, count, project):
         km = pricing._kernel_matrix(sc)
         xi, dw = _draws(sc, 3, 10, count)
-        _, states = pricing._physical_paths(sc, km, xi, dw, project)
+        _, states = _parent_physical_paths(sc, km, xi, dw, project)
         return xi, dw, states
 
     @pytest.mark.parametrize("count", [1, 255, 256, 257, 773])

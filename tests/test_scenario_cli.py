@@ -468,6 +468,43 @@ def test_mixing_law_quadrature_failure_is_domain_error(tmp_path, capsys, command
     assert capsys.readouterr().err.startswith("error: normalizing quadrature did not converge")
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_initial_state_rejected(value):
+    # a NaN state failed late, as "state became non-finite at step 1"
+    base = section4_scenario(steps=8)
+    with pytest.raises(ScenarioError, match="initial_state contains non-finite entries"):
+        dataclasses.replace(base, initial_state=np.array([value, 0.0]))
+
+
+def test_non_finite_initial_price_is_usage_error(tmp_path, capsys):
+    # it exited 0 and printed "estimate": Infinity, "stderr": NaN
+    doc = scenario_to_dict(constant_vol_scenario())
+    doc["market"]["initial_prices"] = [math.inf, 1.0]
+    path = tmp_path / "infinite.json"
+    path.write_text(json.dumps(doc))
+    assert '"initial_prices": [Infinity, 1.0]' in path.read_text()
+    assert main(["price", str(path), "--paths", "64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = "invalid scenario value: initial_prices contains non-finite entries"
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["price", "simulate"])
+def test_file_system_error_is_usage_error(tmp_path, capsys, command):
+    # `price DIR` raised IsADirectoryError and `simulate --out FILE`
+    # FileExistsError; each printed a traceback and exited 1, the check-failed code
+    path = write_scenario(tmp_path, section4_scenario(steps=8))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = {
+        "price": ["price", str(tmp_path)],
+        "simulate": ["simulate", path, "--paths", "1", "--out", str(taken)],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno ")
+
+
 class TestCsvCells:
     def test_cells_are_float_reprs(self, tmp_path):
         values = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e16, 1 / 3])

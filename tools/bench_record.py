@@ -41,11 +41,15 @@ def parse_args(argv=None):
 
 def run_once(spec: dict, root: Path, workload: str, seed: int,
              trace: int) -> tuple[dict, dict]:
-    """(details, result) of one benchmark process."""
+    """(details, result) of one benchmark process; RuntimeError, with the
+    command and the tail of its stderr, if it exits nonzero."""
     cmd = spec["command"] + ["--workload", workload, "--seed", str(seed),
                              "--seconds", str(spec["run_seconds"]), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
-                          timeout=RUN_TIMEOUT_S, check=True)
+                          timeout=RUN_TIMEOUT_S)
+    if done.returncode:
+        tail = "\n".join(done.stderr.splitlines()[-20:])
+        raise RuntimeError(f"{' '.join(cmd)} (in {root}) exited {done.returncode}:\n{tail}")
     *_, details, result = done.stdout.strip().splitlines()
     return json.loads(details), json.loads(result)
 
