@@ -10,7 +10,9 @@ full argument vector (seeds included); CSV and JSON outputs are byte-stable.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -53,25 +55,22 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
         handle.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
-def _write_sim_paths(out: Path, scenario: Scenario, results: list[dict]) -> None:
-    """One sim_pathNNN.csv per simulated path: time, state, volatility, prices, margin."""
-    d = scenario.dims
-    header = (
-        ["t"]
-        + [f"u{k + 1}" for k in range(d)]
-        + [f"v{k + 1}" for k in range(d)]
-        + [f"s{k + 1}" for k in range(d)]
-        + ["margin"]
-    )
+def _simulate_to(out: Path, scenario: Scenario, paths: int, project: bool):
+    """Simulate `paths` paths into one out/sim_pathNNN.csv each: time, state,
+    volatility, prices and margin.  Returns the paths and the report's lists
+    of them; an `out` that names a file fails before any path is drawn."""
+    if out.exists() and not out.is_dir():
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(out))
+    results = simulate_scenario_paths(scenario, paths, project=project)
+    out.mkdir(parents=True, exist_ok=True)
+    header = ["t"] + [f"{c}{k + 1}" for c in "uvs" for k in range(scenario.dims)] + ["margin"]
     for i, res in enumerate(results):
-        columns = (
-            [scenario.grid.times]
-            + [res["state"][:, k] for k in range(d)]
-            + [res["vol"][:, k] for k in range(d)]
-            + [res["prices"][:, k] for k in range(d)]
-            + [res["margin"]]
-        )
+        columns = [scenario.grid.times, res["state"], res["vol"], res["prices"], res["margin"]]
         _write_csv(out / f"sim_path{i:03d}.csv", header, columns)
+    return results, {
+        "xi": [res["xi"] for res in results],
+        "worst_margin": [float(np.min(res["margin"])) for res in results],
+    }
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -142,10 +141,8 @@ def cmd_check_viability(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
-    results = simulate_scenario_paths(scenario, args.paths, project=args.project)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_sim_paths(out, scenario, results)
+    _, path_lists = _simulate_to(out, scenario, args.paths, args.project)
     report = {
         "paths": args.paths,
         "seed": scenario.seed,
@@ -155,8 +152,7 @@ def cmd_simulate(args) -> int:
         "rate": scenario.market.rate,
         "initial_riskfree": scenario.market.initial_riskfree,
         "projected": bool(args.project),
-        "xi": [res["xi"] for res in results],
-        "worst_margin": [float(np.min(res["margin"])) for res in results],
+        **path_lists,
     }
     _write_json(out / "run_report.json", report)
     print(f"wrote {args.paths} path file(s) and run_report.json to {out}")
@@ -202,9 +198,8 @@ def cmd_reproduce_section4(args) -> int:
     scenario = section4_scenario(
         steps=args.steps, horizon=args.horizon, rate=args.rate, seed=args.seed
     )
-    results = simulate_scenario_paths(scenario, args.paths)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    results, path_lists = _simulate_to(out, scenario, args.paths, False)
     normalizer = scenario.xi.normalizer
 
     xi_rep = scenario.xi.upper
@@ -213,7 +208,6 @@ def cmd_reproduce_section4(args) -> int:
     )
     _write_json(out / "viability_report.json", report.to_dict())
     _write_json(out / "scenario.json", scenario_to_dict(scenario))
-    _write_sim_paths(out, scenario, results)
     summary = {
         "normalizer": normalizer,
         "viability_passed": report.passed,
@@ -227,11 +221,8 @@ def cmd_reproduce_section4(args) -> int:
             "initial_riskfree": 1.0,
             "independent_driver_components": True,
         },
-        "xi": [res["xi"] for res in results],
-        "worst_margin": [float(np.min(res["margin"])) for res in results],
-        "min_vol_minus_xi": [
-            float(np.min(res["vol"] - res["xi"])) for res in results
-        ],
+        **path_lists,
+        "min_vol_minus_xi": [float(np.min(res["vol"] - res["xi"])) for res in results],
     }
     _write_json(out / "report.json", summary)
     print(f"normalizer = {normalizer:.6f}")

@@ -1,13 +1,18 @@
 """Scenario container: everything needed to simulate and price one market.
 
-Scenarios serialize to JSON with field names mirroring the dataclasses; parsing
-is strict (unknown fields are an error, so config typos surface immediately).
+Scenarios serialize to JSON with field names mirroring the dataclasses.  Each
+object of the document is one table of its fields, which both `parse_scenario`
+and `scenario_to_dict` walk.  Parsing is strict: unknown fields are an error,
+so config typos surface immediately, and a real-valued field must hold a JSON
+number, not a boolean or a string.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -79,103 +84,137 @@ class Scenario:
         )
 
 
-def _take(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ScenarioError(f"missing field '{key}' in {where}")
-    return mapping[key]
+def _plain(value):
+    """JSON value of a stored field: arrays and tuples become lists of Python scalars."""
+    return np.asarray(value).tolist()
 
 
-def _take_object(mapping: dict, key: str, where: str) -> dict:
-    value = _take(mapping, key, where)
+class _Field(NamedTuple):
+    """One field of a scenario document: `read(value, key, where)` checks its
+    JSON value and returns what the dataclass takes, `dump(owner, key)` writes
+    it back, and an optional field left out takes the dataclass default."""
+
+    read: Callable
+    dump: Callable = lambda owner, key: _plain(getattr(owner, key))
+    optional: bool = False
+
+
+def _object(value, name: str) -> dict:
     if not isinstance(value, dict):
-        raise ScenarioError(f"'{key}' in {where} must be an object, got {type(value).__name__}")
+        raise ScenarioError(f"{name} must be an object, got {type(value).__name__}")
     return value
 
 
-def _check_no_extras(mapping: dict, allowed: set[str], where: str) -> None:
-    extras = sorted(set(mapping) - allowed)
+def _number(value, key: str, where: str, what: str = "be a number"):
+    """A JSON number: booleans and strings are rejected, not converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ScenarioError(f"'{key}' in {where} must {what}, got {type(value).__name__}")
+    return value
+
+
+def _reals(value, key: str, where: str):
+    """Numbers nested in lists to any depth; the dataclass checks the shape."""
+    if isinstance(value, list):
+        return [_reals(item, key, where) for item in value]
+    return _number(value, key, where, "hold only numbers")
+
+
+def _read(fields: dict, doc: dict, where: str) -> dict:
+    """The value of each field of object `where`, as its reader returns it."""
+    extras = sorted(set(doc) - set(fields))
     if extras:
         raise ScenarioError(f"unknown field(s) {extras} in {where}")
+    values = {}
+    for key, field in fields.items():
+        if key in doc:
+            values[key] = field.read(doc[key], key, where)
+        elif not field.optional:
+            raise ScenarioError(f"missing field '{key}' in {where}")
+    return values
 
 
-def _parse_xi(doc: dict) -> XiLaw:
-    kind = _take(doc, "kind", "xi")
-    if kind == "constant":
-        _check_no_extras(doc, {"kind", "value"}, "xi")
-        return ConstantXi(float(_take(doc, "value", "xi")))
-    if kind == "singular":
-        _check_no_extras(doc, {"kind", "exponent", "scale", "cutoff"}, "xi")
-        return SingularXi(
-            _take(doc, "exponent", "xi"),
-            float(_take(doc, "scale", "xi")),
-            float(_take(doc, "cutoff", "xi")),
-        )
-    raise ScenarioError(f"xi kind must be 'constant' or 'singular', got {kind!r}")
+def _dump(fields: dict, owner) -> dict:
+    return {key: field.dump(owner, key) for key, field in fields.items()}
 
 
-def _parse_coefficients(doc: dict) -> ModelCoefficients:
-    _check_no_extras(
-        doc, {"drift_matrix", "xi_drift", "drift_const", "diffusion"}, "coefficients"
-    )
-    diffusion = _take(doc, "diffusion", "coefficients")
-    if not isinstance(diffusion, list) or not diffusion:
-        raise ScenarioError("coefficients.diffusion must be a nonempty list of columns")
-    weights, xi_weights, offsets, directions = [], [], [], []
-    for j, col in enumerate(diffusion):
-        where = f"coefficients.diffusion[{j}]"
-        _check_no_extras(col, {"weight", "xi_weight", "offset", "direction"}, where)
-        weights.append(_take(col, "weight", where))
-        xi_weights.append(float(_take(col, "xi_weight", where)))
-        offsets.append(float(_take(col, "offset", where)))
-        directions.append(_take(col, "direction", where))
-    return ModelCoefficients(
-        drift_matrix=_take(doc, "drift_matrix", "coefficients"),
-        xi_drift=_take(doc, "xi_drift", "coefficients"),
-        drift_const=_take(doc, "drift_const", "coefficients"),
-        weights=np.asarray(weights, dtype=float),
-        xi_weights=np.asarray(xi_weights, dtype=float),
-        offsets=np.asarray(offsets, dtype=float),
-        directions=np.asarray(directions, dtype=float),
-    )
+def _section(build: Callable, fields: dict) -> _Field:
+    """A nested object, built by `build` from the values of `fields`."""
+    def read(value, key, where):
+        return build(**_read(fields, _object(value, f"'{key}' in {where}"), key))
+
+    return _Field(read, lambda owner, key: _dump(fields, getattr(owner, key)))
 
 
-def _parse_market(doc: dict) -> MarketParams:
-    allowed = {
-        "rate", "drifts", "initial_prices", "projections",
-        "anchor_indices", "initial_riskfree",
-    }
-    _check_no_extras(doc, allowed, "market")
-    return MarketParams(
-        rate=float(_take(doc, "rate", "market")),
-        drifts=_take(doc, "drifts", "market"),
-        initial_prices=_take(doc, "initial_prices", "market"),
-        projections=_take(doc, "projections", "market"),
-        anchor_indices=_take(doc, "anchor_indices", "market"),
-        initial_riskfree=float(doc.get("initial_riskfree", 1.0)),
-    )
+def _read_xi(value, key: str, where: str) -> XiLaw:
+    doc = dict(_object(value, f"'{key}' in {where}"))
+    kind = doc.pop("kind", None)
+    if kind not in tuple(_XI_KINDS):
+        kinds = " or ".join(map(repr, _XI_KINDS))
+        raise ScenarioError(f"{key} kind must be {kinds}, got {kind!r}")
+    law, fields = _XI_KINDS[kind]
+    return law(**_read(fields, doc, key))
+
+
+def _dump_xi(owner, key: str) -> dict:
+    law = getattr(owner, key)
+    kind = next(kind for kind, (cls, _) in _XI_KINDS.items() if isinstance(law, cls))
+    return {"kind": kind, **_dump(_XI_KINDS[kind][1], law)}
+
+
+def _read_columns(value, key: str, where: str) -> dict:
+    """The diffusion columns as the arrays ModelCoefficients holds: field
+    `weight` of every column is the array `weights`, and so on."""
+    name = f"{where}.{key}"
+    if not isinstance(value, list) or not value:
+        raise ScenarioError(f"{name} must be a nonempty list of columns")
+    columns = [
+        _read(_COLUMN, _object(col, f"{name}[{j}]"), f"{name}[{j}]")
+        for j, col in enumerate(value)
+    ]
+    return {f + "s": np.asarray([col[f] for col in columns], dtype=float) for f in _COLUMN}
+
+
+def _dump_columns(owner, key: str) -> list[dict]:
+    return [{f: _plain(getattr(owner, f + "s")[j]) for f in _COLUMN} for j in range(owner.dims)]
+
+
+_REAL = _Field(lambda value, key, where: float(_number(value, key, where)))
+_REALS = _Field(_reals)
+_INTEGER = _Field(lambda value, key, where: value)  # its dataclass checks it
+
+# One table per object of the document; the dump of each field follows its
+# position here, and `scenario_to_dict` inverts `parse_scenario`.
+_XI_KINDS = {
+    "constant": (ConstantXi, {"value": _REAL}),
+    "singular": (SingularXi, {"exponent": _INTEGER, "scale": _REAL, "cutoff": _REAL}),
+}
+_COLUMN = {"weight": _REALS, "xi_weight": _REAL, "offset": _REAL, "direction": _REALS}
+_SCENARIO = {
+    "market": _section(MarketParams, {
+        "rate": _REAL, "drifts": _REALS, "initial_prices": _REALS, "projections": _REALS,
+        "anchor_indices": _INTEGER, "initial_riskfree": _REAL._replace(optional=True),
+    }),
+    "coefficients": _section(
+        lambda diffusion, **fields: ModelCoefficients(**fields, **diffusion),
+        {
+            "drift_matrix": _REALS, "xi_drift": _REALS, "drift_const": _REALS,
+            "diffusion": _Field(_read_columns, _dump_columns),
+        },
+    ),
+    "xi": _Field(_read_xi, _dump_xi),
+    "hurst": _REAL,
+    "grid": _section(TimeGrid, {"horizon": _REAL, "steps": _INTEGER}),
+    "initial_state": _REALS,
+    "seed": _INTEGER,
+}
 
 
 def parse_scenario(doc: dict) -> Scenario:
     """Build a scenario from a parsed JSON document; rejects unknown fields."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
-    allowed = {"market", "coefficients", "xi", "hurst", "grid", "initial_state", "seed"}
-    _check_no_extras(doc, allowed, "scenario")
-    grid_doc = _take_object(doc, "grid", "scenario")
-    _check_no_extras(grid_doc, {"horizon", "steps"}, "grid")
     try:
-        return Scenario(
-            market=_parse_market(_take_object(doc, "market", "scenario")),
-            coefficients=_parse_coefficients(_take_object(doc, "coefficients", "scenario")),
-            xi=_parse_xi(_take_object(doc, "xi", "scenario")),
-            hurst=float(_take(doc, "hurst", "scenario")),
-            grid=TimeGrid(
-                float(_take(grid_doc, "horizon", "grid")),
-                _take(grid_doc, "steps", "grid"),
-            ),
-            initial_state=_take(doc, "initial_state", "scenario"),
-            seed=_take(doc, "seed", "scenario"),
-        )
+        return Scenario(**_read(_SCENARIO, doc, "scenario"))
     except ScenarioError:
         raise
     except (TypeError, ValueError) as exc:
@@ -196,45 +235,7 @@ def load_scenario(path) -> Scenario:
 
 def scenario_to_dict(s: Scenario) -> dict:
     """Inverse of parse_scenario."""
-    if isinstance(s.xi, ConstantXi):
-        xi_doc = {"kind": "constant", "value": s.xi.value}
-    else:
-        xi_doc = {
-            "kind": "singular",
-            "exponent": s.xi.exponent,
-            "scale": s.xi.scale,
-            "cutoff": s.xi.cutoff,
-        }
-    c = s.coefficients
-    return {
-        "market": {
-            "rate": s.market.rate,
-            "drifts": s.market.drifts.tolist(),
-            "initial_prices": s.market.initial_prices.tolist(),
-            "projections": s.market.projections.tolist(),
-            "anchor_indices": list(s.market.anchor_indices),
-            "initial_riskfree": s.market.initial_riskfree,
-        },
-        "coefficients": {
-            "drift_matrix": c.drift_matrix.tolist(),
-            "xi_drift": c.xi_drift.tolist(),
-            "drift_const": c.drift_const.tolist(),
-            "diffusion": [
-                {
-                    "weight": c.weights[j].tolist(),
-                    "xi_weight": float(c.xi_weights[j]),
-                    "offset": float(c.offsets[j]),
-                    "direction": c.directions[j].tolist(),
-                }
-                for j in range(c.dims)
-            ],
-        },
-        "xi": xi_doc,
-        "hurst": s.hurst,
-        "grid": {"horizon": s.grid.horizon, "steps": s.grid.steps},
-        "initial_state": s.initial_state.tolist(),
-        "seed": s.seed,
-    }
+    return _dump(_SCENARIO, s)
 
 
 def section4_scenario(

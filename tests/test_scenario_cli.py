@@ -26,12 +26,23 @@ def write_scenario(tmp_path, scenario, name="scenario.json"):
     return str(path)
 
 
+PRESETS = {
+    "worked": lambda: section4_scenario(steps=8),
+    "constant": lambda: constant_vol_scenario(steps=8),
+}
+
+
+def set_field(doc, keys, value):
+    for key in keys[:-1]:
+        doc = doc[key]
+    doc[keys[-1]] = value
+
+
 class TestScenarioFormat:
-    def test_round_trip(self):
-        sc = section4_scenario(steps=64)
-        doc = scenario_to_dict(sc)
-        back = parse_scenario(doc)
-        assert scenario_to_dict(back) == doc
+    @pytest.mark.parametrize("preset", ["worked", "constant"])
+    def test_round_trip(self, preset):
+        doc = scenario_to_dict(PRESETS[preset]())
+        assert scenario_to_dict(parse_scenario(doc)) == doc
 
     def test_reference_preset_structure(self):
         sc = section4_scenario()
@@ -103,6 +114,55 @@ class TestScenarioFormat:
             parent = parent[key]
         parent[keys[-1]] = value
         with pytest.raises(ScenarioError, match=keys[-1]):
+            parse_scenario(doc)
+
+    @pytest.mark.parametrize(
+        "preset, keys, value",
+        [
+            ("worked", ("market", "rate"), True),
+            ("worked", ("market", "rate"), "0.05"),
+            ("worked", ("market", "initial_riskfree"), False),
+            ("worked", ("hurst",), "0.7"),
+            ("worked", ("grid", "horizon"), True),
+            ("constant", ("xi", "value"), "0.1"),
+            ("worked", ("xi", "scale"), True),
+            ("worked", ("xi", "cutoff"), None),
+            ("worked", ("coefficients", "diffusion", 0, "xi_weight"), True),
+            ("worked", ("coefficients", "diffusion", 0, "offset"), "0"),
+            ("worked", ("market", "drifts"), [True, False]),
+            ("worked", ("market", "initial_prices"), ["1", 1.0]),
+            ("worked", ("market", "projections"), [[1.0, True], [1.0, 0.0]]),
+            ("worked", ("initial_state",), [None, 0.0]),
+            ("worked", ("coefficients", "drift_matrix"), [[1.0, 0.0], [0.0, "1"]]),
+            ("worked", ("coefficients", "xi_drift"), [0.0, False]),
+            ("worked", ("coefficients", "drift_const"), [{}, 0.0]),
+            ("worked", ("coefficients", "diffusion", 0, "weight"), [True, 0.0]),
+            ("worked", ("coefficients", "diffusion", 1, "direction"), [1.0, "-1"]),
+        ],
+    )
+    def test_non_number_real_field_rejected(self, preset, keys, value):
+        # float() read true as 1.0 and "0" as 0.0, and arrays took booleans
+        doc = scenario_to_dict(PRESETS[preset]())
+        set_field(doc, keys, value)
+        field = next(key for key in reversed(keys) if isinstance(key, str))
+        with pytest.raises(ScenarioError, match=f"'{field}' in .* must (be a|hold only) number"):
+            parse_scenario(doc)
+
+    def test_integer_real_field_parses_as_float(self):
+        doc = scenario_to_dict(section4_scenario(steps=8))
+        doc["market"]["rate"] = 1
+        doc["market"]["drifts"] = [1, 0]
+        dumped = scenario_to_dict(parse_scenario(doc))["market"]
+        assert json.dumps([dumped["rate"], dumped["drifts"]]) == "[1.0, [1.0, 0.0]]"
+
+    @pytest.mark.parametrize("column", ["abc", 5, None, []])
+    def test_non_object_diffusion_column_rejected(self, column):
+        # "abc" raised "unknown field(s) ['a', 'b', 'c']", and 5 or null
+        # "'int' object is not iterable"
+        doc = scenario_to_dict(section4_scenario(steps=8))
+        doc["coefficients"]["diffusion"][0] = column
+        message = rf"^coefficients\.diffusion\[0\] must be an object, got {type(column).__name__}$"
+        with pytest.raises(ScenarioError, match=message):
             parse_scenario(doc)
 
     @pytest.mark.parametrize(
@@ -503,6 +563,23 @@ def test_file_system_error_is_usage_error(tmp_path, capsys, command):
     }[command]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: [Errno ")
+
+
+@pytest.mark.parametrize("command", ["simulate", "reproduce-section4"])
+def test_out_naming_a_file_fails_before_simulating(tmp_path, capsys, monkeypatch, command):
+    # both commands simulated every path before mkdir found the file
+    calls = []
+    monkeypatch.setattr(cli, "simulate_scenario_paths", lambda *a, **k: calls.append(a) or [])
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = {
+        "simulate": ["simulate", write_scenario(tmp_path, section4_scenario(steps=8))],
+        "reproduce-section4": ["reproduce-section4", "--steps", "8"],
+    }[command]
+    assert main([*argv, "--paths", "1", "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 17] File exists")
+    assert calls == []
+    assert taken.read_text() == ""
 
 
 class TestCsvCells:
