@@ -199,7 +199,7 @@ def cmd_reproduce_section4(args) -> int:
         steps=args.steps, horizon=args.horizon, rate=args.rate, seed=args.seed
     )
     out = Path(args.out)
-    results, path_lists = _simulate_to(out, scenario, args.paths, False)
+    results, path_lists = _simulate_to(out, scenario, args.paths, project=False)
     normalizer = scenario.xi.normalizer
 
     xi_rep = scenario.xi.upper

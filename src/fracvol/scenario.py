@@ -182,8 +182,8 @@ _REAL = _Field(lambda value, key, where: float(_number(value, key, where)))
 _REALS = _Field(_reals)
 _INTEGER = _Field(lambda value, key, where: value)  # its dataclass checks it
 
-# One table per object of the document; the dump of each field follows its
-# position here, and `scenario_to_dict` inverts `parse_scenario`.
+# One table per object of the document; `scenario_to_dict` writes the fields
+# in table order.
 _XI_KINDS = {
     "constant": (ConstantXi, {"value": _REAL}),
     "singular": (SingularXi, {"exponent": _INTEGER, "scale": _REAL, "cutoff": _REAL}),
