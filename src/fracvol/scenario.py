@@ -291,7 +291,10 @@ def constant_vol_scenario(
     """
     vol = np.asarray(vol, dtype=float)
     d = vol.size
-    projections = np.array([[1.0, 1.0], [1.0, 0.0]]) if d == 2 else np.eye(d)
+    if d == 2:
+        projections, anchor_indices = np.array([[1.0, 1.0], [1.0, 0.0]]), (0, 0)
+    else:
+        projections, anchor_indices = np.eye(d), tuple(range(d))
     zeros = np.zeros((d, d))
     coefficients = ModelCoefficients(
         drift_matrix=zeros,
@@ -307,7 +310,7 @@ def constant_vol_scenario(
         drifts=np.asarray(drifts, dtype=float),
         initial_prices=np.ones(d),
         projections=projections,
-        anchor_indices=tuple([0] * d),
+        anchor_indices=anchor_indices,
         initial_riskfree=1.0,
     )
     return Scenario(

@@ -12,6 +12,10 @@ anywhere upstream fails it:
   with 600 paths in batches of 256, with and without projection; the
   unprojected worked example breaches the floor, so its estimators pin the
   `BreachRateError` message instead;
+* the physical terminal sample and `price_both` for three payoffs on the
+  one-asset and three-asset constant-volatility presets, whose 16-step sums
+  over one asset numpy adds pairwise and over three assets one step after
+  another (600 paths in batches of 256, projected);
 * `simulate_scenario_paths(..., 3, project=False/True)`, every key;
 * the kernel matrix on a 64-step grid at H = 0.3 and H = 0.7, and at the
   sizes the workloads build: 1024 steps at H = 0.7 (522 753 interior cells,
@@ -58,6 +62,7 @@ from fracvol import (
     check_viability_conditions,
     convergence_probe,
     physical_terminal_sample,
+    price_both,
     price_physical_weighted,
     price_riskneutral,
     sample_paths,
@@ -78,6 +83,17 @@ PAYOFFS = {
     "call0": Call(0, 1.0),
     "put1": Put(1, 0.9),
     "basket": Basket([0.5, 0.5], 1.0),
+}
+# Presets of other asset counts than the two above, with payoffs on the
+# first and last asset and an equal-weight basket.
+ASSET_PRESETS = {
+    "one": lambda: constant_vol_scenario(vol=(0.3,), drifts=(0.1,)),
+    "three": lambda: constant_vol_scenario(vol=(0.5, 0.2, 0.3), drifts=(0.1, 0.02, 0.03)),
+}
+ASSET_PAYOFFS = {
+    "call0": lambda d: Call(0, 1.0),
+    "putlast": lambda d: Put(d - 1, 0.9),
+    "basket": lambda d: Basket(np.full(d, 1.0 / d), 1.0),
 }
 ESTIMATORS = {"physical": price_physical_weighted, "riskneutral": price_riskneutral}
 PROJECTIONS = {"projected": True, "free": False}
@@ -139,6 +155,14 @@ def _digest(case: str, tmp_path) -> str:
         return _estimate_digest(
             kind, payoff, SCENARIOS[scenario](), _config(PROJECTIONS[projection])
         )
+    if kind == "assets":
+        preset, what = rest[0], rest[1:]
+        scenario = ASSET_PRESETS[preset]()
+        if what == ["terminal"]:
+            return _array_digest(*physical_terminal_sample(scenario, _config(True)))
+        payoff = ASSET_PAYOFFS[what[1]](scenario.dims)
+        results = price_both(payoff, scenario, _config(True))
+        return _text_digest(json.dumps([r.to_dict() for r in results], sort_keys=True))
     if kind == "simulate":
         scenario, projection = rest
         paths = simulate_scenario_paths(
@@ -209,6 +233,8 @@ CASES = (
         for p in PROJECTIONS
         for f in PAYOFFS
     ]
+    + [f"assets/{a}/terminal" for a in ASSET_PRESETS]
+    + [f"assets/{a}/both/{f}" for a in ASSET_PRESETS for f in ASSET_PAYOFFS]
     + [f"simulate/{s}/{p}" for s in SCENARIOS for p in PROJECTIONS]
     + ["kernel/0.3", "kernel/0.7", "kernel/1024/0.7", "kernel/256/0.55", "kernel/256/0.85"]
     + ["fbm/wood-chan", "fbm/cholesky"]
@@ -253,6 +279,14 @@ GOLDEN = {
     "riskneutral/constant/free/call0": "40be9fca92e1bb5a691a23d851027839b9e4cf16b999d9adcf850dfec5df126a",
     "riskneutral/constant/free/put1": "8a8f637ed47e59f8eff326a16064f2fe513885b13a5c7c2ff0d27227661a748f",
     "riskneutral/constant/free/basket": "c67caf5c351fb136ba905b9f5e5f69554c48cb137319f7de9135fe75e4097fa9",
+    "assets/one/terminal": "03e3682e51fde9606ad393f268e9c8ceba559b58ac8c04afb01598674bce8c77",
+    "assets/three/terminal": "284b01be1df3ba3d90822d097d5b63e90d9a39666f55132ff5c53e2c2017981a",
+    "assets/one/both/call0": "c8194597d4b038d01e41055a83cfc55e6efbabb1c8236fb7b4f4dbadfe6991f9",
+    "assets/one/both/putlast": "045091b2533f227cecebd435507514e8cec7b442417e8b07fc0e84ef6c9f7ea3",
+    "assets/one/both/basket": "c8194597d4b038d01e41055a83cfc55e6efbabb1c8236fb7b4f4dbadfe6991f9",
+    "assets/three/both/call0": "d13947a51c1af5a4cd905a2f4f7cbe278f824ca496f57cc1f78823066df828ca",
+    "assets/three/both/putlast": "314e325306fde17a214d5f3132254bc1230ddd2c459bea93f32e0dfd68a80933",
+    "assets/three/both/basket": "42f3212dc093778943495426f5f46d2bcbe7345003defd445d78d859cb924a54",
     "simulate/worked/projected": "b29645aefda5f24733119cd0672a234d8d8a3a99c603ed8b11e575c69958afdd",
     "simulate/worked/free": "ad5d37356be4de8d930b73953de600f83e0e0efaab50b41b9d577aa66e0b594e",
     "simulate/constant/projected": "34827b74c676c3121fc22c2b0e291558c0ee8d0949a3e86f1feec6c56cc9434b",

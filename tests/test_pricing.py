@@ -190,6 +190,21 @@ class TestDegenerateBlackScholes:
                 assert abs(res.estimate - target) <= 3 * res.stderr
                 assert res.breached == 0
 
+    @pytest.mark.parametrize(
+        "vol, drifts", [((0.3,), (0.1,)), ((0.5, 0.2, 0.3), (0.1, 0.02, 0.03))]
+    )
+    def test_one_and_three_asset_presets_match_closed_form(self, vol, drifts):
+        # the three-asset preset anchors face k at coordinate k; every face
+        # at coordinate 0 raised "projection 1 vanishes at its anchor index 0"
+        sc = constant_vol_scenario(vol=vol, drifts=drifts)
+        mc = MCConfig(paths=20_000, seed=37)
+        for asset, sigma in enumerate(vol):
+            for payoff, kind in ((Call(asset, 1.0), "call"), (Put(asset, 1.0), "put")):
+                target = bs_reference_price(1.0, 1.0, sc.market.rate, sigma, 1.0, kind)
+                for res in price_both(payoff, sc, mc):
+                    assert abs(res.estimate - target) <= 3 * res.stderr, (asset, kind)
+                    assert res.breached == 0
+
     def test_discounted_bond_identity(self):
         sc = constant_vol_scenario()
         target = math.exp(-sc.market.rate * sc.grid.horizon)
