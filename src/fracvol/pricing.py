@@ -257,11 +257,21 @@ def _weighted_terminal(scenario: Scenario, xi, dw, states):
     The weights are computed a block of paths (`_WEIGHT_BYTES`) at a time, and
     each path's sums keep their order, so the block size moves no bits.
     `states` may be a path-major view of step-major states.
+
+    The premium and drifts are copied once to one path's (n, d) shape, so that
+    numpy runs a block's arithmetic n * d elements at a time, as fast as with
+    a copy for every path of the block and 4-5x faster than with the (d,)
+    arrays, which it runs d elements at a time.  numpy sums a path's log-price
+    increments over steps one after another when d >= 2, also d elements at a
+    time, which `np.add.reduce` over a step-major copy repeats with the same
+    bits; over one asset `np.sum` sums them pairwise, so d = 1 keeps it.
     """
     dt = scenario.grid.dt
     params = scenario.market
     count, n, d = dw.shape
     size = max(1, _WEIGHT_BYTES // (8 * n * d))
+    premium = np.broadcast_to(params.premium, (n, d)).copy()
+    drifts = np.broadcast_to(params.drifts, (n, d)).copy()
     s_log = np.empty((count, d))
     log_w = np.empty(count)
     breached = np.empty(count, dtype=bool)
@@ -269,10 +279,14 @@ def _weighted_terminal(scenario: Scenario, xi, dw, states):
         hi = min(lo + size, count)
         v_left = volatility(np.ascontiguousarray(states[lo:hi]), params)[:, :-1, :]
         breached[lo:hi], v_safe = floor_breach(v_left, xi[lo:hi])
-        log_incr = log_price_increments(v_left, dw[lo:hi], params.drifts, dt)
+        log_incr = log_price_increments(v_left, dw[lo:hi], drifts, dt)
         with np.errstate(over="ignore", invalid="ignore"):  # breached paths are discarded later
-            log_w[lo:hi] = log_weight(theta(v_safe, params), dw[lo:hi], dt)
-            np.sum(log_incr, axis=1, out=s_log[lo:hi])
+            log_w[lo:hi] = log_weight(theta(v_safe, premium), dw[lo:hi], dt)
+            if d > 1:
+                log_incr = np.ascontiguousarray(log_incr.transpose(1, 0, 2))  # step-major
+                np.add.reduce(log_incr, axis=0, out=s_log[lo:hi])
+            else:
+                np.sum(log_incr, axis=1, out=s_log[lo:hi])
     with np.errstate(over="ignore", invalid="ignore"):
         weight = np.exp(log_w)
         terminal = asset_prices(s_log, params)
@@ -331,7 +345,9 @@ def _feedback_loop(scenario, km, xi, dw_star, project, measures):
         b_prev = np.zeros((count, d))
         v_history = np.empty((span, count, d))  # floored volatility of a block of steps
         dw_block = np.empty((span, count, d))  # shifted increments of a block of steps
-        floor = vol_floor(xi, 2)
+        # the floor at the volatility's full shape: a (count, 1) floor makes
+        # numpy compare d elements at a time
+        floor = np.broadcast_to(vol_floor(xi, 2), (count, d)).copy()
         s_log = np.zeros((count, d))
         breached = np.zeros(count, dtype=bool)
         frozen = False  # breached paths are frozen, and discarded later
@@ -348,7 +364,7 @@ def _feedback_loop(scenario, km, xi, dw_star, project, measures):
                         breached |= low
                         frozen = True
                         v[...] = v_safe
-                    dw_i = theta(v, params, out=dw[i].reshape(count, d))
+                    dw_i = theta(v, params.premium, out=dw[i].reshape(count, d))
                     dw_i *= dt
                     dw_i += dw_block[i - lo]
                     b_next = np.dot(km.entries[i, None, : i + 1], dw[: i + 1]).reshape(count, d)

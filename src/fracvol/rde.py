@@ -33,24 +33,33 @@ def require_young(hurst: float) -> None:
 def euler_stepper(coeffs: ModelCoefficients, xi, dt: float, project_onto=None):
     """The Euler update `step(x, db)` of states x (paths, d) by driver increments
     db (paths, d), then the projection onto `project_onto`, a (normals, offsets)
-    pair, if given.  What does not change between steps is computed here, once
-    per batch, the matrix products' right operands as contiguous copies (see
-    `face_terms`); a step returns a fresh array and leaves its arguments
-    unchanged."""
+    pair, if given.  `xi` is a scalar or one value per path (paths,), and the
+    offsets are (faces,) or (paths, faces).
+
+    What does not change between steps is computed here, once per batch: the
+    matrix products' right operands as contiguous copies (see `face_terms`),
+    and the additive terms of the drift and of the diffusion factors at the
+    states' shape (paths, d), the constants copied to every path, since numpy
+    adds a (d,) operand to (paths, d) d elements at a time, 4-6x slower.  With
+    a scalar `xi` they are (d,).  Either way the sums, and their bits, are
+    those of `eval_mu` and `eval_sigma`.  A step returns a fresh array and
+    leaves its arguments unchanged."""
     drift_t = np.ascontiguousarray(coeffs.drift_matrix.T)
     weights_t = np.ascontiguousarray(coeffs.weights.T)
     drift_shift = np.multiply.outer(xi, coeffs.xi_drift)
     factor_shift = np.multiply.outer(xi, coeffs.xi_weights)
+    drift_const = np.broadcast_to(coeffs.drift_const, drift_shift.shape).copy()
+    factor_offsets = np.broadcast_to(coeffs.offsets, factor_shift.shape).copy()
 
     def advance(x, db):
         # eval_mu and eval_sigma term for term, in place in fresh buffers
         mu = x @ drift_t
         mu += drift_shift
-        mu += coeffs.drift_const
+        mu += drift_const
         mu *= dt
         factors = x @ weights_t
         factors += factor_shift
-        factors += coeffs.offsets
+        factors += factor_offsets
         factors *= db
         mu += x
         mu += factors @ coeffs.directions

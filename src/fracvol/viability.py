@@ -131,11 +131,15 @@ def path_viability_margin(path, poly: Polyhedron) -> float:
 
 
 def face_terms(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(normals.T as a contiguous copy, squared norms, ones to count touched
-    faces by) of the faces, the terms `project_into` reuses on every call;
-    numpy multiplies by the transposed view itself 1.5-3x slower, with the same
-    bits.  The count is a uint8 matmul, about half the time of a bool sum over
-    the short face axis; it cannot wrap with under 256 faces."""
+    """(normals.T as a contiguous (d, faces) copy, squared norms (faces,), ones
+    (faces,) to count touched faces by) of the faces (faces, d), the terms
+    `project_into` reuses on every call; numpy multiplies by the transposed
+    view itself 1.5-3x slower, with the same bits.  The count is a uint8
+    matmul, about half the time of a bool sum over the short face axis; it
+    cannot wrap with under 256 faces.  The norms stay (faces,), although
+    numpy divides (points, faces) by them faces elements at a time: a copy for
+    every point would be one more batch-sized array that the Euler loop holds
+    through every step."""
     ones = np.ones(normals.shape[0], np.uint8 if normals.shape[0] < 256 else np.intp)
     return np.ascontiguousarray(normals.T), np.einsum("kd,kd->k", normals, normals), ones
 
@@ -164,8 +168,11 @@ def project_into(
         return x
     touched = excess > 0.0
     excess /= sq_norms
-    y = x - excess @ normals
-    touched |= y @ normals_t > offsets
+    # the step and the face test reuse the product's buffer and `excess`, so
+    # a call holds one fresh (points, d) array beside x and excess
+    y = excess @ normals
+    np.subtract(x, y, out=y)
+    touched |= np.matmul(y, normals_t, out=excess) > offsets
     corner = touched.view(np.uint8) @ face_ones > 1
     if np.count_nonzero(corner):
         offsets = np.broadcast_to(offsets, excess.shape)

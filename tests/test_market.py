@@ -145,20 +145,29 @@ class TestSimulatePrices:
         incr = log_price_increments(v, np.zeros(2), 0.05, 0.25)
         assert np.allclose(incr, (0.05 - 0.5 * v**2) * 0.25)
 
+    def test_copied_drift_gives_the_same_bits(self):
+        rng = np.random.default_rng(8)
+        v, dw = rng.uniform(0.2, 1.0, (3, 5, 2)), rng.normal(0.0, 0.1, (3, 5, 2))
+        drifts = np.array([0.1, 0.02])
+        want = log_price_increments(v, dw, drifts, 0.25)
+        for shape in ((5, 2), v.shape):  # one path's steps, or every path's
+            got = log_price_increments(v, dw, np.broadcast_to(drifts, shape).copy(), 0.25)
+            assert got.tobytes() == want.tobytes()
+
 
 class TestTheta:
     def test_reference_arithmetic(self):
         params = two_asset_params(rate=0.05, drifts=(0.1, 0.02))
-        assert np.allclose(theta(np.array([0.5, 0.2]), params), [-0.1, 0.15])
+        assert np.allclose(theta(np.array([0.5, 0.2]), params.premium), [-0.1, 0.15])
 
     def test_zero_when_drifts_equal_rate(self):
         params = two_asset_params(rate=0.05, drifts=(0.05, 0.05))
-        assert np.allclose(theta(np.array([0.4, 0.9]), params), 0.0)
+        assert np.allclose(theta(np.array([0.4, 0.9]), params.premium), 0.0)
 
     def test_scaling_halves(self):
         params = two_asset_params()
         v = np.array([0.5, 0.2])
-        assert np.allclose(theta(2 * v, params), 0.5 * theta(v, params))
+        assert np.allclose(theta(2 * v, params.premium), 0.5 * theta(v, params.premium))
 
     def test_premium_is_read_only_rate_minus_drifts(self):
         params = two_asset_params(rate=0.05, drifts=(0.1, 0.02))
@@ -173,10 +182,13 @@ class TestTheta:
         v = np.random.default_rng(4).uniform(0.3, 1.0, size=(6, 2))
         params = two_asset_params()
         buffer = np.empty((4, 12))
-        th = theta(v, params, out=buffer[2].reshape(6, 2))
+        th = theta(v, params.premium, out=buffer[2].reshape(6, 2))
         assert np.shares_memory(th, buffer[2])
         want = (params.rate - params.drifts) / v
-        assert buffer[2].tobytes() == want.tobytes() == theta(v, params).tobytes()
+        assert buffer[2].tobytes() == want.tobytes() == theta(v, params.premium).tobytes()
+        # a premium copied to the shape of v gives the same bits
+        copied = np.broadcast_to(params.premium, v.shape).copy()
+        assert theta(v, copied).tobytes() == want.tobytes()
 
     # floor_breach is the guard that keeps theta's reciprocal of V finite
     def test_floor_guard(self):
@@ -186,7 +198,7 @@ class TestTheta:
         breached, v_safe = floor_breach(np.array([0.3, 0.26]), 0.5)
         assert not breached
         assert np.array_equal(v_safe, [0.3, 0.26])
-        assert np.all(np.isfinite(theta(v_safe, two_asset_params())))
+        assert np.all(np.isfinite(theta(v_safe, two_asset_params().premium)))
 
     def test_nonpositive_vol_rejected(self):
         breached, v_safe = floor_breach(np.array([0.5, 0.0]), 0.0)
@@ -223,8 +235,10 @@ class TestTheta:
             floor = vol_floor(xi, v.ndim)
             assert floor.shape == np.shape(xi) + (1,) * (v.ndim - np.ndim(xi))
             assert np.array_equal(floor, 0.5 * np.reshape(xi, floor.shape))
-            for a, b in zip(floor_breach(v, xi, floor), floor_breach(v, xi)):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            full = np.broadcast_to(floor, v.shape).copy()  # as the feedback loop holds it
+            for given in (floor, full):
+                for a, b in zip(floor_breach(v, xi, given), floor_breach(v, xi)):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestStochasticExponential:

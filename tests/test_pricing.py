@@ -935,7 +935,7 @@ def riskneutral_reference(scenario, km, seed, start, count, project):
     for i in range(n):
         low, v_safe = floor_breach(volatility(x, params), xi)
         breached |= low
-        th_i = theta(v_safe, params)
+        th_i = theta(v_safe, params.premium)
         th_i[breached] = 0.0
         dw[i] = (dw_star[:, i] + th_i * dt).reshape(-1)
         b_next = np.dot(km.entries[i, None, : i + 1], dw[: i + 1]).reshape(count, d)
@@ -1068,7 +1068,7 @@ def _parent_feedback_loop(scenario, km, seed, start, count, project, paired):
             low, v_safe = floor_breach(volatility(x[rn], params), xi)
             breached |= low
             frozen = breached.any()  # breached paths are frozen, and discarded later
-            th_i = theta(v_safe, params)
+            th_i = theta(v_safe, params.premium)
             if frozen:
                 th_i[breached] = 0.0
             dw_i = np.multiply(th_i, dt, out=dw[i].reshape(count, d))
@@ -1103,7 +1103,7 @@ def _parent_weighted_terminal(scenario, xi, dw, states):
     breached, v_safe = floor_breach(v_left, xi)
     log_incr = log_price_increments(v_left, dw, params.drifts, dt)
     with np.errstate(over="ignore", invalid="ignore"):  # breached paths are discarded later
-        log_w = log_weight(theta(v_safe, params), dw, dt)
+        log_w = log_weight(theta(v_safe, params.premium), dw, dt)
         weight = np.exp(log_w)
         terminal = asset_prices(np.sum(log_incr, axis=1), params)
     finite = np.isfinite(log_w) | breached
@@ -1248,6 +1248,101 @@ class TestBlockedWeights:
             for weighted_terminal in (_parent_weighted_terminal, pricing._weighted_terminal):
                 with pytest.raises(FloatingPointError, match=message):
                     weighted_terminal(sc, xi, dw, states)
+
+
+def _parent_theta(v, params, out=None):
+    """`market.theta` as it was before it took the premium array, verbatim."""
+    return np.divide(params.premium, v, out=out)
+
+
+def _parent_block_weighted_terminal(scenario, xi, dw, states):
+    """`pricing._weighted_terminal` as it was before it copied the premium and
+    drifts to a block's full shape and summed steps over a step-major copy,
+    verbatim, with the parent's `theta`."""
+    dt = scenario.grid.dt
+    params = scenario.market
+    count, n, d = dw.shape
+    size = max(1, pricing._WEIGHT_BYTES // (8 * n * d))
+    s_log = np.empty((count, d))
+    log_w = np.empty(count)
+    breached = np.empty(count, dtype=bool)
+    for lo in range(0, count, size):
+        hi = min(lo + size, count)
+        v_left = volatility(np.ascontiguousarray(states[lo:hi]), params)[:, :-1, :]
+        breached[lo:hi], v_safe = floor_breach(v_left, xi[lo:hi])
+        log_incr = log_price_increments(v_left, dw[lo:hi], params.drifts, dt)
+        with np.errstate(over="ignore", invalid="ignore"):  # breached paths are discarded later
+            log_w[lo:hi] = log_weight(_parent_theta(v_safe, params), dw[lo:hi], dt)
+            np.sum(log_incr, axis=1, out=s_log[lo:hi])
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = np.exp(log_w)
+        terminal = asset_prices(s_log, params)
+    finite = np.isfinite(log_w) | breached
+    if np.count_nonzero(finite) < finite.size:
+        raise FloatingPointError(
+            f"log-weight became non-finite (path {int(np.argmin(finite))} of the batch)"
+        )
+    return terminal, weight, breached
+
+
+class TestFullSizeWeights:
+    """`_weighted_terminal` with (n, d) operands and the step-major sum equals
+    the parent's blocked computation byte for byte, over one, two and three
+    assets."""
+
+    VOLS = {1: (0.3,), 2: (0.5, 0.2), 3: (0.5, 0.2, 0.3)}
+    DRIFTS = {1: (0.1,), 2: (0.1, 0.02), 3: (0.1, 0.02, 0.03)}
+
+    def _inputs(self, d, count, steps=64):
+        # random states whose volatility dips below the floor xi / 2 on every
+        # fifth path, at a step of its own
+        sc = constant_vol_scenario(vol=self.VOLS[d], drifts=self.DRIFTS[d], steps=steps)
+        rng = np.random.default_rng(90 + d)
+        xi = rng.uniform(0.3, 0.6, count)
+        states = rng.uniform(0.4, 1.2, (count, steps + 1, d))
+        for p in range(0, count, 5):
+            states[p, rng.integers(steps), :] = 0.05
+        dw = rng.normal(scale=math.sqrt(sc.grid.dt), size=(count, steps, d))
+        return sc, xi, dw, states
+
+    @staticmethod
+    def _assert_equal(got, want):
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("count", [5, 7, 24, 26])
+    def test_equals_parent_weights(self, d, count, monkeypatch):
+        # blocks of 7 paths: one short block, one full one, three full and a
+        # short one of 3, and three full and a short one of 5
+        monkeypatch.setattr(pricing, "_WEIGHT_BYTES", 8 * 64 * d * 7)
+        sc, xi, dw, states = self._inputs(d, count)
+        want = _parent_block_weighted_terminal(sc, xi, dw, states)
+        assert 0 < np.count_nonzero(want[2]) < count
+        step_major = np.ascontiguousarray(states.transpose(1, 0, 2))
+        for layout in (states, step_major.transpose(1, 0, 2)):
+            self._assert_equal(pricing._weighted_terminal(sc, xi, dw, layout), want)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_equals_parent_weights_at_default_blocks(self, d):
+        # 64 steps: blocks of 512, 256 and 170 paths, the last one short
+        count = 2 * pricing._WEIGHT_BYTES // (8 * 64 * d) + 9
+        sc, xi, dw, states = self._inputs(d, count)
+        want = _parent_block_weighted_terminal(sc, xi, dw, states)
+        self._assert_equal(pricing._weighted_terminal(sc, xi, dw, states), want)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_non_finite_names_the_batch_index(self, d, monkeypatch):
+        monkeypatch.setattr(pricing, "_WEIGHT_BYTES", 8 * 64 * d * 7)
+        sc, xi, dw, states = self._inputs(d, 26)
+        bad = 2 * 7 + 3  # in block 2, not breached
+        assert bad % 5
+        dw[bad, 9, d - 1] = np.nan
+        message = rf"log-weight became non-finite \(path {bad} of the batch\)"
+        for weighted_terminal in (_parent_block_weighted_terminal, pricing._weighted_terminal):
+            with pytest.raises(FloatingPointError, match=message):
+                weighted_terminal(sc, xi, dw, states)
 
 
 class TestWeightChecks:

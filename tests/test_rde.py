@@ -17,7 +17,8 @@ from fracvol.coefficients import eval_mu
 from fracvol.pricing import _constraint_data, xi_draws
 from fracvol.rde import check_finite, euler_paths, euler_stepper
 from fracvol.scenario import section4_scenario
-from fracvol.viability import project_into
+from fracvol.viability import face_terms, project_into
+from test_viability import _parent_project_into
 
 
 def zero_coefficients(d=2):
@@ -244,6 +245,106 @@ class TestEulerStepper:
         normals, offsets = _constraint_data(sc, xi)
         excess = np.max(out @ normals.T - offsets[:, None])
         assert excess <= 1e-12 if project else excess > 0.1
+
+
+def _parent_euler_stepper(coeffs: ModelCoefficients, xi, dt: float, project_onto=None):
+    """`rde.euler_stepper` as it was before it copied the drift constant and
+    the diffusion offsets to every path, verbatim, projecting with the
+    parent's `project_into`."""
+    drift_t = np.ascontiguousarray(coeffs.drift_matrix.T)
+    weights_t = np.ascontiguousarray(coeffs.weights.T)
+    drift_shift = np.multiply.outer(xi, coeffs.xi_drift)
+    factor_shift = np.multiply.outer(xi, coeffs.xi_weights)
+
+    def advance(x, db):
+        # eval_mu and eval_sigma term for term, in place in fresh buffers
+        mu = x @ drift_t
+        mu += drift_shift
+        mu += coeffs.drift_const
+        mu *= dt
+        factors = x @ weights_t
+        factors += factor_shift
+        factors += coeffs.offsets
+        factors *= db
+        mu += x
+        mu += factors @ coeffs.directions
+        return mu
+
+    if project_onto is None:
+        return advance
+    normals, offsets = project_onto
+    faces = face_terms(normals)
+    return lambda x, db: _parent_project_into(advance(x, db), normals, offsets, faces)
+
+
+def random_coefficients(d, rng):
+    """An affine family of d dimensions with every term nonzero."""
+    return ModelCoefficients(
+        drift_matrix=rng.normal(scale=0.5, size=(d, d)),
+        xi_drift=rng.normal(size=d),
+        drift_const=rng.normal(size=d),
+        weights=rng.normal(scale=0.5, size=(d, d)),
+        xi_weights=rng.normal(size=d),
+        offsets=rng.normal(size=d),
+        directions=rng.normal(size=(d, d)),
+    )
+
+
+class TestStepperEqualsParent:
+    """`euler_stepper` equals the parent's stepper byte for byte, projected or
+    not, with one xi per path and with the scalar xi of `convergence_probe`."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("project", [False, True])
+    @pytest.mark.parametrize("scalar_xi", [False, True])
+    def test_steps_equal_parent(self, d, project, scalar_xi):
+        rng = np.random.default_rng(60 + d)
+        coeffs, dt, paths = random_coefficients(d, rng), 1 / 16, 50
+        xi = 0.7 if scalar_xi else rng.uniform(0.2, 1.0, paths)
+        constraint = None
+        if project:
+            # faces <h_k, x> >= xi for d + 1 random projections h_k, the
+            # first d anchored on their own coordinate
+            h = np.vstack([np.eye(d) + rng.uniform(0, 0.5, (d, d)), rng.uniform(0.5, 1, d)])
+            base = shifted_polyhedron(h, [*range(d), 0], 1.0)
+            constraint = base.normals, np.multiply.outer(xi, base.offsets)
+        x = rng.uniform(0.5, 2.0, (paths, d))
+        step = euler_stepper(coeffs, xi, dt, constraint)
+        parent = _parent_euler_stepper(coeffs, xi, dt, constraint)
+        for _ in range(12):
+            db = rng.normal(scale=0.6, size=(paths, d))
+            want = parent(x, db)
+            got = step(x, db)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            x = want
+
+    def test_non_finite_state_names_its_step_and_path(self):
+        # from U0 = 1e308 the drift U0 + xi * c overflows at the first step
+        # exactly on the path of the largest xi, which is not the first path
+        d, paths = 3, 40
+        xi = np.random.default_rng(7).uniform(0.2, 1.0, paths)
+        top, second = np.sort(xi)[-2:][::-1]
+        bad = int(np.argmax(xi))
+        assert bad > 0
+        c = (np.finfo(float).max - 1e308) / (0.5 * (top + second))
+        coeffs = ModelCoefficients(
+            drift_matrix=np.diag([1.0, 0.0, 0.0]),
+            xi_drift=np.array([c, 0.0, 0.0]),
+            drift_const=np.array([0.0, 0.5, -0.5]),
+            weights=np.zeros((d, d)),
+            xi_weights=np.zeros(d),
+            offsets=np.array([0.1, 0.2, 0.3]),
+            directions=np.eye(d),
+        )
+        initial, db = np.array([1e308, 0.0, 0.0]), np.zeros((paths, 4, d))
+        message = rf"state became non-finite at step 1 \(path {bad} of the batch\)"
+        with pytest.raises(FloatingPointError, match=message):
+            euler_paths(coeffs, xi, db, initial, 0.125)
+        parent = _parent_euler_stepper(coeffs, xi, 0.125)
+        x = np.tile(initial, (paths, 1))
+        with pytest.raises(FloatingPointError, match=message):
+            with np.errstate(over="ignore", invalid="ignore"):
+                check_finite(parent(x, db[:, 0]), 1)
 
 
 class TestProjectPolyhedron:

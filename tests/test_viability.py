@@ -296,6 +296,53 @@ class TestProjection:
             assert np.allclose(project_into(x, normals, row_offsets), p, rtol=0.0, atol=tol)
 
 
+def _parent_project_into(
+    x: np.ndarray, normals: np.ndarray, offsets: np.ndarray, faces: tuple | None = None
+) -> np.ndarray:
+    """`viability.project_into` as it was before it wrote the step into the
+    product's buffer and the face test into the excess array, verbatim."""
+    x = np.asarray(x, dtype=float)
+    normals_t, sq_norms, face_ones = viability.face_terms(normals) if faces is None else faces
+    excess = x @ normals_t
+    excess -= offsets
+    np.maximum(excess, 0.0, out=excess)
+    if not np.count_nonzero(excess):  # counts NaN, as .any() would
+        return x
+    touched = excess > 0.0
+    excess /= sq_norms
+    y = x - excess @ normals
+    touched |= y @ normals_t > offsets
+    corner = touched.view(np.uint8) @ face_ones > 1
+    if np.count_nonzero(corner):
+        offsets = np.broadcast_to(offsets, excess.shape)
+        y[corner] = viability._project_by_active_sets(x[corner], normals, offsets[corner])
+    return y
+
+
+class TestProjectionEqualsParent:
+    """`project_into` equals the parent's projection byte for byte."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("per_point", [False, True])
+    def test_random_faces_and_points(self, d, per_point):
+        # d + 1 random faces with the origin inside, points near and far,
+        # some outside one face and some at corners; a NaN row included
+        rng = np.random.default_rng(40 + d)
+        for _ in range(20):
+            normals = rng.integers(-3, 4, size=(d + 1, d)).astype(float)
+            normals[~normals.any(axis=1), 0] = 1.0
+            offsets = rng.uniform(0.1, 2.0, d + 1)
+            pts = rng.normal(scale=rng.choice([0.5, 3.0]), size=(64, d))
+            pts[5] = np.nan
+            if per_point:
+                offsets = offsets * rng.uniform(0.5, 2.0, (64, 1))
+            faces = viability.face_terms(normals)
+            for given in (None, faces):
+                want = _parent_project_into(pts, normals, offsets, given)
+                got = project_into(pts, normals, offsets, given)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestChebyshevCenter:
     def test_interior_margin_positive(self):
         poly = reference_set(0.5)
