@@ -256,6 +256,33 @@ class TestEstimatorCoupling:
         assert all(a >= b for a, b in zip(prices, prices[1:]))
 
 
+class TestPutCallParity:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: the discounted price has an explosive second moment, "
+        "so the plain call estimate sits 7-9 of its standard errors below "
+        "put-call parity",
+    )
+    def test_call_matches_put_plus_forward_at_c10(self):
+        # e^{-rT} S_T is a martingale under both estimators' measures, so
+        # Call(K) = Put(K) + S0 - K e^{-rT} holds exactly; on the c10
+        # configuration the calls came out 8.95 (physical) and 6.75
+        # (risk-neutral) of their standard errors below it
+        sc = section4_scenario(steps=2**8, seed=21)
+        mc = MCConfig(paths=50_000, seed=21)
+        strike = 1.0
+        forward = sc.market.initial_prices[0] - strike * math.exp(
+            -sc.market.rate * sc.grid.horizon
+        )
+        calls = price_both(Call(0, strike), sc, mc)
+        puts = price_both(Put(0, strike), sc, mc)
+        gaps = [
+            (call.estimate - (put.estimate + forward)) / call.stderr
+            for call, put in zip(calls, puts)
+        ]
+        assert all(abs(gap) <= 3.0 for gap in gaps), gaps
+
+
 class TestRunMechanics:
     def test_deterministic_results(self):
         sc = constant_vol_scenario()
