@@ -58,9 +58,12 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
 def _simulate_to(out: Path, scenario: Scenario, paths: int, project: bool):
     """Simulate `paths` paths into one out/sim_pathNNN.csv each: time, state,
     volatility, prices and margin.  Returns the paths and the report's lists
-    of them; an `out` that names a file fails before any path is drawn."""
-    if out.exists() and not out.is_dir():
-        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(out))
+    of them.  An `out` that names a file, or lies below one, fails before any
+    path is drawn, with the error `mkdir` would raise."""
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        code = errno.EEXIST if existing == out else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), str(out))
     results = simulate_scenario_paths(scenario, paths, project=project)
     out.mkdir(parents=True, exist_ok=True)
     header = ["t"] + [f"{c}{k + 1}" for c in "uvs" for k in range(scenario.dims)] + ["margin"]

@@ -1,6 +1,8 @@
 import dataclasses
+import errno
 import json
 import math
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -576,8 +578,11 @@ def test_out_naming_a_file_fails_before_simulating(tmp_path, capsys, monkeypatch
         "simulate": ["simulate", write_scenario(tmp_path, section4_scenario(steps=8))],
         "reproduce-section4": ["reproduce-section4", "--steps", "8"],
     }[command]
-    assert main([*argv, "--paths", "1", "--out", str(taken)]) == 2
-    assert capsys.readouterr().err.startswith("error: [Errno 17] File exists")
+    # an --out below the file failed only at mkdir, after the simulation
+    for out, code in ((taken, errno.EEXIST), (taken / "sub", errno.ENOTDIR)):
+        assert main([*argv, "--paths", "1", "--out", str(out)]) == 2
+        want = f"error: [Errno {code}] {os.strerror(code)}: '{out}'"
+        assert capsys.readouterr().err.startswith(want)
     assert calls == []
     assert taken.read_text() == ""
 
