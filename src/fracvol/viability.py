@@ -62,8 +62,11 @@ class Polyhedron:
             raise ValueError("a polyhedron needs at least one face")
         if not np.all(np.any(normals != 0, axis=1)):
             raise ValueError("every face normal must be nonzero")
-        offsets = np.einsum("kd,kd->k", normals, anchors)
+        with np.errstate(over="ignore", invalid="ignore"):
+            offsets = np.einsum("kd,kd->k", normals, anchors)
         for name, array in (("normals", normals), ("anchors", anchors), ("offsets", offsets)):
+            if not np.all(np.isfinite(array)):
+                raise ValueError(f"{name} contains non-finite entries")
             array.setflags(write=False)
             object.__setattr__(self, name, array)
 
@@ -79,6 +82,8 @@ def shifted_polyhedron(projections, anchor_indices, xi: float) -> Polyhedron:
     projections <h_k, x> are nonnegative; positive xi shifts each face so that
     <h_k, x> >= xi instead.
     """
+    if not np.isfinite(xi):
+        raise ValueError(f"xi must be finite, got {xi}")
     h = np.atleast_2d(np.asarray(projections, dtype=float))
     indices = list(anchor_indices)
     for i in indices:

@@ -94,6 +94,12 @@ class TestShiftedPolyhedron:
         got = (poly.normals, poly.anchors, poly.offsets)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
 
+    @pytest.mark.parametrize("xi", [np.nan, np.inf])
+    def test_non_finite_shift_rejected(self, xi):
+        # its anchors would be non-finite, which `Polyhedron` rejects less clearly
+        with pytest.raises(ValueError, match="xi must be finite"):
+            reference_set(xi)
+
     def test_arrays_are_read_only_copies(self):
         normals, anchors = np.array([[-1.0, 0.0]]), np.array([[0.5, 0.0]])
         poly = Polyhedron(normals, anchors)
@@ -110,6 +116,12 @@ class TestShiftedPolyhedron:
             ([1.0, 0.0], [0.0, 0.0], "need one 2-D shape"),
             ([[1.0, 0.0]], [[0.0, 0.0, 0.0]], "need one 2-D shape"),
             ([[1.0, 0.0], [0.0, 0.0]], np.zeros((2, 2)), "normal must be nonzero"),
+            ([[np.nan, 0.0], [0.0, -1.0]], np.zeros((2, 2)), "normals contains non-finite"),
+            ([[np.inf, 0.0], [0.0, -1.0]], np.zeros((2, 2)), "normals contains non-finite"),
+            ([[1.0, 0.0], [0.0, -1.0]], [[np.inf, 0.0], [0.0, 0.0]], "anchors contains non-finite"),
+            ([[1.0, 0.0], [0.0, -1.0]], [[0.0, np.nan], [0.0, 0.0]], "anchors contains non-finite"),
+            # finite normals and anchors whose products overflow
+            ([[1e200, 0.0], [0.0, -1.0]], [[1e200, 0.0], [0.0, 0.0]], "offsets contains non-finite"),
         ],
     )
     def test_invalid_arrays_rejected(self, normals, anchors, message):
