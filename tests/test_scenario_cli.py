@@ -300,6 +300,14 @@ class TestCheckViabilityCommand:
         assert main(["check-viability", path, *option]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
+    def test_box_missing_the_set_is_usage_error(self, tmp_path, capsys):
+        # the box [-5, -4]^2 lies where every volatility is negative
+        path = write_scenario(tmp_path, section4_scenario(steps=16))
+        assert main(["check-viability", path, "--box", "-5", "-4"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: polyhedron has no interior point inside the box; widen the box"
+        )
+
     def test_samples_option_is_gone(self, tmp_path, capsys):
         # the checker scores polytope vertices only, so there is nothing to sample
         path = write_scenario(tmp_path, section4_scenario(steps=16))

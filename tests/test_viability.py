@@ -413,10 +413,19 @@ class TestConditionChecker:
         assert {f.status for f in report.faces} == {"unsampled"}
 
     def test_empty_interior_rejected(self):
+        coeffs = section4_scenario(steps=8).coefficients
+        message = "no interior point inside the box"
         sliver = Polyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.zeros((2, 2)))
         with pytest.raises(ValueError, match="interior"):
+            check_viability_conditions(coeffs, sliver, 0.0, box=BOX)
+        # x_0 <= -1 and x_0 >= 1: no point at all
+        empty = Polyhedron([[1.0, 0.0], [-1.0, 0.0]], [[-1.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match=message):
+            check_viability_conditions(coeffs, empty, 0.0, box=BOX)
+        # a nonempty set and a box that lies wholly outside it
+        with pytest.raises(ValueError, match=message):
             check_viability_conditions(
-                section4_scenario(steps=8).coefficients, sliver, 0.0, box=BOX
+                coeffs, reference_set(0.5), 0.5, box=([-5.0, -5.0], [-4.0, -4.0])
             )
 
     def test_invalid_mode_rejected(self):
