@@ -49,7 +49,6 @@ from .scenario import (
 from .viability import (
     ConditionReport,
     Polyhedron,
-    chebyshev_center,
     check_viability_conditions,
     contains,
     default_box,

@@ -21,7 +21,10 @@ and relies on the per-step projection onto the set to keep paths inside.
 The coefficient family is affine in the state, so the conditions are too,
 and a face passes everywhere on its box-clipped polytope iff it passes at the
 polytope's vertices.  The checker enumerates those vertices and scores them
-and nothing else: the verdict is exact, and no sampling is involved.
+and nothing else: the verdict is exact, and no sampling is involved.  It
+first certifies, from the vertices of the box-clipped set itself, that the
+set has an interior point: their centroid must lie strictly inside every
+face and box side.
 
 `project_into` is the exact Euclidean projection onto such a set, which pricing
 applies after every Euler step: a closed-form step for points outside one
@@ -36,7 +39,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .coefficients import ModelCoefficients, eval_mu, eval_sigma
 from .grids import is_integer
@@ -221,28 +223,6 @@ def _project_by_active_sets(x: np.ndarray, normals: np.ndarray, offsets: np.ndar
     return best
 
 
-def chebyshev_center(poly: Polyhedron, box) -> tuple[np.ndarray, float]:
-    """Point of maximum margin inside the polyhedron restricted to the box.
-
-    Solved as a linear program over (x, r): maximize r subject to
-    <v_k, x> + r |v_k| <= offset_k and the box inflated inward by r.
-    """
-    box_normals, box_offsets = _box_inequalities(*_box_arrays(box, poly.dims))
-    normals = np.vstack([poly.normals, box_normals])
-    cost = np.zeros(poly.dims + 1)
-    cost[-1] = -1.0
-    res = linprog(
-        cost,
-        A_ub=np.column_stack([normals, np.linalg.norm(normals, axis=1)]),
-        b_ub=np.concatenate([poly.offsets, box_offsets]),
-        bounds=[(None, None)] * (poly.dims + 1),
-        method="highs",
-    )
-    if not res.success:
-        raise ValueError(f"margin maximization failed: {res.message}")
-    return res.x[:-1], float(res.x[-1])
-
-
 def _box_arrays(box, dims: int) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = box
     lo = np.broadcast_to(np.asarray(lo, dtype=float), (dims,)).copy()
@@ -338,22 +318,27 @@ def _box_inequalities(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _polytope_vertices(
-    eq_normal: np.ndarray,
-    eq_offset: float,
+    eq_normals: np.ndarray,
+    eq_offsets,
     ineq_normals: np.ndarray,
     ineq_offsets: np.ndarray,
     scale: float,
 ) -> list[np.ndarray]:
-    """Vertices of {x : <eq_normal, x> = eq_offset, ineq <= offsets}, by brute
-    enumeration of active inequality subsets.  Fine for low dimensions."""
-    d = eq_normal.size
+    """Vertices of {x : eq_normals @ x = eq_offsets, ineq_normals @ x <= ineq_offsets},
+    by brute enumeration of active inequality subsets.  Fine for low dimensions.
+
+    `eq_normals` is one equation's (d,) normal, or (e, d) for e equations; with
+    e = 0 these are the vertices of the polytope the inequalities bound."""
+    eq_normals = np.atleast_2d(eq_normals)
+    eq_offsets = np.atleast_1d(eq_offsets)
+    d = eq_normals.shape[1]
     m = ineq_normals.shape[0]
     tol = _GEOM_TOL * scale
     found: list[np.ndarray] = []
     seen: set[tuple] = set()
-    for combo in itertools.combinations(range(m), d - 1):
-        rows = np.vstack([eq_normal[None, :], ineq_normals[list(combo)]])
-        rhs = np.concatenate([[eq_offset], ineq_offsets[list(combo)]])
+    for combo in itertools.combinations(range(m), d - eq_normals.shape[0]):
+        rows = np.vstack([eq_normals, ineq_normals[list(combo)]])
+        rhs = np.concatenate([eq_offsets, ineq_offsets[list(combo)]])
         if abs(np.linalg.det(rows)) <= tol:
             continue
         x = np.linalg.solve(rows, rhs)
@@ -364,6 +349,26 @@ def _polytope_vertices(
             seen.add(key)
             found.append(x)
     return found
+
+
+def _has_interior(normals: np.ndarray, offsets: np.ndarray, scale: float) -> bool:
+    """Whether the polytope {x : normals @ x <= offsets} has an interior point.
+
+    The faces are normalised, and the polytope's vertices enumerated.  A
+    bounded convex set has an interior exactly when its vertices span it, and
+    then their centroid is interior, so the test is that the centroid has
+    slack above `_GEOM_TOL * scale` on every face.  An empty set has no
+    vertex, and a flat one puts the centroid on a face.
+    """
+    norms = np.sqrt(np.einsum("kd,kd->k", normals, normals))
+    normals = normals / norms[:, None]
+    offsets = offsets / norms
+    empty = np.empty((0, normals.shape[1]))
+    vertices = _polytope_vertices(empty, empty[:, 0], normals, offsets, scale)
+    if not vertices:
+        return False
+    center = np.mean(vertices, axis=0)
+    return bool(np.min(offsets - normals @ center) > _GEOM_TOL * scale)
 
 
 def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -404,13 +409,16 @@ def check_viability_conditions(
     if box is None:
         box = default_box(poly, xi)
     lo, hi = _box_arrays(box, poly.dims)
-    _, margin = chebyshev_center(poly, (lo, hi))
-    if margin <= 0:
+    box_normals, box_offsets = _box_inequalities(lo, hi)
+    scale = float(np.max(np.abs(np.concatenate([lo, hi]))) + 1.0)
+    if not _has_interior(
+        np.vstack([poly.normals, box_normals]),
+        np.concatenate([poly.offsets, box_offsets]),
+        scale,
+    ):
         raise ValueError(
             "polyhedron has no interior point inside the box; widen the box"
         )
-    box_normals, box_offsets = _box_inequalities(lo, hi)
-    scale = float(np.max(np.abs(np.concatenate([lo, hi]))) + 1.0)
     report = ConditionReport(
         mode=mode, xi=float(xi), tol=float(tol), exact_for_affine=True
     )

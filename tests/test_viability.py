@@ -3,11 +3,10 @@ import logging
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import nnls
+from scipy.optimize import linprog, nnls
 
 from fracvol import (
     Polyhedron,
-    chebyshev_center,
     check_viability_conditions,
     contains,
     normal_cone_generators,
@@ -355,12 +354,86 @@ class TestProjectionEqualsParent:
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-class TestChebyshevCenter:
-    def test_interior_margin_positive(self):
-        poly = reference_set(0.5)
-        center, margin = chebyshev_center(poly, ([-1.0, -4.0], [5.0, 4.0]))
-        assert margin > 0
-        assert slack(poly, center) >= margin - 1e-9
+# The linear program `viability` once solved to find an interior point,
+# verbatim but for its `viability.` prefixes: the oracle the vertex
+# certificate of `check_viability_conditions` is tested against.
+def chebyshev_center(poly: Polyhedron, box) -> tuple[np.ndarray, float]:
+    """Point of maximum margin inside the polyhedron restricted to the box.
+
+    Solved as a linear program over (x, r): maximize r subject to
+    <v_k, x> + r |v_k| <= offset_k and the box inflated inward by r.
+    """
+    box_normals, box_offsets = viability._box_inequalities(*viability._box_arrays(box, poly.dims))
+    normals = np.vstack([poly.normals, box_normals])
+    cost = np.zeros(poly.dims + 1)
+    cost[-1] = -1.0
+    res = linprog(
+        cost,
+        A_ub=np.column_stack([normals, np.linalg.norm(normals, axis=1)]),
+        b_ub=np.concatenate([poly.offsets, box_offsets]),
+        bounds=[(None, None)] * (poly.dims + 1),
+        method="highs",
+    )
+    if not res.success:
+        raise ValueError(f"margin maximization failed: {res.message}")
+    return res.x[:-1], float(res.x[-1])
+
+
+@st.composite
+def polytopes_in_boxes(draw):
+    """(polyhedron, box): 1-4 integer faces in 1-3 dimensions and a box.  The
+    offsets are random, so some sets are empty or miss the box; a face may be
+    repeated reversed at a gap of 0 (a flat set), about 1e-7 or 1e-3 (a thin
+    one), or -1e-3 (an empty one)."""
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
+    rows = st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any)
+    normals = np.array(draw(st.lists(rows, min_size=m, max_size=m)), dtype=float)
+    offsets = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m)))
+    gap = draw(st.sampled_from([None, 0.0, 1e-7, 3e-7, 1e-3, -1e-3]))
+    if gap is not None and m < 4:
+        normals = np.vstack([normals, -normals[:1]])
+        offsets = np.append(offsets, gap * np.linalg.norm(normals[0]) - offsets[0])
+    anchors = offsets[:, None] * normals / np.einsum("kd,kd->k", normals, normals)[:, None]
+    lo = draw(st.floats(-4.0, 1.0))
+    width = draw(st.floats(0.5, 5.0))
+    return Polyhedron(normals, anchors), (np.full(d, lo), np.full(d, lo + width))
+
+
+def _still_field(d: int) -> ModelCoefficients:
+    """Zero drift and a constant diffusion in d dimensions."""
+    zeros = np.zeros((d, d))
+    return ModelCoefficients(zeros, zeros[0], zeros[0], zeros, zeros[0], np.ones(d), np.eye(d))
+
+
+class TestInteriorCertificate:
+    """`check_viability_conditions` finds an interior point exactly where the
+    linear program does, wherever the LP's margin is clear of zero."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(polytopes_in_boxes())
+    def test_agrees_with_linear_program(self, case):
+        poly, box = case
+        coeffs = _still_field(poly.dims)
+        scale = float(np.max(np.abs(np.concatenate(box))) + 1.0)
+        _, margin = chebyshev_center(poly, box)
+        if abs(margin) <= 1e-6 * scale:
+            return
+        if margin > 0:  # a face may miss the box, so the report need not pass
+            check_viability_conditions(coeffs, poly, 0.0, box=box)
+        else:
+            with pytest.raises(ValueError, match="no interior point inside the box"):
+                check_viability_conditions(coeffs, poly, 0.0, box=box)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_flat_sets_rejected(self, d):
+        # a slab of width 0 through the box's middle, along each axis
+        coeffs = _still_field(d)
+        for axis in range(d):
+            normal = np.eye(d)[axis]
+            poly = Polyhedron([normal, -normal], np.zeros((2, d)))
+            with pytest.raises(ValueError, match="no interior point inside the box"):
+                check_viability_conditions(coeffs, poly, 0.0, box=(-np.ones(d), np.ones(d)))
 
 
 BOX = ([-1.0, -3.0], [4.0, 3.0])
@@ -495,7 +568,7 @@ def _loop_checker(
     if box is None:
         box = viability.default_box(poly, xi)
     lo, hi = viability._box_arrays(box, poly.dims)
-    _, margin = viability.chebyshev_center(poly, (lo, hi))
+    _, margin = chebyshev_center(poly, (lo, hi))
     if margin <= 0:
         raise ValueError(
             "polyhedron has no interior point inside the box; widen the box"
