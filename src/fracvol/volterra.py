@@ -134,22 +134,26 @@ def _physical_memory_bytes() -> int | None:
     return memory if memory > 0 else None
 
 
-@lru_cache(maxsize=1)
-def _tanh_sinh_unit() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@lru_cache(maxsize=4)
+def _tanh_sinh_unit(step: float = 0.08) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Double-exponential nodes, exact complements, and weights on (0, 1).
 
     The variable change x = (1 + tanh(pi/2 sinh(tau)))/2 pushes both endpoints
     infinitely far away, so algebraic edge singularities of any (integrable)
     order are integrated at near-spectral accuracy with a fixed rule.  The
     complements 1 - x are the reversed nodes (the rule is symmetric), which
-    keeps them exact down to 1e-23 instead of rounding to zero.
+    keeps them exact down to 1e-23 instead of rounding to zero.  The nodes
+    are tau = k * step for |tau| <= 3.2; halving a step that divides 3.2
+    keeps every node of the coarser rule, bit for bit.  The kernel's cells
+    use step 0.08.
     """
-    step = 0.08
-    tau = np.arange(-40, 41) * step
+    reach = round(3.2 / step)
+    tau = np.arange(-reach, reach + 1) * step
     arg = 0.5 * np.pi * np.sinh(tau)
     x = 0.5 * (1.0 + np.tanh(arg))
     weight = step * 0.25 * np.pi * np.cosh(tau) / np.cosh(arg) ** 2
     keep = (x > 0.0) & (x < 1.0) & (x[::-1] > 0.0) & (weight > 0.0)
+    keep &= keep[::-1]  # nodes round to 1 sooner than to 0 at some steps
     return x[keep], x[keep][::-1], weight[keep]
 
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -13,6 +14,7 @@ from fracvol import (
     xi_inverse_cdf,
     xi_normalizer,
 )
+from fracvol import coefficients
 from fracvol.pricing import xi_draws
 from fracvol.scenario import section4_scenario
 
@@ -41,6 +43,53 @@ class TestNormalizer:
     def test_parameter_domain(self, args):
         with pytest.raises(ValueError):
             xi_normalizer(*args)
+
+
+def _reference_integral(exponent: int, scale: float, cutoff: float) -> mpmath.mpf:
+    """The integral of exp(-scale / x^exponent) over (0, cutoff] at 40 digits:
+    u = scale / x^exponent turns it into scale^(1/p) / p * Gamma(-1/p, scale / cutoff^p)."""
+    with mpmath.workdps(40):
+        p, s, c = mpmath.mpf(exponent), mpmath.mpf(scale), mpmath.mpf(cutoff)
+        return s ** (1 / p) / p * mpmath.gammainc(-1 / p, s / c**p)
+
+
+class TestNormalizerAgainstReference:
+    @pytest.mark.parametrize("args", [(3, 1.0, 1.0), (2, 0.1, 0.5), (6, 10.0, 4.0)])
+    def test_reference_is_the_integral(self, args):
+        # the closed form against mpmath's own quadrature, on the presets
+        with mpmath.workdps(40):
+            direct = mpmath.quad(
+                lambda x: mpmath.exp(-args[1] / x ** args[0]), mpmath.linspace(0, args[2], 9)
+            )
+            assert abs(direct / _reference_integral(*args) - 1) < mpmath.mpf(10) ** -30
+
+    @pytest.mark.parametrize("exponent", [2, 3, 4, 5, 6])
+    def test_within_epsrel_of_reference(self, exponent):
+        # 1e-12 is the relative accuracy the normaliser was always asked for;
+        # the grid includes the presets' (3, 1, 1), (2, 0.1, 0.5) and (6, 10, 4)
+        for scale in (1e-9, 1e-6, 1e-3, 0.1, 1.0, 5.0, 10.0, 30.0):
+            for cutoff in (0.5, 1.0, 2.0, 3.0, 4.0):
+                integral = _reference_integral(exponent, scale, cutoff)
+                if integral < 1e-300:  # the integrand underflows
+                    with pytest.raises(ArithmeticError, match="did not converge"):
+                        xi_normalizer(exponent, scale, cutoff)
+                    continue
+                got = xi_normalizer(exponent, scale, cutoff)
+                assert abs(got * integral - 1) <= 1e-12, (exponent, scale, cutoff)
+
+    @pytest.mark.parametrize("exponent", [8, 16, 40])
+    def test_sharp_rise_inside_the_interval(self, exponent):
+        # exp(-scale / x^p) rises from 0 to nearly 1 within about x/p of the
+        # knot scale^(1/p), far inside (0, cutoff] for small scales
+        for scale in (1e-9, 1e-3, 1.0):
+            integral = _reference_integral(exponent, scale, 10.0)
+            assert abs(xi_normalizer(exponent, scale, 10.0) * integral - 1) <= 1e-12
+
+    def test_disagreeing_rules_are_reported(self, monkeypatch):
+        # a rule too coarse for the integrand leaves the two sums apart
+        monkeypatch.setattr(coefficients, "_tanh_sinh_integral", lambda p, s, c, h: 1.0 + h)
+        with pytest.raises(ArithmeticError, match="normalizing quadrature did not converge"):
+            xi_normalizer(3, 1.0, 1.0)
 
 
 class TestSingularLaw:

@@ -251,13 +251,13 @@ CASES = (
 )
 
 GOLDEN = {
-    "terminal/worked/projected": "e22cfead350f77423d4d18469504ba949a7408552d8fd45564ac6baa2b978dba",
-    "terminal/worked/free": "672171c18e18de81945a89954f7dbb9643e5684a3db962b203b9a3169ece3264",
+    "terminal/worked/projected": "cc1b50292f5d046265861123f7c2f15cd183774c7dc94f6f054080d6711aeb8b",
+    "terminal/worked/free": "a170920818505f144b8952f44720be8ca33968b427e2345c3b0fcaab93710862",
     "terminal/constant/projected": "77907a2f23639cba1a87eb1d1951cd2be2a6c39dae73965f39fec76aa8304310",
     "terminal/constant/free": "77907a2f23639cba1a87eb1d1951cd2be2a6c39dae73965f39fec76aa8304310",
-    "physical/worked/projected/call0": "2181171178426fb13a761355968e0b22f5002d32900995a1fcfdd61f27aa3523",
+    "physical/worked/projected/call0": "9a232e86b8375095a46014f03b1b587831482d88d7c0c89506eb4054c5ce8a4b",
     "physical/worked/projected/put1": "f4b0b341e7abd8990812d72333dcc809a42bdc10fc1c630cbcbf9eeb647ef132",
-    "physical/worked/projected/basket": "2176342bc9ac49f6593177840a3cce462e2a8c9763682a222c7f84ce986db880",
+    "physical/worked/projected/basket": "267abfb346ec4f8aa4f9cec2365ab3e463cc2b6aef3dc65abe6071c0034b54d9",
     "physical/worked/free/call0": "8af817c8506316c3cbd917746fcd8cec03d9969cdddafe2792a604838f37772a",
     "physical/worked/free/put1": "8af817c8506316c3cbd917746fcd8cec03d9969cdddafe2792a604838f37772a",
     "physical/worked/free/basket": "8af817c8506316c3cbd917746fcd8cec03d9969cdddafe2792a604838f37772a",
@@ -287,8 +287,8 @@ GOLDEN = {
     "assets/three/both/call0": "d13947a51c1af5a4cd905a2f4f7cbe278f824ca496f57cc1f78823066df828ca",
     "assets/three/both/putlast": "314e325306fde17a214d5f3132254bc1230ddd2c459bea93f32e0dfd68a80933",
     "assets/three/both/basket": "42f3212dc093778943495426f5f46d2bcbe7345003defd445d78d859cb924a54",
-    "simulate/worked/projected": "b29645aefda5f24733119cd0672a234d8d8a3a99c603ed8b11e575c69958afdd",
-    "simulate/worked/free": "ad5d37356be4de8d930b73953de600f83e0e0efaab50b41b9d577aa66e0b594e",
+    "simulate/worked/projected": "aa32acd9ca71fa16110f536978df462bdf99e5949058a13b7eea8b78c7479efc",
+    "simulate/worked/free": "dd973e1a12787153c5b798a0e7687aec9173f439d164ceda79919a2fd066df23",
     "simulate/constant/projected": "34827b74c676c3121fc22c2b0e291558c0ee8d0949a3e86f1feec6c56cc9434b",
     "simulate/constant/free": "34827b74c676c3121fc22c2b0e291558c0ee8d0949a3e86f1feec6c56cc9434b",
     "kernel/0.3": "04b323473e9d207d7442f0df6c19768e5670a5351aaf4e9886fe70cfc226584d",
@@ -302,7 +302,7 @@ GOLDEN = {
     "euler/projected": "7766163e41faecb95eab5c5595b0938e5cbec9ea8247b63b9c15a997b2354adb",
     "transform/0.7": "0fea144a0bce1d1d9e3a313f95dcfe7f5879319fa8e4c5d82d6812b5113a9e55",
     "probe/4": "0d76ced5486cb97ad26bc1aab7989b440ae7c49340bb1cd5e667d3d0ab2fa39d",
-    "xi/singular": "44210c8fcd0f87eae1843369ca605de99b0edfa388e2f2497641a1c80b634520",
+    "xi/singular": "4052d1f04225fc6b8c8e19faa929c1ace7b736c2c431b7a7c740a0799facf841",
     "rng/2048x16": "eebda2aa9b538c9d3c4826a349a77addf3c73a9e53b511e0947af5cdc93e1aea",
     "rng/256x1": "4e8830fe4ea63eea255c49d0623e5cdbae9e7e943c3973064172272df259ece1",
     "rng/512x256": "ac530f25783ae99debc7a1913fc5dcce8f2888ae5e9d37a09f1f119d682979b2",
@@ -319,8 +319,8 @@ GOLDEN = {
     "checker/constant/cone/256/0.1": "c4250b29a116aecdd9d841ecc5b715789f3c833d3f37ba07782c99ea2d66f987",
     "checker/constant/hyperplane/64/0.1": "0ef1d0b4f4c968346f088a3cd2c3676b89f24d8973fa2646f94463067f4726b4",
     "checker/constant/hyperplane/256/0.1": "0ef1d0b4f4c968346f088a3cd2c3676b89f24d8973fa2646f94463067f4726b4",
-    "bundle/reproduce-section4": "4eae6fce35b02f1ac7977d3e07fa00e3ab6bbfac95e11c5a5bdb706027755eed",
-    "bundle/simulate-project": "9e86f9e233282c261dc66374a84ab73e41b1860f604fe9c277675acce6d31c4c",
+    "bundle/reproduce-section4": "716ace99ee659ee608e2b6a51dbd2532307e7b696e3a6d7da213a059848faa69",
+    "bundle/simulate-project": "f7afd200ff2334896fa6f1aa31c49d04e51fac05bf2b07627583f4cf4f0893ec",
 }
 
 
