@@ -315,10 +315,11 @@ def _feedback_loop(scenario, km, xi, dw_star, project, measures):
     running sum one step after another, the order of a per-step `s_log += ...`.
     The physical weights are computed from the states after the loop.
 
-    Per-step arrays are step-major and contiguous: a block's shifted
-    increments are copied once into a (steps, paths, d) buffer, the physical
-    driver increments and states are (n, paths, d) and (n + 1, paths, d), and
-    the volatility is written straight into its history row.
+    Per-step arrays are step-major: a block's shifted increments are read
+    through a (steps, paths, d) view of the draws, which holds no buffer of
+    its own; the physical driver increments and states are (n, paths, d) and
+    (n + 1, paths, d), and the volatility is written straight into its
+    history row.
     """
     n, d, dt = scenario.grid.steps, scenario.dims, scenario.grid.dt
     params = scenario.market
@@ -344,7 +345,6 @@ def _feedback_loop(scenario, km, xi, dw_star, project, measures):
     if riskneutral:
         b_prev = np.zeros((count, d))
         v_history = np.empty((span, count, d))  # floored volatility of a block of steps
-        dw_block = np.empty((span, count, d))  # shifted increments of a block of steps
         # the floor at the volatility's full shape: a (count, 1) floor makes
         # numpy compare d elements at a time
         floor = np.broadcast_to(vol_floor(xi, 2), (count, d)).copy()
@@ -355,7 +355,7 @@ def _feedback_loop(scenario, km, xi, dw_star, project, measures):
         for lo in range(0, n, span):
             hi = min(lo + span, n)
             if riskneutral:
-                np.copyto(dw_block[: hi - lo], dw_star[:, lo:hi].transpose(1, 0, 2))
+                dw_block = dw_star[:, lo:hi].transpose(1, 0, 2)  # a step-major view
             for i in range(lo, hi):
                 if riskneutral:
                     v = volatility(x[rn], params, out=v_history[i - lo])
@@ -379,18 +379,16 @@ def _feedback_loop(scenario, km, xi, dw_star, project, measures):
                 check_finite(x, i + 1)
             if riskneutral:
                 # (steps, paths, d), so the sum over steps adds them one by one
-                block = log_price_increments(
-                    v_history[: hi - lo], dw_block[: hi - lo], params.rate, dt
-                )
+                block = log_price_increments(v_history[: hi - lo], dw_block, params.rate, dt)
                 block[0] += s_log
                 np.add.reduce(block, axis=0, out=s_log)
                 del block
     outputs = {}
     if riskneutral:
+        del dw, dw_i, db_step  # dw_i and db_step are views of dw and db
         with np.errstate(over="ignore"):  # breached paths may overflow; discarded later
             terminal = asset_prices(s_log, params)
         outputs["riskneutral"] = terminal, np.ones(count), breached
-        del dw, dw_i, db_step  # dw_i and db_step are views of dw and db
     if physical:
         del db, db_physical  # before the weight computation's temporaries
         states[n] = x[:count]

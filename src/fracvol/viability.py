@@ -143,10 +143,10 @@ def face_terms(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     `project_into` reuses on every call; numpy multiplies by the transposed
     view itself 1.5-3x slower, with the same bits.  The count is a uint8
     matmul, about half the time of a bool sum over the short face axis; it
-    cannot wrap with under 256 faces.  The norms stay (faces,), although
-    numpy divides (points, faces) by them faces elements at a time: a copy for
-    every point would be one more batch-sized array that the Euler loop holds
-    through every step."""
+    cannot wrap with under 256 faces.  numpy divides (points, faces) by
+    (faces,) norms faces elements at a time, 3-4x slower than by norms copied
+    to every point, with the same bits; `rde.euler_stepper` passes such a copy
+    (see `project_into`)."""
     ones = np.ones(normals.shape[0], np.uint8 if normals.shape[0] < 256 else np.intp)
     return np.ascontiguousarray(normals.T), np.einsum("kd,kd->k", normals, normals), ones
 
@@ -164,7 +164,8 @@ def project_into(
     returned unchanged; a point keeps the rounding excess (about one ulp) of
     the face it was moved onto.  Raises ValueError when no active set satisfies
     the KKT conditions, which means the set is empty.  A caller that projects
-    onto the same faces many times may pass their `face_terms` once computed.
+    onto the same faces many times may pass their `face_terms` once computed,
+    with the squared norms (faces,) or copied to the offsets' shape.
     """
     x = np.asarray(x, dtype=float)
     normals_t, sq_norms, face_ones = face_terms(normals) if faces is None else faces

@@ -348,8 +348,10 @@ class TestProjectionEqualsParent:
             if per_point:
                 offsets = offsets * rng.uniform(0.5, 2.0, (64, 1))
             faces = viability.face_terms(normals)
-            for given in (None, faces):
-                want = _parent_project_into(pts, normals, offsets, given)
+            # the squared norms copied to every point, as `euler_stepper` passes them
+            copied = faces[0], np.broadcast_to(faces[1], (64, d + 1)).copy(), faces[2]
+            want = _parent_project_into(pts, normals, offsets)
+            for given in (None, faces, copied):
                 got = project_into(pts, normals, offsets, given)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
