@@ -315,11 +315,10 @@ def _feedback_loop(scenario, km, xi, dw_star, project, measures):
     running sum one step after another, the order of a per-step `s_log += ...`.
     The physical weights are computed from the states after the loop.
 
-    Per-step arrays are step-major: a block's shifted increments are read
-    through a (steps, paths, d) view of the draws, which holds no buffer of
-    its own; the physical driver increments and states are (n, paths, d) and
-    (n + 1, paths, d), and the volatility is written straight into its
-    history row.
+    Per-step arrays are step-major: a block's shifted increments are a
+    (steps, paths, d) view of the draws, the physical driver increments and
+    states are (n, paths, d) and (n + 1, paths, d), and the volatility is
+    written straight into its history row.
     """
     n, d, dt = scenario.grid.steps, scenario.dims, scenario.grid.dt
     params = scenario.market

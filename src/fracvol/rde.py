@@ -42,9 +42,9 @@ def euler_stepper(coeffs: ModelCoefficients, xi, dt: float, project_onto=None):
     states' shape (paths, d), the constants copied to every path, since numpy
     adds a (d,) operand to (paths, d) d elements at a time, 4-6x slower.  With
     a scalar `xi` they are (d,).  Either way the sums, and their bits, are
-    those of `eval_mu` and `eval_sigma`.  The squared face norms are copied
-    to the offsets' shape likewise.  A step returns a fresh array and leaves
-    its arguments unchanged."""
+    those of `eval_mu` and `eval_sigma`; the squared face norms are copied to
+    the offsets' shape too.  A step returns a fresh array and leaves its
+    arguments unchanged."""
     drift_t = np.ascontiguousarray(coeffs.drift_matrix.T)
     weights_t = np.ascontiguousarray(coeffs.weights.T)
     drift_shift = np.multiply.outer(xi, coeffs.xi_drift)

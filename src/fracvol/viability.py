@@ -21,10 +21,8 @@ and relies on the per-step projection onto the set to keep paths inside.
 The coefficient family is affine in the state, so the conditions are too,
 and a face passes everywhere on its box-clipped polytope iff it passes at the
 polytope's vertices.  The checker enumerates those vertices and scores them
-and nothing else: the verdict is exact, and no sampling is involved.  It
-first certifies, from the vertices of the box-clipped set itself, that the
-set has an interior point: their centroid must lie strictly inside every
-face and box side.
+and nothing else: the verdict is exact, and no sampling is involved.  The
+set's own vertices first certify that it has an interior point in the box.
 
 `project_into` is the exact Euclidean projection onto such a set, which pricing
 applies after every Euler step: a closed-form step for points outside one
@@ -64,8 +62,7 @@ class Polyhedron:
             raise ValueError("a polyhedron needs at least one face")
         if not np.all(np.any(normals != 0, axis=1)):
             raise ValueError("every face normal must be nonzero")
-        with np.errstate(over="ignore", invalid="ignore"):
-            offsets = np.einsum("kd,kd->k", normals, anchors)
+        offsets = np.einsum("kd,kd->k", normals, anchors)
         for name, array in (("normals", normals), ("anchors", anchors), ("offsets", offsets)):
             if not np.all(np.isfinite(array)):
                 raise ValueError(f"{name} contains non-finite entries")
@@ -326,12 +323,8 @@ def _polytope_vertices(
     scale: float,
 ) -> list[np.ndarray]:
     """Vertices of {x : eq_normals @ x = eq_offsets, ineq_normals @ x <= ineq_offsets},
-    by brute enumeration of active inequality subsets.  Fine for low dimensions.
-
-    `eq_normals` is one equation's (d,) normal, or (e, d) for e equations; with
-    e = 0 these are the vertices of the polytope the inequalities bound."""
-    eq_normals = np.atleast_2d(eq_normals)
-    eq_offsets = np.atleast_1d(eq_offsets)
+    eq_normals (d,) or (e, d), by enumeration of active subsets; for low d."""
+    eq_normals, eq_offsets = np.atleast_2d(eq_normals), np.atleast_1d(eq_offsets)
     d = eq_normals.shape[1]
     m = ineq_normals.shape[0]
     tol = _GEOM_TOL * scale
@@ -350,26 +343,6 @@ def _polytope_vertices(
             seen.add(key)
             found.append(x)
     return found
-
-
-def _has_interior(normals: np.ndarray, offsets: np.ndarray, scale: float) -> bool:
-    """Whether the polytope {x : normals @ x <= offsets} has an interior point.
-
-    The faces are normalised, and the polytope's vertices enumerated.  A
-    bounded convex set has an interior exactly when its vertices span it, and
-    then their centroid is interior, so the test is that the centroid has
-    slack above `_GEOM_TOL * scale` on every face.  An empty set has no
-    vertex, and a flat one puts the centroid on a face.
-    """
-    norms = np.sqrt(np.einsum("kd,kd->k", normals, normals))
-    normals = normals / norms[:, None]
-    offsets = offsets / norms
-    empty = np.empty((0, normals.shape[1]))
-    vertices = _polytope_vertices(empty, empty[:, 0], normals, offsets, scale)
-    if not vertices:
-        return False
-    center = np.mean(vertices, axis=0)
-    return bool(np.min(offsets - normals @ center) > _GEOM_TOL * scale)
 
 
 def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -412,11 +385,12 @@ def check_viability_conditions(
     lo, hi = _box_arrays(box, poly.dims)
     box_normals, box_offsets = _box_inequalities(lo, hi)
     scale = float(np.max(np.abs(np.concatenate([lo, hi]))) + 1.0)
-    if not _has_interior(
-        np.vstack([poly.normals, box_normals]),
-        np.concatenate([poly.offsets, box_offsets]),
-        scale,
-    ):
+    # an interior point exactly when the vertices' centroid is inside every unit face
+    norms = np.sqrt(np.einsum("kd,kd->k", poly.normals, poly.normals))
+    unit = np.vstack([poly.normals / norms[:, None], box_normals])
+    levels = np.concatenate([poly.offsets / norms, box_offsets])
+    corners = _polytope_vertices(np.empty((0, poly.dims)), [], unit, levels, scale)
+    if not corners or np.min(levels - unit @ np.mean(corners, axis=0)) <= _GEOM_TOL * scale:
         raise ValueError(
             "polyhedron has no interior point inside the box; widen the box"
         )

@@ -143,12 +143,9 @@ def _tanh_sinh_unit(step: float = 0.08) -> tuple[np.ndarray, np.ndarray, np.ndar
     order are integrated at near-spectral accuracy with a fixed rule.  The
     complements 1 - x are the reversed nodes (the rule is symmetric), which
     keeps them exact down to 1e-23 instead of rounding to zero.  The nodes
-    are tau = k * step for |tau| <= 3.2; halving a step that divides 3.2
-    keeps every node of the coarser rule, bit for bit.  The kernel's cells
-    use step 0.08.
+    are tau = k * step, |tau| <= 3.2, so halving the step keeps every node.
     """
-    reach = round(3.2 / step)
-    tau = np.arange(-reach, reach + 1) * step
+    tau = np.arange(-round(3.2 / step), round(3.2 / step) + 1) * step
     arg = 0.5 * np.pi * np.sinh(tau)
     x = 0.5 * (1.0 + np.tanh(arg))
     weight = step * 0.25 * np.pi * np.cosh(tau) / np.cosh(arg) ** 2

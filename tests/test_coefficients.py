@@ -86,8 +86,11 @@ class TestNormalizerAgainstReference:
             assert abs(xi_normalizer(exponent, scale, 10.0) * integral - 1) <= 1e-12
 
     def test_disagreeing_rules_are_reported(self, monkeypatch):
-        # a rule too coarse for the integrand leaves the two sums apart
-        monkeypatch.setattr(coefficients, "_tanh_sinh_integral", lambda p, s, c, h: 1.0 + h)
+        # weights scaled by 1 + step leave the two rules' sums 1 % apart
+        rule = coefficients._tanh_sinh_unit
+        monkeypatch.setattr(
+            coefficients, "_tanh_sinh_unit", lambda step: (*rule(step)[:2], rule(step)[2] * (1 + step))
+        )
         with pytest.raises(ArithmeticError, match="normalizing quadrature did not converge"):
             xi_normalizer(3, 1.0, 1.0)
 
