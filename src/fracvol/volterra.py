@@ -12,13 +12,19 @@ from __future__ import annotations
 
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable
 
 import numpy as np
 from scipy import special
 
 from .grids import TimeGrid
+
+
+# spread(fill, cells) runs fill(lo) for each slice of cells starting at lo; see `_spread`
+_Spread = Callable[[Callable[[int], None], int], None]
 
 
 class HypergeometricError(ArithmeticError):
@@ -40,7 +46,12 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
 
 def _hyp2f1(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     """`scipy.special.hyp2f1` elementwise, checked to be finite everywhere."""
-    values = np.asarray(special.hyp2f1(a, b, c, z))
+    return _finite_2f1(a, b, c, z, np.asarray(special.hyp2f1(a, b, c, z)))
+
+
+def _finite_2f1(a: float, b: float, c: float, z: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The 2F1 values at z, or HypergeometricError naming the first argument, in
+    C order, whose value is not finite."""
     bad = ~np.isfinite(values)
     if np.any(bad):
         at = float(np.broadcast_to(z, values.shape)[bad][0])
@@ -64,12 +75,13 @@ def kernel_K(t: float, s: float, hurst: float) -> float:
     return float(_kernel_values(np.asarray(t, float), np.asarray(s, float), hurst))
 
 
-def _kernel_values(t: np.ndarray, s: np.ndarray, hurst: float) -> np.ndarray:
+def _kernel_values(t: np.ndarray, s: np.ndarray, hurst: float,
+                   spread: _Spread | None = None) -> np.ndarray:
     """Vectorized kernel on 0 < s < t (no indicator handling)."""
-    return _kernel_of_gap(t - s, 1.0 - t / s, hurst)
+    return _kernel_of_gap(t - s, 1.0 - t / s, hurst, spread)
 
 
-def _kernel_of_gap(gap, z, hurst: float) -> np.ndarray:
+def _kernel_of_gap(gap, z, hurst: float, spread: _Spread | None = None) -> np.ndarray:
     """The kernel c_H (t - s)^(H - 1/2) / Gamma(H + 1/2) 2F1(1/2 - H, H - 1/2; H + 1/2; z)
     from the gap t - s and the argument z = 1 - t/s, however each is computed.
 
@@ -79,8 +91,26 @@ def _kernel_of_gap(gap, z, hurst: float) -> np.ndarray:
     """
     c_h = math.sqrt(2 * hurst * math.gamma(1.5 - hurst) * math.gamma(hurst + 0.5)
                     / math.gamma(2 - 2 * hurst))
-    factor = _hyp2f1(0.5 - hurst, hurst - 0.5, hurst + 0.5, z)
-    return c_h / math.gamma(hurst + 0.5) * gap ** (hurst - 0.5) * factor
+    scale = c_h / math.gamma(hurst + 0.5)
+    a, b, c = 0.5 - hurst, hurst - 0.5, hurst + 0.5
+    if spread is None:
+        factor = _hyp2f1(a, b, c, z)
+        return scale * gap ** (hurst - 0.5) * factor
+    # the calling thread and the pool's take `_SLICE_CELLS` cells at a time and
+    # write them with the same ufuncs, in the same order, into arrays allocated here
+    factor, values = np.empty(np.shape(z)), np.empty(np.shape(z))
+    flat = [np.reshape(array, -1) for array in (gap, z, factor, values)]
+
+    def fill(lo: int) -> None:
+        gap_, z_, factor_, values_ = (array[lo:lo + _SLICE_CELLS] for array in flat)
+        special.hyp2f1(a, b, c, z_, out=factor_)
+        np.power(gap_, hurst - 0.5, out=values_)
+        np.multiply(scale, values_, out=values_)
+        np.multiply(values_, factor_, out=values_)
+
+    spread(fill, values.size)
+    _finite_2f1(a, b, c, z, factor)
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +141,12 @@ def build_kernel_matrix(grid: TimeGrid, hurst: float) -> KernelMatrix:
     most `_BAND_CELLS` cells, or one row), then the quadrature of the
     first column and the diagonal, 79 nodes per row, so what it needs beyond
     the matrix grows only linearly with steps (a traced peak of 11.6 MiB for
-    the 8 MiB matrix at 1024 steps).
+    the 8 MiB matrix at 1024 steps, 11.7 MiB with the pool).
+
+    A cold build of at least `_POOL_CELLS` cells evaluates each block's and
+    each quadrature's kernel values on every core this process may run on,
+    through a thread pool that lives as long as the build; smaller grids
+    stay on the calling thread.  The entries have the same bits either way.
     """
     if not (0.0 < hurst < 1.0):
         raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
@@ -154,7 +189,8 @@ def _tanh_sinh_unit(step: float = 0.08) -> tuple[np.ndarray, np.ndarray, np.ndar
     return x[keep], x[keep][::-1], weight[keep]
 
 
-def _cell_mean_square(t: np.ndarray, lo, hi, hurst: float) -> np.ndarray:
+def _cell_mean_square(t: np.ndarray, lo, hi, hurst: float,
+                      spread: _Spread | None = None) -> np.ndarray:
     """(1/(hi-lo)) * integral of K(t, s)^2 over [lo, hi] for each target time.
 
     Targets must satisfy t >= hi; edge singularities at s = 0 or s = t are
@@ -170,7 +206,7 @@ def _cell_mean_square(t: np.ndarray, lo, hi, hurst: float) -> np.ndarray:
     width = hi - lo
     s = lo + width * x[None, :]
     gap = (t - hi) + width * xc[None, :]
-    return _kernel_of_gap(gap, -gap / s, hurst) ** 2 @ w
+    return _kernel_of_gap(gap, -gap / s, hurst, spread) ** 2 @ w
 
 
 # Within this distance of hurst = 1/2 the edge singularities are negligible
@@ -183,8 +219,60 @@ _NEAR_HALF_BAND = 0.025
 _BAND_CELLS = 2**15
 
 
+# Builds of fewer lower-triangle cells than this stay on the calling thread,
+# where handing slices to a pool costs more than a second core saves.  On 2
+# vCPU the pool lost at 64 steps (2,080 cells: 1.9-2.3 against 1.7-2.0 ms),
+# drew level at 96 (4,656) and won at 128 (8,256: 2.9-3.3 against 4.1-4.2 ms).
+_POOL_CELLS = 2**13
+
+# Cells per slice of a pooled kernel evaluation: 2^12 doubles are 32 KiB of
+# each argument and value.
+_SLICE_CELLS = 2**12
+
+
+def _build_helpers(steps: int) -> int:
+    """Pool threads beside the calling thread for a cold build: one per further
+    core this process may run on, or none below `_POOL_CELLS` cells."""
+    if steps * (steps + 1) // 2 < _POOL_CELLS:
+        return 0
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) - 1
+    return (os.cpu_count() or 1) - 1
+
+
+def _spread(pool: ThreadPoolExecutor, helpers: int, fill: Callable[[int], None],
+            cells: int) -> None:
+    """Run fill(lo) for every slice lo = 0, `_SLICE_CELLS`, ... below cells on
+    the calling thread and `helpers` of the pool's threads, each taking the
+    next slice when it has finished one; return once every slice is done."""
+    slices = iter(range(0, cells, _SLICE_CELLS))  # the GIL makes each next() atomic
+
+    def drain() -> None:
+        for lo in slices:
+            fill(lo)
+
+    running = [pool.submit(drain) for _ in range(helpers)]
+    drain()
+    for task in running:
+        task.result()
+
+
 @lru_cache(maxsize=8)
 def _kernel_matrix_cached(horizon: float, steps: int, hurst: float) -> KernelMatrix:
+    """The kernel matrix, its cells evaluated on the calling thread and the
+    threads of a pool opened for this build and joined before it returns, or
+    on the calling thread alone where `_build_helpers` gives none.  Each cell
+    comes from the same ufunc calls on the same arguments either way, so the
+    entries have the same bits."""
+    helpers = _build_helpers(steps)
+    if not helpers:
+        return _fill_kernel_matrix(horizon, steps, hurst, None)
+    with ThreadPoolExecutor(helpers, thread_name_prefix="fracvol-kernel") as pool:
+        return _fill_kernel_matrix(horizon, steps, hurst, partial(_spread, pool, helpers))
+
+
+def _fill_kernel_matrix(horizon: float, steps: int, hurst: float,
+                        spread: _Spread | None) -> KernelMatrix:
     grid = TimeGrid(horizon, steps)
     dt = grid.dt
     targets = grid.times[1:]
@@ -202,15 +290,15 @@ def _kernel_matrix_cached(horizon: float, steps: int, hurst: float) -> KernelMat
         rows, cols = np.nonzero(np.tri(hi - lo, hi - 2 * first, lo - 2 * first, dtype=bool))
         rows += lo
         cols += first
-        entries[rows, cols] = _kernel_values(targets[rows], mids[cols], hurst)
+        entries[rows, cols] = _kernel_values(targets[rows], mids[cols], hurst, spread)
     if near_half:
         entries.setflags(write=False)
         return KernelMatrix(grid, hurst, entries)
     # first column: cells (0, dt]
-    entries[:, 0] = np.sqrt(_cell_mean_square(targets, 0.0, dt, hurst))
+    entries[:, 0] = np.sqrt(_cell_mean_square(targets, 0.0, dt, hurst, spread))
     if steps > 1:
         # diagonal cells (t_i - dt, t_i]
-        diag_sq = _cell_mean_square(targets[1:], targets[1:] - dt, targets[1:], hurst)
+        diag_sq = _cell_mean_square(targets[1:], targets[1:] - dt, targets[1:], hurst, spread)
         entries[np.arange(1, steps), np.arange(1, steps)] = np.sqrt(diag_sq)
     entries.setflags(write=False)
     return KernelMatrix(grid, hurst, entries)

@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -194,29 +197,97 @@ class TestKernelMatrix:
         assert peak < 2**16
 
     # a chunk of 1 or 7 cells makes each row its own block; the larger chunks
-    # take 2 and 7 rows a block
+    # take 2 and 7 rows a block.  Each build is made on the calling thread
+    # alone (the reference) and with one and two pool threads beside it, on
+    # grids below the pool's crossover (96 steps) and above it
     @pytest.mark.parametrize(
         "steps, chunks",
-        [(1, (1, 7)), (2, (1, 7)), (3, (1, 7)), (5, (1, 7)), (64, (1, 7, 128)), (257, (1, 7, 2048))],
+        [(1, (1, 7)), (2, (1, 7)), (3, (1, 7)), (5, (1, 7)), (64, (1, 7, 128)), (257, (1, 7, 2048)),
+         (96, ()), (128, ()), (1024, ()), (2048, ())],
     )
-    @pytest.mark.parametrize("hurst", [0.51, 0.55, 0.85, 0.3])
+    @pytest.mark.parametrize("hurst", [0.51, 0.55, 0.85, 0.3, 0.49, 0.5, 0.7, 0.976])
     def test_banded_build_matches_one_pass_build_bit_for_bit(self, steps, chunks, hurst):
         expected = _one_pass_kernel(1.0, steps, hurst)
         for chunk in chunks + (volterra._BAND_CELLS,):
-            with mock.patch.object(volterra, "_BAND_CELLS", chunk):
-                got = volterra._kernel_matrix_cached.__wrapped__(1.0, steps, hurst)
-            np.testing.assert_array_equal(got.entries, expected)
+            for helpers in (0, 1, 2):
+                with mock.patch.object(volterra, "_BAND_CELLS", chunk), \
+                        mock.patch.object(volterra, "_build_helpers", return_value=helpers):
+                    got = volterra._kernel_matrix_cached.__wrapped__(1.0, steps, hurst)
+                np.testing.assert_array_equal(got.entries, expected)
 
     def test_build_holds_the_matrix_and_one_band(self):
-        # a 1024-step build traced 55.6 MiB in one pass over the triangle
+        # a 1024-step build traced 55.6 MiB in one pass over the triangle;
+        # tracemalloc traces the pool's threads too
         steps = 1024
-        tracemalloc.start()
+        for helpers in (0, 1, 2):
+            tracemalloc.start()
+            try:
+                with mock.patch.object(volterra, "_build_helpers", return_value=helpers):
+                    volterra._kernel_matrix_cached.__wrapped__(1.0, steps, 0.7)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < steps**2 * 8 + 12 * 2**20, helpers
+
+    def test_pool_starts_above_the_crossover(self):
+        # steps (steps + 1) / 2 cells: 8128 at 127 steps, 8256 at 128
+        cores = len(os.sched_getaffinity(0))
+        assert [volterra._build_helpers(steps) for steps in (1, 16, 127)] == [0, 0, 0]
+        assert [volterra._build_helpers(steps) for steps in (128, 1024)] == [cores - 1] * 2
+
+    def test_small_build_starts_no_thread(self):
+        # c09's 16-step grid stays on the calling thread whatever the cores
+        with mock.patch.object(threading.Thread, "start", side_effect=AssertionError("thread")):
+            built = volterra._kernel_matrix_cached.__wrapped__(1.0, 16, 0.7)
+        np.testing.assert_array_equal(built.entries, _one_pass_kernel(1.0, 16, 0.7))
+
+    def test_pooled_build_joins_its_threads(self):
+        start = threading.Thread.start
+        before = threading.active_count()
+        with mock.patch.object(volterra, "_build_helpers", return_value=2), \
+                mock.patch.object(threading.Thread, "start", autospec=True,
+                                  side_effect=start) as started:
+            volterra._kernel_matrix_cached.__wrapped__(1.0, 256, 0.7)
+        assert started.call_count >= 1
+        assert threading.active_count() == before
+
+    def test_pooled_build_under_fast_thread_switching(self):
+        # five threads on the shared slice iterator, switching every
+        # microsecond: a slice that no thread took would leave its cells unset
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            volterra._kernel_matrix_cached.__wrapped__(1.0, steps, 0.7)
-            _, peak = tracemalloc.get_traced_memory()
+            with mock.patch.object(volterra, "_build_helpers", return_value=4):
+                got = volterra._kernel_matrix_cached.__wrapped__(1.0, 300, 0.7)
         finally:
-            tracemalloc.stop()
-        assert peak < steps**2 * 8 + 12 * 2**20
+            sys.setswitchinterval(switch)
+        np.testing.assert_array_equal(got.entries, _one_pass_kernel(1.0, 300, 0.7))
+
+    def test_pooled_build_raises_the_serial_builds_error(self):
+        # 2F1 is NaN where z < -600, which at 1024 steps first happens in row
+        # 901 (z = 1 - t_i / s_1 at the second midpoint), a late row block: the
+        # pooled build names the same first argument in row order
+        hyp2f1 = volterra.special.hyp2f1
+
+        def nan_late(a, b, c, z, out=None):
+            values = np.where(np.asarray(z) < -600.0, np.nan, hyp2f1(a, b, c, z))
+            if out is None:
+                return values
+            out[...] = values
+            return out
+
+        grid = TimeGrid(1.0, 1024)
+        z = 1.0 - grid.times[1:] / (grid.times[1] + 0.5 * grid.dt)
+        first = float(z[np.argmax(z < -600.0)])
+        messages = []
+        for helpers in (0, 1, 2):
+            with mock.patch.object(volterra.special, "hyp2f1", nan_late), \
+                    mock.patch.object(volterra, "_build_helpers", return_value=helpers), \
+                    pytest.raises(HypergeometricError) as raised:
+                volterra._kernel_matrix_cached.__wrapped__(1.0, 1024, 0.7)
+            messages.append(str(raised.value))
+        assert messages == [messages[0]] * 3
+        assert messages[0].endswith(f"is not finite at z = {first!r}")
 
 
 def _one_pass_kernel(horizon: float, steps: int, hurst: float) -> np.ndarray:
