@@ -323,20 +323,26 @@ def _polytope_vertices(
     scale: float,
 ) -> list[np.ndarray]:
     """Vertices of {x : eq_normals @ x = eq_offsets, ineq_normals @ x <= ineq_offsets},
-    eq_normals (d,) or (e, d), by enumeration of active subsets; for low d."""
+    eq_normals (d,) or (e, d), by enumeration of active subsets; for low d.
+
+    An active set is singular when |det| of its rows is at most `_GEOM_TOL`
+    times the product of their norms, and a point is feasible when no
+    inequality's residual exceeds `_GEOM_TOL` * scale per unit normal, so
+    rescaling any normal with its offset leaves the vertices as they are.
+    """
     eq_normals, eq_offsets = np.atleast_2d(eq_normals), np.atleast_1d(eq_offsets)
     d = eq_normals.shape[1]
     m = ineq_normals.shape[0]
-    tol = _GEOM_TOL * scale
+    slack = _GEOM_TOL * scale * np.linalg.norm(ineq_normals, axis=1)
     found: list[np.ndarray] = []
     seen: set[tuple] = set()
     for combo in itertools.combinations(range(m), d - eq_normals.shape[0]):
         rows = np.vstack([eq_normals, ineq_normals[list(combo)]])
         rhs = np.concatenate([eq_offsets, ineq_offsets[list(combo)]])
-        if abs(np.linalg.det(rows)) <= tol:
+        if abs(np.linalg.det(rows)) <= _GEOM_TOL * np.prod(np.linalg.norm(rows, axis=1)):
             continue
         x = np.linalg.solve(rows, rhs)
-        if np.any(ineq_normals @ x > ineq_offsets + tol):
+        if np.any(ineq_normals @ x - ineq_offsets > slack):
             continue
         key = tuple(np.round(x / max(scale, 1.0), 9))
         if key not in seen:

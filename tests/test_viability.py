@@ -707,6 +707,29 @@ class TestArrayScoring:
             scale = 1.0 + np.max(np.abs(np.column_stack([drift, columns])), initial=0.0)
             assert worst <= face.worst_violation + 1e-9 * scale
 
+    @pytest.mark.parametrize("factor", [1e-4, 1e4])
+    def test_vertices_do_not_depend_on_the_scale_of_the_faces(self, factor):
+        # scaling every face's normal and offset by one factor leaves the set,
+        # and so its vertices, as they are; with a singular test on the rows'
+        # unnormalised |det|, 1e-4 dropped face 0's apex (1, 0)
+        poly = section4_scenario(steps=8).polyhedron(1.0)
+        lo, hi = viability._box_arrays(viability.default_box(poly, 1.0), poly.dims)
+        box_normals, box_offsets = viability._box_inequalities(lo, hi)
+        scale = float(np.max(np.abs(np.concatenate([lo, hi]))) + 1.0)
+
+        def vertices(normals, offsets, k):
+            others = np.arange(len(normals)) != k
+            return np.vstack(viability._polytope_vertices(
+                normals[k], offsets[k], np.vstack([normals[others], box_normals]),
+                np.concatenate([offsets[others], box_offsets]), scale,
+            ))
+
+        for k in range(len(poly.normals)):
+            plain = vertices(poly.normals, poly.offsets, k)
+            scaled = vertices(poly.normals * factor, poly.offsets * factor, k)
+            np.testing.assert_allclose(scaled, plain, rtol=1e-12, atol=1e-12)
+        assert [1.0, 0.0] in vertices(poly.normals * factor, poly.offsets * factor, 0).tolist()
+
     @pytest.mark.parametrize("mode", ["cone", "hyperplane"])
     def test_nan_scores_fail(self, mode):
         # at the vertex (1, 12) of face 1 the drift overflows to (1e308, -inf),
