@@ -39,16 +39,22 @@ anywhere upstream fails it:
   `simulate --project` bundle.
 
 The digests were pinned on x86-64 with CPython 3.11.7, numpy 2.4.6 linked to
-scipy-openblas (OpenBLAS 0.3.31, DYNAMIC_ARCH) and scipy 1.17.1.  Another
-numpy or BLAS build may change the last bits of matrix products and sums; on
-such a stack, re-pin only after checking that the program did not change.
+scipy-openblas (OpenBLAS 0.3.31, DYNAMIC_ARCH) and scipy 1.17.1, with both
+OpenBLAS libraries running their SkylakeX (AVX-512) kernels.  Another numpy or
+BLAS build may change the last bits of matrix products and sums, and so may
+the same build on a CPU where OpenBLAS picks other kernels; a failing digest's
+message names the core that numpy's and scipy's OpenBLAS picked.  On such a
+stack or CPU, re-pin only after checking that the program did not change.
 """
 
+import ctypes
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from fracvol import (
     Basket,
@@ -109,6 +115,29 @@ RNG_SEED = 2024
 # Seed of the batch-of-one cases' drivers; at ξ = 0.8 its unprojected solve
 # leaves K(ξ), so projection moves it.
 PATH_SEED = 9
+
+
+def _blas_cores() -> str:
+    """The OpenBLAS core that numpy's and scipy's own OpenBLAS each picked when
+    it loaded, read through its C API, e.g. "numpy SkylakeX, scipy SkylakeX"."""
+    cores = []
+    for package in (np, scipy):
+        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+        for lib in sorted(libs.glob("*openblas*")):
+            handle = ctypes.CDLL(str(lib))
+            for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                           "openblas_get_corename"):
+                corename = getattr(handle, symbol, None)
+                if corename is not None:
+                    corename.restype = ctypes.c_char_p
+                    cores.append(f"{package.__name__} {corename().decode()}")
+                    break
+    return ", ".join(cores) or "no bundled OpenBLAS found"
+
+
+# Said by every digest assertion: a digest that fails only on another core
+# points at the BLAS kernels, not the program.
+PINNED_ON = f"digests pinned on SkylakeX; this process's OpenBLAS cores: {_blas_cores()}"
 
 
 def _config(project: bool) -> MCConfig:
@@ -331,7 +360,7 @@ def test_every_case_is_pinned():
 @pytest.mark.parametrize("case", CASES)
 def test_golden_digest(case, tmp_path, monkeypatch):
     monkeypatch.setattr(MCConfig, "batch_size", 256)  # 600 paths in three batches
-    assert _digest(case, tmp_path) == GOLDEN[case]
+    assert _digest(case, tmp_path) == GOLDEN[case], PINNED_ON
 
 
 @pytest.mark.parametrize("batch_size", [256, 600])
@@ -348,7 +377,9 @@ def test_every_payoff_on_one_instance(estimator, scenario, projection, batch_siz
     mc = _config(PROJECTIONS[projection])
     for payoff in PAYOFFS:
         digest = _estimate_digest(estimator, payoff, instance, mc)
-        assert digest == GOLDEN[f"{estimator}/{scenario}/{projection}/{payoff}"], payoff
+        assert digest == GOLDEN[f"{estimator}/{scenario}/{projection}/{payoff}"], (
+            f"{payoff}: {PINNED_ON}"
+        )
 
 
 def test_unprojected_worked_example_breaches():
