@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -333,13 +334,18 @@ def _polytope_vertices(
     eq_normals, eq_offsets = np.atleast_2d(eq_normals), np.atleast_1d(eq_offsets)
     d = eq_normals.shape[1]
     m = ineq_normals.shape[0]
-    slack = _GEOM_TOL * scale * np.linalg.norm(ineq_normals, axis=1)
+    norms = [math.hypot(*row) for row in ineq_normals.tolist()]
+    slack = _GEOM_TOL * scale * np.array(norms)
+    # an active set is singular where |det| is at most this times the norms of
+    # its inequalities
+    singular = _GEOM_TOL * math.prod(math.hypot(*row) for row in eq_normals.tolist())
     found: list[np.ndarray] = []
     seen: set[tuple] = set()
     for combo in itertools.combinations(range(m), d - eq_normals.shape[0]):
-        rows = np.vstack([eq_normals, ineq_normals[list(combo)]])
-        rhs = np.concatenate([eq_offsets, ineq_offsets[list(combo)]])
-        if abs(np.linalg.det(rows)) <= _GEOM_TOL * np.prod(np.linalg.norm(rows, axis=1)):
+        active = list(combo)
+        rows = np.concatenate([eq_normals, ineq_normals[active]])
+        rhs = np.concatenate([eq_offsets, ineq_offsets[active]])
+        if abs(np.linalg.det(rows)) <= singular * math.prod(norms[i] for i in combo):
             continue
         x = np.linalg.solve(rows, rhs)
         if np.any(ineq_normals @ x - ineq_offsets > slack):

@@ -259,11 +259,8 @@ def _spread(pool: ThreadPoolExecutor, helpers: int, fill: Callable[[int], None],
 
 @lru_cache(maxsize=8)
 def _kernel_matrix_cached(horizon: float, steps: int, hurst: float) -> KernelMatrix:
-    """The kernel matrix, its cells evaluated on the calling thread and the
-    threads of a pool opened for this build and joined before it returns, or
-    on the calling thread alone where `_build_helpers` gives none.  Each cell
-    comes from the same ufunc calls on the same arguments either way, so the
-    entries have the same bits."""
+    """The kernel matrix, built with a thread pool that is joined before it
+    returns, or on the calling thread alone where `_build_helpers` gives none."""
     helpers = _build_helpers(steps)
     if not helpers:
         return _fill_kernel_matrix(horizon, steps, hurst, None)
