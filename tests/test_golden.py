@@ -39,22 +39,35 @@ anywhere upstream fails it:
   `simulate --project` bundle.
 
 The digests were pinned on x86-64 with CPython 3.11.7, numpy 2.4.6 linked to
-scipy-openblas (OpenBLAS 0.3.31, DYNAMIC_ARCH) and scipy 1.17.1, with both
-OpenBLAS libraries running their SkylakeX (AVX-512) kernels.  Another numpy or
-BLAS build may change the last bits of matrix products and sums, and so may
-the same build on a CPU where OpenBLAS picks other kernels; a failing digest's
-message names the core that numpy's and scipy's OpenBLAS picked.  On such a
-stack or CPU, re-pin only after checking that the program did not change.
+scipy-openblas (OpenBLAS 0.3.31, DYNAMIC_ARCH) and scipy 1.17.1.  OpenBLAS
+picks its kernels for the CPU it loads on, and they round matrix products
+differently, so there is one table per kernel an x86-64 CPU can run: SkylakeX
+(AVX-512), Haswell (AVX2) and Prescott (SSE3).  A process checks the table of
+the kernel numpy's OpenBLAS picked; `OPENBLAS_CORETYPE=Haswell` (set before
+the process starts) forces another, and
+`test_golden_module_under_every_kernel_this_cpu_runs` reruns this module under
+each pinned kernel the CPU supports, so a "bit for bit" change must hold on
+all of them.  A CPU whose own kernel has no table fails
+`test_this_kernel_has_a_table`, naming the core.  What the tables do not
+cover: numpy's own SIMD dispatch (its AVX-512 `exp` and `log` loops, chosen
+from the CPU and not from OpenBLAS) may move bits on a CPU without AVX-512,
+and another numpy or BLAS build may move them too.  A failing digest's message
+names the core that numpy's and scipy's OpenBLAS picked; re-pin only after
+checking that the program did not change.
 """
 
 import ctypes
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
+from numpy._core._multiarray_umath import __cpu_features__
 
 from fracvol import (
     Basket,
@@ -117,10 +130,10 @@ RNG_SEED = 2024
 PATH_SEED = 9
 
 
-def _blas_cores() -> str:
+def _blas_cores() -> dict[str, str]:
     """The OpenBLAS core that numpy's and scipy's own OpenBLAS each picked when
-    it loaded, read through its C API, e.g. "numpy SkylakeX, scipy SkylakeX"."""
-    cores = []
+    it loaded, read through its C API, e.g. {"numpy": "SkylakeX", "scipy": "SkylakeX"}."""
+    cores = {}
     for package in (np, scipy):
         libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
         for lib in sorted(libs.glob("*openblas*")):
@@ -130,14 +143,20 @@ def _blas_cores() -> str:
                 corename = getattr(handle, symbol, None)
                 if corename is not None:
                     corename.restype = ctypes.c_char_p
-                    cores.append(f"{package.__name__} {corename().decode()}")
+                    cores[package.__name__] = corename().decode()
                     break
-    return ", ".join(cores) or "no bundled OpenBLAS found"
+    return cores
 
 
-# Said by every digest assertion: a digest that fails only on another core
-# points at the BLAS kernels, not the program.
-PINNED_ON = f"digests pinned on SkylakeX; this process's OpenBLAS cores: {_blas_cores()}"
+BLAS_CORES = _blas_cores()
+CORES = ", ".join(f"{package} {core}" for package, core in BLAS_CORES.items()) or (
+    "no bundled OpenBLAS found"
+)
+# The pinned kernels, by their `OPENBLAS_CORETYPE` names, and the numpy CPU
+# features each needs.  OpenBLAS reports its Prescott kernels as "Katmai".
+KERNEL_FEATURES = {"SkylakeX": ("AVX512_SKX",), "Haswell": ("AVX2", "FMA3"), "Prescott": ("SSE3",)}
+REPORTED_AS = {"Katmai": "Prescott"}
+KERNEL = REPORTED_AS.get(BLAS_CORES.get("numpy"), BLAS_CORES.get("numpy"))
 
 
 def _config(project: bool) -> MCConfig:
@@ -352,15 +371,96 @@ GOLDEN = {
     "bundle/simulate-project": "f7afd200ff2334896fa6f1aa31c49d04e51fac05bf2b07627583f4cf4f0893ec",
 }
 
+# The digests that the Haswell and the Prescott kernels move; each kernel's
+# table is the SkylakeX one above with these in place.
+HASWELL = {
+    "terminal/worked/projected": "d7d882018cae794a6cf228624bde0e842df87cbb3f273d0d3d5acfdc05b24cb5",
+    "terminal/worked/free": "8fa6d65fdbb5a4988287c4c03d4013fd5b5c0fd47fc9c720f6a3f2461f95d3ec",
+    "physical/worked/projected/call0": "0967d1426162fba8846acbe4992b166bbe6e7476c0b16db8e9877030f24c5997",
+    "physical/worked/projected/basket": "5214d54b1477b79736677969589d3216a54cb39ee5ff4c83f7ea37808280488e",
+    "riskneutral/worked/projected/call0": "c03491af498b7db14b12f05eaeb99c0a81594d77298bebb8b2bc21aeaee1fe20",
+    "simulate/worked/projected": "f1c79a8f03fd0d806265316761b248aad7e58bc589eabb9f0d45765ddb371ec7",
+    "simulate/worked/free": "1ba0947961c5d2bf3e29eeecbf1eff3537e583f05b1a656a723b6873ceeaabcd",
+    "simulate/constant/projected": "1a225b19f8111b162d087d8245a2920004726d7f577f0929edec4b50358dddd0",
+    "simulate/constant/free": "1a225b19f8111b162d087d8245a2920004726d7f577f0929edec4b50358dddd0",
+    "fbm/cholesky": "81dc032dd8afe0d81642b1b6b290e61e6a3b0465554b2ced1e0df142f096641d",
+    "transform/0.7": "d8b1c538f011cbbe6eb28caff769f413c0396277082cfeecdf537f2940d20efb",
+    "bundle/reproduce-section4": "87b25706cbee4a7adf58dd63eba806c535a31c4155c2dfc5c94d90ec20fa1df6",
+    "bundle/simulate-project": "59cd080872e4f63485bf23226be06b6b7ea4419ffd68c7565a79088848df5171",
+}
+PRESCOTT = {
+    "terminal/worked/projected": "5ba2b25eff1db399477357d59cbec403a08d842bcbfa8505107e192dc3ab0241",
+    "terminal/worked/free": "075b4d8e6f52d6eb0363ed1c73c2c31dc6efa8ebe9ccf5ed31d1f0b476c1ee02",
+    "physical/worked/projected/call0": "dcd0e5c6a502748f8677f256e861c24b687339696ad56c30b57663ec06149bf7",
+    "physical/worked/projected/put1": "f9d8528ad2edcdc37a2c2cc325ddf1874e27676b0f90e7a88c6a0b96da5e866d",
+    "physical/worked/projected/basket": "b4f754b7d4d835cba231a6bbd17ae5da741d1ceda021dc51991967aaea1463c0",
+    "riskneutral/worked/projected/put1": "59fa622a359a1f582de828bfbc5f66902df403ac0d571208b04c99954e6300ff",
+    "assets/three/both/basket": "14076737053e767cdbd587124f539f222a31e793c357132a5ca28ed4c28cbde5",
+    "simulate/worked/projected": "fbec3acb59ae537b1904bf77436ed8c9ddb1bcf4e5c54292e6755caba890d446",
+    "simulate/worked/free": "d1f36857ebeb92817e01702966f6147edbc30c65e5b6caf1dbb6937fdc4a67a5",
+    "simulate/constant/projected": "2d9d91a8edeaae57a4fd92d39f3d656aacb1511449d0f623589a373c044f8212",
+    "simulate/constant/free": "2d9d91a8edeaae57a4fd92d39f3d656aacb1511449d0f623589a373c044f8212",
+    "kernel/0.3": "55908daa73e1e93d53786d1e5eaba43197214c1cebc36b7c48afe099869eab73",
+    "kernel/0.7": "431355ac79c80968bf410d42594dc291affb301aa84621d5208a9064608a5e1f",
+    "kernel/1024/0.7": "93088acd0502a4b58b8fe16ec9a0ca9ec1f442a2576b795cf3b6f2f686961d7e",
+    "kernel/256/0.55": "038a1016df09927398450cbdc4cfa2a430bea9d6ba0d1c0bfc5e0af29a25c3dd",
+    "kernel/256/0.85": "71b7b79344ae58e762f18f29c706d5109410f6baad8922346e769ba3525df5a9",
+    "fbm/cholesky": "3220833e197cc5c172e80a5f0072f5a0b511ee95a7475d7795bfdb22a978f45d",
+    "transform/0.7": "143272562c07f49fd66168920995288bb3533519c29229a6c5ef625e484ef5b0",
+    "bundle/reproduce-section4": "65ad606adfe001597ae0c32b436ed0f0056de94bea001d001ebd2eec2a3b100e",
+    "bundle/simulate-project": "dfd7e38fa1a3036d7f8bde8f939d229ac2f228fb61ad5a6746c5999ab91c13e9",
+}
+KERNEL_TABLES = {"SkylakeX": GOLDEN, "Haswell": GOLDEN | HASWELL, "Prescott": GOLDEN | PRESCOTT}
+# A kernel without a table is checked against the SkylakeX one, and fails
+# `test_this_kernel_has_a_table`.
+EXPECTED = KERNEL_TABLES.get(KERNEL, GOLDEN)
+# Said by every digest assertion: a digest that fails only on another core
+# points at the BLAS kernels, not the program.
+PINNED_ON = (
+    f"digests checked against the {KERNEL if KERNEL in KERNEL_TABLES else 'SkylakeX'} "
+    f"table; OpenBLAS cores: {CORES}"
+)
+
 
 def test_every_case_is_pinned():
     assert sorted(GOLDEN) == sorted(CASES)
+    assert set(HASWELL) | set(PRESCOTT) <= set(CASES)
+
+
+def test_this_kernel_has_a_table():
+    if KERNEL not in KERNEL_TABLES:
+        pytest.fail(
+            f"no golden digest table for OpenBLAS core {KERNEL!r} ({CORES}); pinned: "
+            f"{', '.join(KERNEL_TABLES)}; OPENBLAS_CORETYPE picks one of them at process start"
+        )
+    requested = os.environ.get("OPENBLAS_CORETYPE")
+    if requested:
+        assert KERNEL.lower() == requested.lower(), f"OPENBLAS_CORETYPE={requested}: {CORES}"
+
+
+def test_golden_module_under_every_kernel_this_cpu_runs():
+    # OpenBLAS reads OPENBLAS_CORETYPE when it loads, so each kernel needs a
+    # process of its own
+    kernels = [
+        kernel for kernel, features in KERNEL_FEATURES.items()
+        if all(__cpu_features__.get(feature) for feature in features)
+    ]
+    assert kernels, f"this CPU runs none of the pinned kernels ({CORES})"
+    root = Path(__file__).resolve().parents[1]
+    for kernel in kernels:
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
+             "-k", "not under_every_kernel"],
+            cwd=root, env={**os.environ, "OPENBLAS_CORETYPE": kernel},
+            capture_output=True, text=True, timeout=600,
+        )
+        assert done.returncode == 0, f"under {kernel}:\n{done.stdout[-4000:]}{done.stderr[-2000:]}"
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_golden_digest(case, tmp_path, monkeypatch):
     monkeypatch.setattr(MCConfig, "batch_size", 256)  # 600 paths in three batches
-    assert _digest(case, tmp_path) == GOLDEN[case], PINNED_ON
+    assert _digest(case, tmp_path) == EXPECTED[case], PINNED_ON
 
 
 @pytest.mark.parametrize("batch_size", [256, 600])
@@ -377,7 +477,7 @@ def test_every_payoff_on_one_instance(estimator, scenario, projection, batch_siz
     mc = _config(PROJECTIONS[projection])
     for payoff in PAYOFFS:
         digest = _estimate_digest(estimator, payoff, instance, mc)
-        assert digest == GOLDEN[f"{estimator}/{scenario}/{projection}/{payoff}"], (
+        assert digest == EXPECTED[f"{estimator}/{scenario}/{projection}/{payoff}"], (
             f"{payoff}: {PINNED_ON}"
         )
 
