@@ -1,8 +1,10 @@
 """Fractional Brownian motion sampling and path-roughness diagnostics.
 
 `sample_paths` offers two exact methods: a Cholesky factorization of the grid
-covariance (O(n^3) setup, any Hurst index, the reference method) and circulant
-embedding of the stationary increment sequence (FFT-based, the fast method).
+covariance (O(n^3) setup, any Hurst index, the reference method; numpy's own
+LAPACK factors it, so the engine loads no part of scipy but `scipy.special`)
+and circulant embedding of the stationary increment sequence (FFT-based, the
+fast method).
 Either way, the normals of path i, component k come from the keyed stream
 (cfg.seed, i, k) of :mod:`fracvol.rng`, so (seed, grid, hurst) fully determines
 the output bits and a path does not depend on how many are drawn beside it.
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 from scipy.special import ndtri
 
 from .grids import TimeGrid, is_integer
@@ -78,12 +79,13 @@ def fgn_autocov(lag, hurst: float):
 
 @lru_cache(maxsize=32)
 def _cholesky_factor(horizon: float, steps: int, hurst: float) -> np.ndarray:
+    """Lower-triangular factor of the covariance at the grid's times after 0."""
     times = np.linspace(0.0, horizon, steps + 1)[1:]
     cov = fbm_cov(times[:, None], times[None, :], hurst)
     try:
-        factor = scipy.linalg.cholesky(cov, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        # scipy names the offending leading minor in its message
+        factor = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        # numpy's message says only that the matrix is not positive definite
         raise np.linalg.LinAlgError(f"fBm covariance factorization failed: {exc}") from exc
     factor.setflags(write=False)
     return factor

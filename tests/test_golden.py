@@ -345,7 +345,7 @@ GOLDEN = {
     "kernel/256/0.55": "bf71c7f7b6f4faab788776100c45bc83c64dbcd8387ce1dca9022d7dc69fcdd2",
     "kernel/256/0.85": "d2436897853d5d998c5451ddf2e9b59ce31559dad590f1d2671b6dd1e2b4b607",
     "fbm/wood-chan": "d78f82c87c810d5f63ab402d0cd163cb4aae9b403fd1b51cd3e4096226579a4d",
-    "fbm/cholesky": "14acf0add04197694fe9a8051b076b31d9df3f2f7d46edb43b774942f7bafe02",
+    "fbm/cholesky": "d56c2eb8661f5f6f4f45661d7b2c19b3e8711ddc2bf8c53b09c870f69cc2546d",
     "euler/free": "204bd6df383286863e78a901d5849b709033936b01bc0845da794be5a9aa4000",
     "euler/projected": "7766163e41faecb95eab5c5595b0938e5cbec9ea8247b63b9c15a997b2354adb",
     "transform/0.7": "0fea144a0bce1d1d9e3a313f95dcfe7f5879319fa8e4c5d82d6812b5113a9e55",
@@ -383,7 +383,7 @@ HASWELL = {
     "simulate/worked/free": "1ba0947961c5d2bf3e29eeecbf1eff3537e583f05b1a656a723b6873ceeaabcd",
     "simulate/constant/projected": "1a225b19f8111b162d087d8245a2920004726d7f577f0929edec4b50358dddd0",
     "simulate/constant/free": "1a225b19f8111b162d087d8245a2920004726d7f577f0929edec4b50358dddd0",
-    "fbm/cholesky": "81dc032dd8afe0d81642b1b6b290e61e6a3b0465554b2ced1e0df142f096641d",
+    "fbm/cholesky": "35f500557544c44e7fefc306622a36e566743007a5ca490d404cf4912ad53b37",
     "transform/0.7": "d8b1c538f011cbbe6eb28caff769f413c0396277082cfeecdf537f2940d20efb",
     "bundle/reproduce-section4": "87b25706cbee4a7adf58dd63eba806c535a31c4155c2dfc5c94d90ec20fa1df6",
     "bundle/simulate-project": "59cd080872e4f63485bf23226be06b6b7ea4419ffd68c7565a79088848df5171",
@@ -405,7 +405,7 @@ PRESCOTT = {
     "kernel/1024/0.7": "93088acd0502a4b58b8fe16ec9a0ca9ec1f442a2576b795cf3b6f2f686961d7e",
     "kernel/256/0.55": "038a1016df09927398450cbdc4cfa2a430bea9d6ba0d1c0bfc5e0af29a25c3dd",
     "kernel/256/0.85": "71b7b79344ae58e762f18f29c706d5109410f6baad8922346e769ba3525df5a9",
-    "fbm/cholesky": "3220833e197cc5c172e80a5f0072f5a0b511ee95a7475d7795bfdb22a978f45d",
+    "fbm/cholesky": "3b22df871f60391a9f647b83a77d2a8af3a9b939dbf812417e8eb53838c3eb80",
     "transform/0.7": "143272562c07f49fd66168920995288bb3533519c29229a6c5ef625e484ef5b0",
     "bundle/reproduce-section4": "65ad606adfe001597ae0c32b436ed0f0056de94bea001d001ebd2eec2a3b100e",
     "bundle/simulate-project": "dfd7e38fa1a3036d7f8bde8f939d229ac2f228fb61ad5a6746c5999ab91c13e9",
