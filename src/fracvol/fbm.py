@@ -22,6 +22,7 @@ from scipy.special import ndtri
 
 from .grids import TimeGrid, is_integer
 from .rng import batch_uniforms, check_seed, stream_keys
+from .volterra import check_fits_in_memory
 
 logger = logging.getLogger(__name__)
 
@@ -160,7 +161,9 @@ def sample_paths(
     Component k of path i draws its normals from the keyed stream
     (cfg.seed, i, k), so the first m paths of any stack are the stack of m.
     The normals of a block of paths are drawn in one keyed batch and the
-    method runs on the whole block.
+    method runs on the whole block.  A stack, or under Cholesky a covariance
+    and its factor, that would not fit in the machine's physical memory is
+    rejected before anything is allocated.
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {sorted(_METHODS)}, got {method!r}")
@@ -169,6 +172,14 @@ def sample_paths(
     if n_paths < 1:
         raise ValueError(f"need at least 1 path, got {n_paths}")
     paths_from, per_step = _METHODS[method]
+    check_fits_in_memory(
+        f"a stack of {n_paths} x {grid.steps + 1} x {cfg.dims} path values",
+        int(n_paths) * (grid.steps + 1) * cfg.dims * 8,
+    )
+    if method == "cholesky":
+        check_fits_in_memory(
+            f"the {grid.steps}-step covariance with its Cholesky factor", 2 * grid.steps**2 * 8
+        )
     draws = per_step * grid.steps
     out = np.zeros((n_paths, grid.steps + 1, cfg.dims))
     chunk = max(1, _DRAW_CHUNK // (draws * cfg.dims))

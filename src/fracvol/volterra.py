@@ -150,14 +150,18 @@ def build_kernel_matrix(grid: TimeGrid, hurst: float) -> KernelMatrix:
     """
     if not (0.0 < hurst < 1.0):
         raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
-    need = grid.steps**2 * 8
+    check_fits_in_memory(f"a {grid.steps}-step kernel matrix", grid.steps**2 * 8)
+    return _kernel_matrix_cached(grid.horizon, grid.steps, hurst)
+
+
+def check_fits_in_memory(what: str, need: int) -> None:
+    """Raise ValueError if `need` bytes exceed the machine's physical memory."""
     memory = _physical_memory_bytes()
     if memory is not None and need > memory:
         raise ValueError(
-            f"a {grid.steps}-step kernel matrix needs {need / 2**30:.1f} GiB, more than "
+            f"{what} needs {need / 2**30:.1f} GiB, more than "
             f"the {memory / 2**30:.1f} GiB of physical memory on this machine"
         )
-    return _kernel_matrix_cached(grid.horizon, grid.steps, hurst)
 
 
 def _physical_memory_bytes() -> int | None:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from fracvol import (
     sample_paths,
 )
 from fracvol import fbm
+from fracvol.cli import main
 from fracvol.fbm import _clip_eigenvalues
 
 
@@ -173,6 +175,51 @@ class TestInputValidation:
         with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
             FbmConfig(0.7, 1, seed)
         assert FbmConfig(0.7, 1, 2**64 - 1).seed == 2**64 - 1
+
+    # the 10^6-step covariance alone needs 7.3 TiB and the stack of 10^11
+    # paths 746 TiB; numpy's allocation of them failed with a MemoryError
+    @pytest.mark.parametrize(
+        "steps, count, method, what",
+        [
+            (10**6, 1, "cholesky", "the 1000000-step covariance with its Cholesky factor"),
+            (1024, 10**11, "wood-chan", "a stack of 100000000000 x 1025 x 2 path values"),
+            (1024, 10**11, "cholesky", "a stack of 100000000000 x 1025 x 2 path values"),
+        ],
+    )
+    def test_input_too_large_for_memory_rejected_before_allocation(
+        self, steps, count, method, what
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^{what} needs .* physical memory"):
+                sample_paths(TimeGrid(1.0, steps), FbmConfig(0.7, 2), count, method)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+
+@pytest.fixture
+def indefinite_covariance(monkeypatch):
+    """`fbm_cov` returns a matrix that is not positive definite."""
+    fbm._cholesky_factor.cache_clear()
+    monkeypatch.setattr(fbm, "fbm_cov", lambda s, t, hurst: -np.eye(np.size(s)))
+    yield
+    fbm._cholesky_factor.cache_clear()
+
+
+@pytest.mark.usefixtures("indefinite_covariance")
+class TestCholeskyFailure:
+    def test_sampler_raises_linalg_error(self):
+        with pytest.raises(np.linalg.LinAlgError, match="^fBm covariance factorization failed: "):
+            sample_paths(TimeGrid(1.0, 8), FbmConfig(0.7), 2, method="cholesky")
+
+    def test_command_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "fbm"
+        argv = ["fbm", "--hurst", "0.7", "--steps", "8", "--method", "cholesky", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: fBm covariance factorization failed: ")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("method", ["wood-chan", "cholesky"])

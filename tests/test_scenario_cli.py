@@ -220,6 +220,19 @@ class TestFbmCommand:
         assert f"need at least 1 path, got {count}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--steps", "1000000", "--method", "cholesky"], ["--steps", "1024", "--paths", "100000000000"]],
+    )
+    def test_input_too_large_for_memory_rejected(self, tmp_path, capsys, argv):
+        # these died in numpy's allocation with a MemoryError traceback
+        out = tmp_path / "fbm"
+        assert main(["fbm", "--hurst", "0.7", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith("GiB of physical memory on this machine\n")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_methods_agree_within_reported_errors(self, tmp_path):
         stats = {}
         for method in ("woodchan", "cholesky"):
