@@ -161,9 +161,9 @@ def sample_paths(
     Component k of path i draws its normals from the keyed stream
     (cfg.seed, i, k), so the first m paths of any stack are the stack of m.
     The normals of a block of paths are drawn in one keyed batch and the
-    method runs on the whole block.  A stack, or under Cholesky a covariance
-    and its factor, that would not fit in the machine's physical memory is
-    rejected before anything is allocated.
+    method runs on the whole block.  A stack, or under Cholesky the build of
+    the covariance and its factor, that would not fit in the machine's
+    physical memory is rejected before anything is allocated.
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {sorted(_METHODS)}, got {method!r}")
@@ -177,9 +177,8 @@ def sample_paths(
         int(n_paths) * (grid.steps + 1) * cfg.dims * 8,
     )
     if method == "cholesky":
-        check_fits_in_memory(
-            f"the {grid.steps}-step covariance with its Cholesky factor", 2 * grid.steps**2 * 8
-        )
+        # building the covariance holds three steps x steps arrays at its peak
+        check_fits_in_memory(f"factoring the {grid.steps}-step covariance", 3 * grid.steps**2 * 8)
     draws = per_step * grid.steps
     out = np.zeros((n_paths, grid.steps + 1, cfg.dims))
     chunk = max(1, _DRAW_CHUNK // (draws * cfg.dims))

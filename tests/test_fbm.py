@@ -177,11 +177,11 @@ class TestInputValidation:
         assert FbmConfig(0.7, 1, 2**64 - 1).seed == 2**64 - 1
 
     # the 10^6-step covariance alone needs 7.3 TiB and the stack of 10^11
-    # paths 746 TiB; numpy's allocation of them failed with a MemoryError
+    # paths 1.5 PiB; numpy's allocation of them failed with a MemoryError
     @pytest.mark.parametrize(
         "steps, count, method, what",
         [
-            (10**6, 1, "cholesky", "the 1000000-step covariance with its Cholesky factor"),
+            (10**6, 1, "cholesky", "factoring the 1000000-step covariance"),
             (1024, 10**11, "wood-chan", "a stack of 100000000000 x 1025 x 2 path values"),
             (1024, 10**11, "cholesky", "a stack of 100000000000 x 1025 x 2 path values"),
         ],
@@ -197,6 +197,18 @@ class TestInputValidation:
         finally:
             tracemalloc.stop()
         assert peak < 2**16
+
+    def test_factor_build_peak_is_the_one_the_memory_check_assumes(self):
+        # the check charges a Cholesky grid 3 steps^2 doubles: the covariance's
+        # temporaries hold three such arrays at the build's peak
+        steps = 512
+        tracemalloc.start()
+        try:
+            fbm._cholesky_factor.__wrapped__(1.0, steps, 0.7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 2 * steps**2 * 8 < peak <= 3 * steps**2 * 8 + 2**16
 
 
 @pytest.fixture

@@ -413,13 +413,11 @@ PRESCOTT = {
 KERNEL_TABLES = {"SkylakeX": GOLDEN, "Haswell": GOLDEN | HASWELL, "Prescott": GOLDEN | PRESCOTT}
 # A kernel without a table is checked against the SkylakeX one, and fails
 # `test_this_kernel_has_a_table`.
-EXPECTED = KERNEL_TABLES.get(KERNEL, GOLDEN)
+TABLE = KERNEL if KERNEL in KERNEL_TABLES else "SkylakeX"
+EXPECTED = KERNEL_TABLES[TABLE]
 # Said by every digest assertion: a digest that fails only on another core
 # points at the BLAS kernels, not the program.
-PINNED_ON = (
-    f"digests checked against the {KERNEL if KERNEL in KERNEL_TABLES else 'SkylakeX'} "
-    f"table; OpenBLAS cores: {CORES}"
-)
+PINNED_ON = f"digests checked against the {TABLE} table; OpenBLAS cores: {CORES}"
 
 
 def test_every_case_is_pinned():
