@@ -35,8 +35,8 @@ anywhere upstream fails it:
   mode with 64 and 256 samples per face, on both presets at each ξ probe of
   pricing's scenario check (the checker scores vertices only and ignores
   `samples_per_face`, so both sample counts pin one digest);
-* the file names and bytes of a `reproduce-section4` bundle and of a
-  `simulate --project` bundle.
+* the file names and bytes of a `reproduce-section4` bundle, of a
+  `simulate --project` bundle and of an `fbm` bundle under each sampler.
 
 The digests were pinned on x86-64 with CPython 3.11.7, numpy 2.4.6 linked to
 scipy-openblas (OpenBLAS 0.3.31, DYNAMIC_ARCH) and scipy 1.17.1.  OpenBLAS
@@ -269,6 +269,12 @@ def _digest(case: str, tmp_path) -> str:
         argv = ["simulate", str(scenario), "--paths", "3", "--project"]
         assert main(argv + ["--out", str(out)]) == 0
         return _bundle_digest(out)
+    if kind == "bundle" and rest[0].startswith("fbm-"):
+        out = tmp_path / "fbm"
+        argv = ["fbm", "--hurst", "0.7", "--steps", "16", "--dims", "2", "--paths", "2",
+                "--seed", "13", "--method", rest[0].removeprefix("fbm-")]
+        assert main(argv + ["--out", str(out)]) == 0
+        return _bundle_digest(out)
     raise KeyError(case)
 
 
@@ -296,6 +302,7 @@ CASES = (
         for xi in CHECKER_PROBES[s]
     ]
     + ["bundle/reproduce-section4", "bundle/simulate-project"]
+    + ["bundle/fbm-woodchan", "bundle/fbm-cholesky"]
 )
 
 GOLDEN = {
@@ -369,6 +376,8 @@ GOLDEN = {
     "checker/constant/hyperplane/256/0.1": "0ef1d0b4f4c968346f088a3cd2c3676b89f24d8973fa2646f94463067f4726b4",
     "bundle/reproduce-section4": "716ace99ee659ee608e2b6a51dbd2532307e7b696e3a6d7da213a059848faa69",
     "bundle/simulate-project": "f7afd200ff2334896fa6f1aa31c49d04e51fac05bf2b07627583f4cf4f0893ec",
+    "bundle/fbm-woodchan": "1a7abe5ef6ba02134521e01255d64042ad4bd3d99b400e4fd53ef4fd84c23e55",
+    "bundle/fbm-cholesky": "1fdca367c0b9449493d3bee21270aa4b87c04c14ba4e7b01af4bae2e6cd78bb8",
 }
 
 # The digests that the Haswell and the Prescott kernels move; each kernel's
@@ -387,6 +396,7 @@ HASWELL = {
     "transform/0.7": "d8b1c538f011cbbe6eb28caff769f413c0396277082cfeecdf537f2940d20efb",
     "bundle/reproduce-section4": "87b25706cbee4a7adf58dd63eba806c535a31c4155c2dfc5c94d90ec20fa1df6",
     "bundle/simulate-project": "59cd080872e4f63485bf23226be06b6b7ea4419ffd68c7565a79088848df5171",
+    "bundle/fbm-cholesky": "54cc3e4e7dc21d146486e2ec713f8a251cb0acc4ba640e2cb9befeee4e2542b6",
 }
 PRESCOTT = {
     "terminal/worked/projected": "5ba2b25eff1db399477357d59cbec403a08d842bcbfa8505107e192dc3ab0241",
@@ -409,6 +419,7 @@ PRESCOTT = {
     "transform/0.7": "143272562c07f49fd66168920995288bb3533519c29229a6c5ef625e484ef5b0",
     "bundle/reproduce-section4": "65ad606adfe001597ae0c32b436ed0f0056de94bea001d001ebd2eec2a3b100e",
     "bundle/simulate-project": "dfd7e38fa1a3036d7f8bde8f939d229ac2f228fb61ad5a6746c5999ab91c13e9",
+    "bundle/fbm-cholesky": "3a2e3f1d2b19f08ee477da170644107044de0d0b88da049716672397e2ce5ea4",
 }
 KERNEL_TABLES = {"SkylakeX": GOLDEN, "Haswell": GOLDEN | HASWELL, "Prescott": GOLDEN | PRESCOTT}
 # A kernel without a table is checked against the SkylakeX one, and fails
