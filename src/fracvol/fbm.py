@@ -67,7 +67,14 @@ def fbm_cov(s, t, hurst: float):
     if np.any(s < 0) or np.any(t < 0):
         raise ValueError("times must be nonnegative")
     h2 = 2.0 * hurst
-    return 0.5 * (s**h2 + t**h2 - np.abs(t - s) ** h2)
+    # the formula's operations in its order, each result of full size taken
+    # in place: two such arrays at the peak where the plain expression held three
+    lag = np.abs(t - s)
+    lag **= h2
+    cov = s**h2 + t**h2
+    cov -= lag
+    cov *= 0.5
+    return cov
 
 
 def fgn_autocov(lag, hurst: float):
@@ -177,7 +184,8 @@ def sample_paths(
         int(n_paths) * (grid.steps + 1) * cfg.dims * 8,
     )
     if method == "cholesky":
-        # building the covariance holds three steps x steps arrays at its peak
+        # numpy's factorization holds three steps x steps arrays: the
+        # covariance, a column-major copy of it and the factor
         check_fits_in_memory(f"factoring the {grid.steps}-step covariance", 3 * grid.steps**2 * 8)
     draws = per_step * grid.steps
     out = np.zeros((n_paths, grid.steps + 1, cfg.dims))
