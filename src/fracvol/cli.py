@@ -14,6 +14,7 @@ import errno
 import json
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -47,28 +48,53 @@ EXIT_USAGE = 2
 EXIT_BREACH = 3
 
 
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Cells are repr(float(v)), the shortest round-trip decimal; byte-stable across runs."""
-    rows = np.asarray(np.column_stack(columns), dtype=float).tolist()
+def _cells(column: np.ndarray) -> list[str]:
+    """A column's CSV cells, repr(float(v)): the shortest round-trip decimal."""
+    return list(map(repr, column.tolist()))
+
+
+def _write_csv(path: Path, header: list[str], columns: list[np.ndarray | list[str]]) -> None:
+    """Write `columns` under `header`, laid out as np.column_stack lays them
+    out: a 1-D array is one column and a 2-D block one column per column.  A
+    list of str is a column that `_cells` already formatted.  A column whose
+    float64 bytes equal an earlier one's in the file reuses its cells (bytes,
+    not values, keep -0.0 and 0.0 apart).  Byte-stable across runs."""
+    cells, formatted = [], {}
+    for column in columns:
+        if isinstance(column, list):
+            cells.append(column)
+            continue
+        block = np.asarray(column, dtype=float)
+        for col in block.T if block.ndim == 2 else [block]:
+            key = col.tobytes()
+            if key not in formatted:
+                formatted[key] = _cells(col)
+            cells.append(formatted[key])
     with open(path, "w", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        handle.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        handle.write("\n".join(map(",".join, zip(*cells, strict=True))) + "\n")
+
+
+def _check_out(out: Path) -> None:
+    """Fail, with the error `mkdir` would raise, if `out` names a file or lies
+    below one; the bundle commands call this before they draw any path."""
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        code = errno.EEXIST if existing == out else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), str(out))
 
 
 def _simulate_to(out: Path, scenario: Scenario, paths: int, project: bool):
     """Simulate `paths` paths into one out/sim_pathNNN.csv each: time, state,
     volatility, prices and margin.  Returns the paths and the report's lists
-    of them.  An `out` that names a file, or lies below one, fails before any
-    path is drawn, with the error `mkdir` would raise."""
-    existing = next(path for path in (out, *out.parents) if path.exists())
-    if not existing.is_dir():
-        code = errno.EEXIST if existing == out else errno.ENOTDIR
-        raise OSError(code, os.strerror(code), str(out))
+    of them."""
+    _check_out(out)
     results = simulate_scenario_paths(scenario, paths, project=project)
     out.mkdir(parents=True, exist_ok=True)
     header = ["t"] + [f"{c}{k + 1}" for c in "uvs" for k in range(scenario.dims)] + ["margin"]
+    times = _cells(scenario.grid.times)
     for i, res in enumerate(results):
-        columns = [scenario.grid.times, res["state"], res["vol"], res["prices"], res["margin"]]
+        columns = [times, res["state"], res["vol"], res["prices"], res["margin"]]
         _write_csv(out / f"sim_path{i:03d}.csv", header, columns)
     return results, {
         "xi": [res["xi"] for res in results],
@@ -86,14 +112,15 @@ def cmd_fbm(args) -> int:
     grid = TimeGrid(args.horizon, args.steps)
     cfg = FbmConfig(args.hurst, args.dims, args.seed)
     method = {"woodchan": "wood-chan", "cholesky": "cholesky"}[args.method]
-    paths = sample_paths(grid, cfg, args.paths, method=method)
     out = Path(args.out)
+    _check_out(out)
+    paths = sample_paths(grid, cfg, args.paths, method=method)
     out.mkdir(parents=True, exist_ok=True)
     times = grid.times
+    header = ["t"] + [f"b{k + 1}" for k in range(cfg.dims)]
+    time_cells = _cells(times)
     for i in range(args.paths):
-        header = ["t"] + [f"b{k + 1}" for k in range(cfg.dims)]
-        columns = [times] + [paths[i, :, k] for k in range(cfg.dims)]
-        _write_csv(out / f"fbm_path{i:03d}.csv", header, columns)
+        _write_csv(out / f"fbm_path{i:03d}.csv", header, [time_cells, paths[i]])
 
     # pooled over components: each is an independent copy of the same law
     pooled = np.moveaxis(paths[:, 1:, :], 2, 1).reshape(args.paths * cfg.dims, grid.steps)
@@ -107,7 +134,7 @@ def cmd_fbm(args) -> int:
     _write_csv(
         out / "fbm_summary.csv",
         ["t", "empirical_var", "empirical_se", "theoretical_var"],
-        [times[1:], emp_var, emp_se, theo],
+        [time_cells[1:], emp_var, emp_se, theo],
     )
     print(f"wrote {args.paths} path file(s) and fbm_summary.csv to {out}")
     return EXIT_OK
@@ -234,6 +261,9 @@ def cmd_reproduce_section4(args) -> int:
     return EXIT_OK
 
 
+# one parser per process: `main` called again (in-process runs, tests) skips
+# its forty-odd add_argument calls
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracvol",

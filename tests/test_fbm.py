@@ -224,22 +224,26 @@ class TestInputValidation:
             tracemalloc.stop()
         assert peak < 2**16
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
     def test_factor_build_peak_is_the_one_the_memory_check_assumes(self):
         # the check charges a Cholesky grid 3 steps^2 doubles: numpy's
         # factorization holds the covariance, the factor and a column-major
         # copy of the covariance that it allocates outside Python's allocator,
-        # where tracemalloc does not see it, so the resident high-water mark of
-        # a fresh process measures the peak.  The factor's untouched zero pages
-        # may stay out of it, so the peak reads between 2 and 3 steps^2 doubles
-        # and, with the libraries' own buffers, up to about 3.2
+        # where tracemalloc does not see it, so a fresh process's resident
+        # high-water mark measures the peak (VmHWM, not ru_maxrss, which a
+        # child inherits from the process that started it).  The factor's
+        # untouched zero pages may stay out of it, so the peak reads between 2
+        # and 3 steps^2 doubles and, with the libraries' own buffers, up to 3.5
         steps = 2048
         program = (
-            "import resource\n"
             "from fracvol import fbm\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return next(int(ln.split()[1]) for ln in status if ln[:6] == 'VmHWM:')\n"
             "fbm._cholesky_factor.__wrapped__(1.0, 64, 0.7)\n"
-            "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "base = peak()\n"
             f"fbm._cholesky_factor.__wrapped__(1.0, {steps}, 0.7)\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)\n"
+            "print(peak() - base)\n"
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -247,8 +251,7 @@ class TestInputValidation:
             [sys.executable, "-c", program], env=env, capture_output=True, text=True, timeout=120
         )
         assert done.returncode == 0, done.stderr
-        # ru_maxrss counts KiB on Linux and bytes on macOS
-        grown = int(done.stdout) * (1 if sys.platform == "darwin" else 1024)
+        grown = int(done.stdout) * 1024
         assert 2 * steps**2 * 8 < grown < 3.5 * steps**2 * 8
 
 

@@ -3,6 +3,9 @@ import errno
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +23,8 @@ from fracvol.scenario import (
     section4_scenario,
 )
 from fracvol.volterra import HypergeometricError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_scenario(tmp_path, scenario, name="scenario.json"):
@@ -588,16 +593,18 @@ def test_file_system_error_is_usage_error(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith("error: [Errno ")
 
 
-@pytest.mark.parametrize("command", ["simulate", "reproduce-section4"])
+@pytest.mark.parametrize("command", ["simulate", "reproduce-section4", "fbm"])
 def test_out_naming_a_file_fails_before_simulating(tmp_path, capsys, monkeypatch, command):
-    # both commands simulated every path before mkdir found the file
+    # the commands simulated or sampled every path before mkdir found the file
     calls = []
     monkeypatch.setattr(cli, "simulate_scenario_paths", lambda *a, **k: calls.append(a) or [])
+    monkeypatch.setattr(cli, "sample_paths", lambda *a, **k: calls.append(a) or [])
     taken = tmp_path / "taken"
     taken.write_text("")
     argv = {
         "simulate": ["simulate", write_scenario(tmp_path, section4_scenario(steps=8))],
         "reproduce-section4": ["reproduce-section4", "--steps", "8"],
+        "fbm": ["fbm", "--hurst", "0.7", "--steps", "8"],
     }[command]
     # an --out below the file failed only at mkdir, after the simulation
     for out, code in ((taken, errno.EEXIST), (taken / "sub", errno.ENOTDIR)):
@@ -606,6 +613,68 @@ def test_out_naming_a_file_fails_before_simulating(tmp_path, capsys, monkeypatch
         assert capsys.readouterr().err.startswith(want)
     assert calls == []
     assert taken.read_text() == ""
+
+
+ONE_PROCESS = """
+import json
+import sys
+
+from fracvol.cli import build_parser, main
+
+for argv in json.loads(sys.argv[1]):
+    print("exit", main(argv))
+print("parsers built:", build_parser.cache_info().misses)
+"""
+
+
+def test_commands_in_one_process_match_fresh_processes(tmp_path):
+    # `main` reuses one parser per process; a command run after others
+    # prints and writes what it does in a process of its own
+    scenario = write_scenario(tmp_path, section4_scenario(steps=8))
+    commands = [
+        ["fbm", "--hurst", "0.7", "--steps", "8", "--paths", "2", "--seed", "3", "--out", "f1"],
+        ["check-viability", scenario, "--json"],
+        ["simulate", scenario, "--paths", "2", "--project", "--out", "s1"],
+        ["fbm", "--hurst", "0.6", "--steps", "4", "--out", "f2"],
+        ["price", scenario, "--paths", "16", "--both"],
+        ["reproduce-section4", "--steps", "8", "--paths", "2", "--out", "r1"],
+        ["simulate", scenario, "--paths", "1", "--out", "s2"],
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    shared.mkdir()
+    fresh.mkdir()
+    done = subprocess.run(
+        [sys.executable, "-c", ONE_PROCESS, json.dumps(commands)],
+        cwd=shared, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    want = ""
+    for argv in commands:
+        alone = subprocess.run(
+            [sys.executable, "-m", "fracvol.cli", *argv],
+            cwd=fresh, env=env, capture_output=True, text=True, timeout=120,
+        )
+        want += f"{alone.stdout}exit {alone.returncode}\n"
+    assert done.stdout == want + "parsers built: 1\n"
+    files = {
+        root: {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+        for root in (shared, fresh)
+    }
+    assert len(files[fresh]) == 15 and files[shared] == files[fresh]
+
+
+def row_wise_csv(path, header, columns):
+    """The row-at-a-time writer that `_write_csv` replaced: the reference for its bytes."""
+    rows = np.asarray(np.column_stack(columns), dtype=float).tolist()
+    with open(path, "w", newline="\n") as handle:
+        handle.write(",".join(header) + "\n")
+        handle.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+SPECIAL = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1 / 3])
+BLOCK = np.arange(24, dtype=float).reshape(8, 3) / 7
 
 
 class TestCsvCells:
@@ -617,6 +686,40 @@ class TestCsvCells:
         assert lines[0] == "a,b,i" and lines[-1] == ""
         want = [",".join(repr(float(col[r])) for col in columns) for r in range(values.size)]
         assert lines[1:-1] == want
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            # -0.0 beside 0.0: equal values, different bytes, different cells
+            [np.zeros(8), -np.zeros(8), SPECIAL, -SPECIAL],
+            [np.arange(8), SPECIAL],
+            [SPECIAL, BLOCK, SPECIAL],
+            # bit-equal duplicates, within a block and beside it
+            [BLOCK[:, 0], np.column_stack([BLOCK[:, 0], BLOCK[:, 1], BLOCK[:, 0]]), BLOCK],
+            [SPECIAL[:1], BLOCK[:1], np.arange(1)],
+        ],
+        ids=["signed-zeros", "integers", "block", "duplicates", "one-row"],
+    )
+    def test_same_bytes_as_the_row_wise_writer(self, tmp_path, columns):
+        header = [f"c{j}" for j in range(np.column_stack(columns).shape[1])]
+        row_wise_csv(tmp_path / "want.csv", header, columns)
+        _write_csv(tmp_path / "got.csv", header, columns)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_formatted_column_is_written_as_given(self, tmp_path):
+        # a shared column formatted once, whole and sliced, as the bundle
+        # commands pass their time column
+        times = np.linspace(0.0, 1.0, 9)
+        cells = cli._cells(times)
+        for name, shared, column in [("whole", cells, times), ("tail", cells[1:], times[1:])]:
+            row_wise_csv(tmp_path / f"{name}-want.csv", ["t", "x"], [column, column**2])
+            _write_csv(tmp_path / f"{name}-got.csv", ["t", "x"], [shared, column**2])
+            got = (tmp_path / f"{name}-got.csv").read_bytes()
+            assert got == (tmp_path / f"{name}-want.csv").read_bytes()
+
+    def test_columns_of_unequal_length_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            _write_csv(tmp_path / "bad.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
 
 
 class TestReproduceCommand:
