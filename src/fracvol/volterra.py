@@ -15,7 +15,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import special
@@ -23,8 +23,9 @@ from scipy import special
 from .grids import TimeGrid
 
 
-# spread(fill, cells) runs fill(lo) for each slice of cells starting at lo; see `_spread`
-_Spread = Callable[[Callable[[int], None], int], None]
+# spread(fill, counts) runs fill(lo, hi) for runs of rows lo..hi-1, where row i
+# holds counts[i] cells; see `_spread`
+_Spread = Callable[[Callable[[int, int], None], Sequence[int]], None]
 
 
 class HypergeometricError(ArithmeticError):
@@ -75,13 +76,12 @@ def kernel_K(t: float, s: float, hurst: float) -> float:
     return float(_kernel_values(np.asarray(t, float), np.asarray(s, float), hurst))
 
 
-def _kernel_values(t: np.ndarray, s: np.ndarray, hurst: float,
-                   spread: _Spread | None = None) -> np.ndarray:
+def _kernel_values(t: np.ndarray, s: np.ndarray, hurst: float) -> np.ndarray:
     """Vectorized kernel on 0 < s < t (no indicator handling)."""
-    return _kernel_of_gap(t - s, 1.0 - t / s, hurst, spread)
+    return _kernel_of_gap(t - s, 1.0 - t / s, hurst)
 
 
-def _kernel_of_gap(gap, z, hurst: float, spread: _Spread | None = None) -> np.ndarray:
+def _kernel_of_gap(gap, z, hurst: float) -> np.ndarray:
     """The kernel c_H (t - s)^(H - 1/2) / Gamma(H + 1/2) 2F1(1/2 - H, H - 1/2; H + 1/2; z)
     from the gap t - s and the argument z = 1 - t/s, however each is computed.
 
@@ -92,25 +92,7 @@ def _kernel_of_gap(gap, z, hurst: float, spread: _Spread | None = None) -> np.nd
     c_h = math.sqrt(2 * hurst * math.gamma(1.5 - hurst) * math.gamma(hurst + 0.5)
                     / math.gamma(2 - 2 * hurst))
     scale = c_h / math.gamma(hurst + 0.5)
-    a, b, c = 0.5 - hurst, hurst - 0.5, hurst + 0.5
-    if spread is None:
-        factor = _hyp2f1(a, b, c, z)
-        return scale * gap ** (hurst - 0.5) * factor
-    # the calling thread and the pool's take `_SLICE_CELLS` cells at a time and
-    # write them with the same ufuncs, in the same order, into arrays allocated here
-    factor, values = np.empty(np.shape(z)), np.empty(np.shape(z))
-    flat = [np.reshape(array, -1) for array in (gap, z, factor, values)]
-
-    def fill(lo: int) -> None:
-        gap_, z_, factor_, values_ = (array[lo:lo + _SLICE_CELLS] for array in flat)
-        special.hyp2f1(a, b, c, z_, out=factor_)
-        np.power(gap_, hurst - 0.5, out=values_)
-        np.multiply(scale, values_, out=values_)
-        np.multiply(values_, factor_, out=values_)
-
-    spread(fill, values.size)
-    _finite_2f1(a, b, c, z, factor)
-    return values
+    return scale * gap ** (hurst - 0.5) * _hyp2f1(0.5 - hurst, hurst - 0.5, hurst + 0.5, z)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,17 +118,21 @@ def build_kernel_matrix(grid: TimeGrid, hurst: float) -> KernelMatrix:
     """Kernel matrix for the grid, cached per (horizon, steps, hurst).
 
     A grid whose steps x steps matrix would not fit in the machine's physical
-    memory is rejected before anything is allocated.  Beside the matrix the
-    build holds the midpoint cells of one block of whole rows at a time (at
-    most `_BAND_CELLS` cells, or one row), then the quadrature of the
-    first column and the diagonal, 79 nodes per row, so what it needs beyond
-    the matrix grows only linearly with steps (a traced peak of 11.6 MiB for
-    the 8 MiB matrix at 1024 steps, 11.7 MiB with the pool).
+    memory is rejected before anything is allocated.  The build works a
+    slice of whole rows at a time (at most `_SLICE_CELLS` cells, or one
+    row): a slice of the midpoint cells forms its cells' times, gaps and
+    2F1 arguments and writes their kernel values into the matrix, and a
+    slice of the first column's or the diagonal's quadrature, 79 nodes per
+    row, writes its nodes' kernel values into an array that is then summed
+    in one product.  Beside the matrix the build holds those arrays and a
+    slice per thread, so what it needs grows only linearly with steps (a
+    traced peak of 9.3 MiB for the 8 MiB matrix at 1024 steps, with or
+    without the pool).
 
-    A cold build of at least `_POOL_CELLS` cells evaluates each block's and
-    each quadrature's kernel values on every core this process may run on,
-    through a thread pool that lives as long as the build; smaller grids
-    stay on the calling thread.  The entries have the same bits either way.
+    A cold build of at least `_POOL_CELLS` cells hands its slices to every
+    core this process may run on, through a thread pool that lives as long
+    as the build; smaller grids take the same slices on the calling thread.
+    The entries have the same bits either way.
     """
     if not (0.0 < hurst < 1.0):
         raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
@@ -201,16 +187,27 @@ def _cell_mean_square(t: np.ndarray, lo, hi, hurst: float,
     absorbed by the double-exponential rule.  The kernel is evaluated from the
     source time s = lo + width x and the cancellation-free gap
     t - s = (t - hi) + width (1 - x), so nodes within 1e-23 of either edge
-    stay meaningful.
+    stay meaningful.  `spread` evaluates the nodes a run of targets at a time
+    (all at once without it); the weighted sum is one product over all of them.
     """
     x, xc, w = _tanh_sinh_unit()
     t = np.asarray(t, dtype=float)[:, None]
-    lo = np.asarray(lo, dtype=float).reshape(-1, 1)
-    hi = np.asarray(hi, dtype=float).reshape(-1, 1)
-    width = hi - lo
-    s = lo + width * x[None, :]
-    gap = (t - hi) + width * xc[None, :]
-    return _kernel_of_gap(gap, -gap / s, hurst, spread) ** 2 @ w
+    lo = np.broadcast_to(np.asarray(lo, dtype=float).reshape(-1, 1), t.shape)
+    hi = np.broadcast_to(np.asarray(hi, dtype=float).reshape(-1, 1), t.shape)
+    values = np.empty((t.shape[0], x.size))
+
+    def fill(start: int, stop: int) -> None:
+        rows = slice(start, stop)
+        width = hi[rows] - lo[rows]
+        s = lo[rows] + width * x
+        gap = (t[rows] - hi[rows]) + width * xc
+        values[rows] = _kernel_of_gap(gap, -gap / s, hurst)
+
+    if spread is None:
+        fill(0, len(values))
+    else:
+        spread(fill, [x.size] * len(values))
+    return values ** 2 @ w
 
 
 # Within this distance of hurst = 1/2 the edge singularities are negligible
@@ -219,18 +216,16 @@ def _cell_mean_square(t: np.ndarray, lo, hi, hurst: float,
 # of the edge cells would not.
 _NEAR_HALF_BAND = 0.025
 
-# Midpoint cells evaluated together: 2^15 doubles are 256 KiB per temporary.
-_BAND_CELLS = 2**15
-
-
 # Builds of fewer lower-triangle cells than this stay on the calling thread,
 # where handing slices to a pool costs more than a second core saves.  On 2
-# vCPU the pool lost at 64 steps (2,080 cells: 1.9-2.3 against 1.7-2.0 ms),
-# drew level at 96 (4,656) and won at 128 (8,256: 2.9-3.3 against 4.1-4.2 ms).
+# vCPU (median of 21 builds in each of six alternating fresh processes) the
+# pool lost at 64 steps (2,080 cells: 3.3 against 2.9 ms) and 96 (4,656: 4.9
+# against 4.5 ms); at 128 (8,256) the two were level within the host's spread
+# (medians over two rounds 5.4 and 5.5 ms, against 5.2 and 8.6 on one thread).
 _POOL_CELLS = 2**13
 
-# Cells per slice of a pooled kernel evaluation: 2^12 doubles are 32 KiB of
-# each argument and value.
+# Cells per slice of a kernel build, unless one row holds more: 2^12 doubles
+# are 32 KiB of each argument and value.
 _SLICE_CELLS = 2**12
 
 
@@ -244,21 +239,37 @@ def _build_helpers(steps: int) -> int:
     return (os.cpu_count() or 1) - 1
 
 
-def _spread(pool: ThreadPoolExecutor, helpers: int, fill: Callable[[int], None],
-            cells: int) -> None:
-    """Run fill(lo) for every slice lo = 0, `_SLICE_CELLS`, ... below cells on
+def _spread(fill: Callable[[int, int], None], counts: Sequence[int],
+            pool: ThreadPoolExecutor | None = None, helpers: int = 0) -> None:
+    """Run fill(lo, hi) for consecutive runs of rows lo..hi-1, where row i holds
+    counts[i] cells, each run of at most `_SLICE_CELLS` cells or one row, on
     the calling thread and `helpers` of the pool's threads, each taking the
-    next slice when it has finished one; return once every slice is done."""
-    slices = iter(range(0, cells, _SLICE_CELLS))  # the GIL makes each next() atomic
+    next run when it has finished one.  Once every thread is done, raise the
+    HypergeometricError of the first run, in row order, that raised one, so
+    that which thread took which run never shows."""
+    starts, held = [], math.inf
+    for row, count in enumerate(counts):
+        if held + count > _SLICE_CELLS:
+            starts.append(row)
+            held = 0
+        held += count
+    runs = zip(starts, starts[1:] + [len(counts)])  # the GIL makes each next() atomic
+    failed: dict[int, HypergeometricError] = {}
 
     def drain() -> None:
-        for lo in slices:
-            fill(lo)
+        for lo, hi in runs:
+            try:
+                fill(lo, hi)
+            except HypergeometricError as error:
+                failed[lo] = error
+                return
 
     running = [pool.submit(drain) for _ in range(helpers)]
     drain()
     for task in running:
         task.result()
+    if failed:
+        raise failed[min(failed)]
 
 
 @lru_cache(maxsize=8)
@@ -267,13 +278,14 @@ def _kernel_matrix_cached(horizon: float, steps: int, hurst: float) -> KernelMat
     returns, or on the calling thread alone where `_build_helpers` gives none."""
     helpers = _build_helpers(steps)
     if not helpers:
-        return _fill_kernel_matrix(horizon, steps, hurst, None)
+        return _fill_kernel_matrix(horizon, steps, hurst, _spread)
     with ThreadPoolExecutor(helpers, thread_name_prefix="fracvol-kernel") as pool:
-        return _fill_kernel_matrix(horizon, steps, hurst, partial(_spread, pool, helpers))
+        return _fill_kernel_matrix(horizon, steps, hurst,
+                                   partial(_spread, pool=pool, helpers=helpers))
 
 
 def _fill_kernel_matrix(horizon: float, steps: int, hurst: float,
-                        spread: _Spread | None) -> KernelMatrix:
+                        spread: _Spread) -> KernelMatrix:
     grid = TimeGrid(horizon, steps)
     dt = grid.dt
     targets = grid.times[1:]
@@ -281,26 +293,25 @@ def _fill_kernel_matrix(horizon: float, steps: int, hurst: float,
     entries = np.zeros((steps, steps))
     near_half = abs(hurst - 0.5) < _NEAR_HALF_BAND
     # near 1/2 every cell is a midpoint cell; otherwise the first column and
-    # the diagonal are filled below.  Row i's midpoint cells are
-    # first <= j <= i - first, filled a block of whole rows at a time: at
-    # most `_BAND_CELLS` cells, or one row where a row holds more.
+    # the diagonal are filled below.  Slice row k is matrix row 2 first + k,
+    # whose midpoint cells are first <= j <= first + k; a slice gathers their
+    # times and writes their values through its rows' lower-triangle mask.
     first = 0 if near_half else 1
-    block = max(1, _BAND_CELLS // steps)
-    for lo in range(2 * first, steps, block):
-        hi = min(lo + block, steps)
-        rows, cols = np.nonzero(np.tri(hi - lo, hi - 2 * first, lo - 2 * first, dtype=bool))
-        rows += lo
-        cols += first
-        entries[rows, cols] = _kernel_values(targets[rows], mids[cols], hurst, spread)
-    if near_half:
-        entries.setflags(write=False)
-        return KernelMatrix(grid, hurst, entries)
-    # first column: cells (0, dt]
-    entries[:, 0] = np.sqrt(_cell_mean_square(targets, 0.0, dt, hurst, spread))
-    if steps > 1:
+
+    def fill(lo: int, hi: int) -> None:
+        inside = np.tri(hi - lo, hi, lo, dtype=bool)
+        rows, cols = slice(lo + 2 * first, hi + 2 * first), slice(first, hi + first)
+        t = np.broadcast_to(targets[rows, None], inside.shape)[inside]
+        s = np.broadcast_to(mids[cols], inside.shape)[inside]
+        entries[rows, cols][inside] = _kernel_values(t, s, hurst)
+
+    spread(fill, range(1, steps - 2 * first + 1))
+    if not near_half:
+        # first column: cells (0, dt]
+        entries[:, 0] = np.sqrt(_cell_mean_square(targets, 0.0, dt, hurst, spread))
         # diagonal cells (t_i - dt, t_i]
         diag_sq = _cell_mean_square(targets[1:], targets[1:] - dt, targets[1:], hurst, spread)
-        entries[np.arange(1, steps), np.arange(1, steps)] = np.sqrt(diag_sq)
+        np.fill_diagonal(entries[1:, 1:], np.sqrt(diag_sq))
     entries.setflags(write=False)
     return KernelMatrix(grid, hurst, entries)
 

@@ -196,10 +196,11 @@ class TestKernelMatrix:
             tracemalloc.stop()
         assert peak < 2**16
 
-    # a chunk of 1 or 7 cells makes each row its own block; the larger chunks
-    # take 2 and 7 rows a block.  Each build is made on the calling thread
-    # alone (the reference) and with one and two pool threads beside it, on
-    # grids below the pool's crossover (96 steps) and above it
+    # a slice of 1 cell makes each row its own slice, and one of 7 cells
+    # every row past the third; the larger slices take whole runs of rows.
+    # Each build is made on the calling thread alone and with one and two
+    # pool threads beside it, on grids below the pool's crossover (96 steps)
+    # and above it
     @pytest.mark.parametrize(
         "steps, chunks",
         [(1, (1, 7)), (2, (1, 7)), (3, (1, 7)), (5, (1, 7)), (64, (1, 7, 128)), (257, (1, 7, 2048)),
@@ -208,12 +209,23 @@ class TestKernelMatrix:
     @pytest.mark.parametrize("hurst", [0.51, 0.55, 0.85, 0.3, 0.49, 0.5, 0.7, 0.976])
     def test_banded_build_matches_one_pass_build_bit_for_bit(self, steps, chunks, hurst):
         expected = _one_pass_kernel(1.0, steps, hurst)
-        for chunk in chunks + (volterra._BAND_CELLS,):
+        for chunk in chunks + (volterra._SLICE_CELLS,):
             for helpers in (0, 1, 2):
-                with mock.patch.object(volterra, "_BAND_CELLS", chunk), \
+                with mock.patch.object(volterra, "_SLICE_CELLS", chunk), \
                         mock.patch.object(volterra, "_build_helpers", return_value=helpers):
                     got = volterra._kernel_matrix_cached.__wrapped__(1.0, steps, hurst)
                 np.testing.assert_array_equal(got.entries, expected)
+
+    # the times of these grids are not binary fractions, so a gap formed as
+    # (i - j + 1/2) dt in place of t - s would differ from it in thousands of cells
+    @pytest.mark.parametrize("horizon, steps", [(0.3, 1000), (2.5, 129), (1 / 3, 300), (7.0, 130)])
+    @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.7, 0.85])
+    def test_build_off_binary_fraction_times_matches_one_pass_build(self, horizon, steps, hurst):
+        expected = _one_pass_kernel(horizon, steps, hurst)
+        for helpers in (0, 1, 2):
+            with mock.patch.object(volterra, "_build_helpers", return_value=helpers):
+                got = volterra._kernel_matrix_cached.__wrapped__(horizon, steps, hurst)
+            np.testing.assert_array_equal(got.entries, expected)
 
     def test_build_holds_the_matrix_and_one_band(self):
         # a 1024-step build traced 55.6 MiB in one pass over the triangle;
@@ -288,6 +300,26 @@ class TestKernelMatrix:
             messages.append(str(raised.value))
         assert messages == [messages[0]] * 3
         assert messages[0].endswith(f"is not finite at z = {first!r}")
+
+    def test_pooled_build_raises_the_first_columns_error(self):
+        # 2F1 is NaN only where z < -1e6, which at 1024 steps only the first
+        # column's quadrature nodes reach (the interior's least z is -681.7):
+        # every build names the first of them in C order, row 0's first node
+        hyp2f1 = volterra.special.hyp2f1
+
+        def nan_far(a, b, c, z, out=None):
+            values = np.where(np.asarray(z) < -1e6, np.nan, hyp2f1(a, b, c, z))
+            if out is None:
+                return values
+            out[...] = values
+            return out
+
+        for helpers in (0, 1, 2):
+            with mock.patch.object(volterra.special, "hyp2f1", nan_far), \
+                    mock.patch.object(volterra, "_build_helpers", return_value=helpers), \
+                    pytest.raises(HypergeometricError) as raised:
+                volterra._kernel_matrix_cached.__wrapped__(1.0, 1024, 0.7)
+            assert str(raised.value).endswith("is not finite at z = -2573485501354568.0"), helpers
 
 
 def _one_pass_kernel(horizon: float, steps: int, hurst: float) -> np.ndarray:
