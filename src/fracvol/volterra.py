@@ -46,13 +46,9 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
 
 
 def _hyp2f1(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
-    """`scipy.special.hyp2f1` elementwise, checked to be finite everywhere."""
-    return _finite_2f1(a, b, c, z, np.asarray(special.hyp2f1(a, b, c, z)))
-
-
-def _finite_2f1(a: float, b: float, c: float, z: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The 2F1 values at z, or HypergeometricError naming the first argument, in
-    C order, whose value is not finite."""
+    """`scipy.special.hyp2f1` elementwise, or HypergeometricError naming the
+    first argument, in C order, whose value is not finite."""
+    values = np.asarray(special.hyp2f1(a, b, c, z))
     bad = ~np.isfinite(values)
     if np.any(bad):
         at = float(np.broadcast_to(z, values.shape)[bad][0])
